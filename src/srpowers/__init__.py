@@ -40,6 +40,7 @@ from .matroids import (
 from .ideals import (
     Contraction,
     MonomialIdeal,
+    SymbolicPower,
     complex_of_radical,
     contract,
     cover_ideal,

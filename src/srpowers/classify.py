@@ -38,6 +38,7 @@ from .matroids import (
 )
 from .ideals import (
     MonomialIdeal,
+    SymbolicPower,
     cover_ideal,
     dual_complex,
     facet_ideal,
@@ -298,36 +299,43 @@ def _assert_dual_agreement(c: SimplicialComplex, rep: ClassificationReport) -> N
         )
 
 
+def _base_ideal(q: Query) -> MonomialIdeal:
+    if q.ideal_kind == "stanley_reisner":
+        return sr_ideal(q.complex)
+    if q.ideal_kind == "facet":
+        return facet_ideal(q.complex)
+    return cover_ideal(q.complex)
+
+
 def build_ideal(q: Query) -> MonomialIdeal:
     """The concrete power named by the query (m must be an integer)."""
     if q.m == "all":
         raise ValueError('cannot build the power for m="all"')
-    if q.ideal_kind == "stanley_reisner":
-        base = sr_ideal(q.complex)
-    elif q.ideal_kind == "facet":
-        base = facet_ideal(q.complex)
-    else:
-        base = cover_ideal(q.complex)
     if q.power_kind == "ordinary":
-        return base.power(q.m)
-    return symbolic_power_ideal(base, q.m)
+        return _base_ideal(q).power(q.m)
+    return symbolic_power_ideal(_base_ideal(q), q.m)
 
 
 def run_oracle(q: Query, field: int | None = None, budget_seconds: float | None = None) -> OracleRun:
-    """Run the exact local cohomology oracle on the constructed power."""
+    """Run the exact local cohomology oracle on the power: a symbolic power
+    from the facets of its radical complex, an ordinary one from its
+    generators."""
     start = time.monotonic()
     if q.property not in ORACLE_DECIDABLE:
         return OracleRun(False, None, 0.0, "property has no algebraic oracle")
     if q.m == "all":
         return OracleRun(False, None, 0.0, 'power not constructible at m="all"')
     deadline = start + budget_seconds if budget_seconds else None
-    ideal = build_ideal(q)
-    if q.property == "CM":
-        result = co.is_cm(ideal, field, deadline=deadline)
-    elif q.property == "S2":
-        result = co.is_s2(ideal, field, deadline=deadline)
+    if q.power_kind == "symbolic":
+        power = SymbolicPower.of(_base_ideal(q), q.m)
     else:
-        result = co.is_generalized_cm(ideal, field, deadline=deadline)
+        power = build_ideal(q)
+    if q.property == "CM":
+        result = co.is_cm(power, field, deadline=deadline)
+    elif q.property == "S2":
+        result = co.is_s2(power, field, deadline=deadline)
+    else:
+        result = co.is_generalized_cm(power, field, deadline=deadline)
     return OracleRun(True, result, time.monotonic() - start)
 
 
@@ -341,7 +349,7 @@ class OracleComparison:
 
 def verify_against_oracle(q: Query, field: int | None = None,
                           budget_seconds: float | None = None) -> OracleComparison:
-    """Compare the theorem verdict with the oracle on the explicit power."""
+    """Compare the theorem verdict with the oracle (see ``run_oracle``)."""
     if q.property not in ORACLE_DECIDABLE:
         raise ValueError("only CM, S2 and gCM are oracle-decidable")
     if q.m == "all":

@@ -17,21 +17,34 @@ hence only a_i in {-1, ..., rho_i - 1} matters, with rho_i the maximal
 exponent of x_i over the generators.  For squarefree ideals this box is
 {-1,0}^n and the scan reproduces the classical link-by-link criterion.
 
+The oracle has two routes, picked by the type of its input.  A
+``MonomialIdeal`` is scanned from its generators, each degree complex
+built by minimal transversals (after Takayama).  A ``SymbolicPower`` is
+scanned from the facets of its radical complex, each degree complex in
+closed form (Minh-Trung), without building I^(m); its explicit ideal
+through the first route is the cross-check (sweep ``sym-cube-routes``).
+
 All linear algebra is exact (rationals by default, or a prime field).
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import antichain_minimal, iter_bits, minimal_transversals, submasks
+from .bits import antichain_minimal, compactify, iter_bits, minimal_transversals, submasks
 from .complexes import SimplicialComplex, void_complex
-from .ideals import MonomialIdeal, complex_of_radical, contract, sr_ideal, symbolic_power
-from .linalg import field_name, rank
+from .ideals import (
+    MonomialIdeal,
+    SymbolicPower,
+    complex_of_radical,
+    contract,
+    sr_ideal,
+    symbolic_power,
+)
+from .linalg import field_name, rank, require_prime
 
 
 class OracleBudgetExceeded(RuntimeError):
@@ -39,16 +52,13 @@ class OracleBudgetExceeded(RuntimeError):
 
 
 def _validate_field(field) -> None:
-    if field is None:
-        return
-    if not isinstance(field, int) or field < 2 or any(
-        field % d == 0 for d in range(2, int(field ** 0.5) + 1)
-    ):
-        raise ValueError("field must be None (rationals) or a prime")
+    """None (the rationals) or a prime."""
+    if field is not None:
+        require_prime(field)
 
 
-def _require_proper(ideal: MonomialIdeal) -> None:
-    if ideal.is_unit:
+def _require_proper(ideal) -> None:
+    if isinstance(ideal, MonomialIdeal) and ideal.is_unit:
         raise ValueError("the unit ideal is not allowed here")
 
 
@@ -146,9 +156,14 @@ def reduced_homology_dims(c: SimplicialComplex, field: int | None = None) -> tup
 # -- degree complexes ----------------------------------------------------------
 
 
-def degree_complex(ideal: MonomialIdeal, a) -> SimplicialComplex:
+def degree_complex(ideal: MonomialIdeal | SymbolicPower, a) -> SimplicialComplex:
     """The degree complex of the ideal at a in Z^n, on ambient {1..n} with
-    vertices of the negative support removed.  May be void or {0}."""
+    vertices of the negative support removed.  May be void or {0}.
+
+    A ``SymbolicPower`` is read in closed form from the facets of its
+    radical complex (Minh-Trung; Lemma 1.3 of the paper): the facets F - G
+    over the facets F containing the negative support G with the
+    coordinates of a outside F summing to at most m - 1."""
     _require_proper(ideal)
     a = tuple(a)
     if len(a) != ideal.n:
@@ -159,6 +174,12 @@ def degree_complex(ideal: MonomialIdeal, a) -> SimplicialComplex:
     for i, ai in enumerate(a):
         if ai < 0:
             neg |= 1 << i
+    if isinstance(ideal, SymbolicPower):
+        return SimplicialComplex(n, frozenset(
+            f & ~neg
+            for f in ideal.facets
+            if f & neg == neg and sum(x for i, x in enumerate(a) if not f >> i & 1) < ideal.m
+        ))
     ground = full & ~neg
     if ideal.is_zero:
         return SimplicialComplex(n, frozenset({ground}))
@@ -227,8 +248,6 @@ def _dims_of_facets(facets: tuple[int, ...], field) -> tuple[int, ...]:
     support = 0
     for f in facets:
         support |= f
-    from .bits import compactify
-
     key = (tuple(sorted(compactify(facets, support))), field)
     cached = _DIMS_CACHE.get(key)
     if cached is None:
@@ -237,19 +256,23 @@ def _dims_of_facets(facets: tuple[int, ...], field) -> tuple[int, ...]:
     return cached
 
 
-def _box_rows(rho: tuple[int, ...], below: int) -> list[tuple[int, ...]]:
+_CHUNK = 4096  # box rows per numpy block; also the deadline granularity
+
+
+def _box_rows(rho: tuple[int, ...], below: int) -> np.ndarray:
+    """The degree box {-1..rho_i - 1}^n as int16 rows with fewer than
+    ``below`` negative coordinates, sorted by (negative count,
+    lexicographic order)."""
     size = 1
     for r in rho:
         size *= r + 1
         if size > 1 << 22:
             raise ValueError("degree box too large for desk scale")
-    rows = [
-        a
-        for a in itertools.product(*(range(-1, r) for r in rho))
-        if sum(1 for x in a if x < 0) < below
-    ]
-    rows.sort(key=lambda a: (sum(1 for x in a if x < 0), a))
-    return rows
+    rows = np.indices([r + 1 for r in rho], dtype=np.int16).reshape(len(rho), -1).T - 1
+    negc = (rows < 0).sum(axis=1)
+    keep = negc < below
+    # np.indices enumerates in lexicographic order; a stable sort keeps it
+    return rows[keep][np.argsort(negc[keep], kind="stable")]
 
 
 def _scan(
@@ -273,23 +296,18 @@ def _scan(
     gens = sorted(ideal.gens)
     rho = ideal.max_exponents()
     rows = _box_rows(rho, below)
-    if not rows:
-        return []
     U = np.array(gens, dtype=np.int16)
     pow2 = np.array([1 << j for j in range(n)], dtype=np.int64)
     found: dict[int, Witness] = {}
-    chunk = 4096
-    for start in range(0, len(rows), chunk):
-        if deadline is not None and time.monotonic() > deadline:
-            raise OracleBudgetExceeded("depth scan ran past its budget")
-        block = rows[start : start + chunk]
-        A = np.array(block, dtype=np.int16)
-        masks = np.zeros((len(block), len(gens)), dtype=np.int64)
+    for start in range(0, len(rows), _CHUNK):
+        _check_deadline(deadline)
+        A = rows[start : start + _CHUNK]
+        masks = np.zeros((len(A), len(gens)), dtype=np.int64)
         for j in range(n):
             masks |= (U[:, j][None, :] > A[:, j][:, None]).astype(np.int64) << j
         neg_masks = ((A < 0).astype(np.int64) @ pow2).tolist()
         mask_lists = masks.tolist()
-        for b, a in enumerate(block):
+        for b, a in enumerate(A.tolist()):
             neg = neg_masks[b]
             negc = neg.bit_count()
             ds = set()
@@ -337,12 +355,99 @@ def _scan(
     return sorted(found.values(), key=lambda w: w.index)
 
 
-def quotient_dimension(ideal: MonomialIdeal) -> int:
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise OracleBudgetExceeded("depth scan ran past its budget")
+
+
+def _select_facets(A: np.ndarray, out: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The closed form on a block of box rows A, given the facet
+    complements as 0/1 rows ``out``: which facets each row selects, and
+    the indices of the rows whose degree complex is neither void nor a
+    cone."""
+    neg = A < 0
+    sel = (np.maximum(A, 0) @ out.T < m) & (neg @ out.T == 0)
+    apex = ((sel @ out == 0) & ~neg).any(axis=1)
+    return sel, np.flatnonzero(sel.any(axis=1) & ~apex)
+
+
+def _scan_symbolic(sp: SymbolicPower, below: int, field, *, deadline: float | None = None) -> bool:
+    """Whether some local cohomology of S/I^(m) in an index < below is
+    nonzero, read from the facets of the radical complex.
+
+    The degree complex at a is <F - G_a : G_a <= F, sum_{i not in F} a_i
+    <= m - 1> (see ``degree_complex``), so a box row needs cohomology only
+    when it selects some facet (else void) and no vertex outside G_a lies
+    in every selected facet (else a cone).  The rest depend on a only
+    through (G_a, selected facets) and are computed once per pair.
+    """
+    if below <= 0:
+        return False
+    n, m = sp.n, sp.m
+    facets = sorted(sp.facets)
+    out = 1 - np.array([[f >> i & 1 for i in range(n)] for f in facets], dtype=np.int32)
+    # a vertex in every facet is an apex of every degree complex, so its
+    # coordinate needs no value above -1; the other coordinates stop at m - 1
+    rows = _box_rows(tuple(m if out[:, i].any() else 0 for i in range(n)), below)
+    pow2 = np.array([1 << i for i in range(n)], dtype=np.int64)
+    seen: set[bytes] = set()
+    for start in range(0, len(rows), _CHUNK):
+        _check_deadline(deadline)
+        A = rows[start : start + _CHUNK]
+        neg = A < 0
+        sel, live = _select_facets(A, out, m)
+        if not len(live):
+            continue
+        keys = np.hstack([np.packbits(neg[live], axis=1), np.packbits(sel[live], axis=1)])
+        _, first = np.unique(keys, axis=0, return_index=True)
+        for u in first.tolist():
+            key = keys[u].tobytes()
+            if key in seen:
+                continue
+            seen.add(key)
+            b = live[u]
+            g = int(neg[b] @ pow2)
+            negc = g.bit_count()
+            link = tuple(facets[j] & ~g for j in np.flatnonzero(sel[b]).tolist())
+            if link == (0,):  # the complex {0}: reduced cohomology in degree -1
+                if negc < below:
+                    return True
+                continue
+            jmax = below - negc - 2
+            if jmax >= 0 and any(_dims_of_facets(link, field)[1 : jmax + 2]):
+                return True
+    return False
+
+
+def _radical_complex(ideal: MonomialIdeal | SymbolicPower) -> SimplicialComplex:
+    if isinstance(ideal, SymbolicPower):
+        return SimplicialComplex(ideal.n, ideal.facets)
+    return complex_of_radical(ideal)
+
+
+def _nonvanishing_below(ideal: MonomialIdeal | SymbolicPower, below: int, field, deadline) -> bool:
+    """Some local cohomology in an index < below is nonzero: the closed
+    form for a symbolic power, the general scan for any other ideal."""
+    if isinstance(ideal, SymbolicPower):
+        return _scan_symbolic(ideal, below, field, deadline=deadline)
+    return bool(_scan(ideal, below, field, first_only=True, deadline=deadline))
+
+
+def _localize(ideal: MonomialIdeal | SymbolicPower, inverted: int):
+    """The ideal with the variables of ``inverted`` inverted, or None for
+    the unit ideal (for a symbolic power: ``inverted`` is no face)."""
+    if isinstance(ideal, SymbolicPower):
+        return ideal.contract(inverted)
+    j = contract(ideal, inverted).ideal
+    return None if j.is_unit else j
+
+
+def quotient_dimension(ideal: MonomialIdeal | SymbolicPower) -> int:
     """Krull dimension of S/I: one more than the radical complex dimension."""
     _require_proper(ideal)
     if ideal.is_zero:
         return ideal.n
-    return complex_of_radical(ideal).dimension() + 1
+    return _radical_complex(ideal).dimension() + 1
 
 
 def depth_dim(ideal: MonomialIdeal, field: int | None = None, *, deadline: float | None = None) -> DepthReport:
@@ -362,14 +467,23 @@ def depth_dim(ideal: MonomialIdeal, field: int | None = None, *, deadline: float
 _CM_MEMO: dict = {}
 
 
-def _canonical_ideal_key(ideal: MonomialIdeal):
-    gens = ideal.sorted_gens()
+def _canonical_ideal_key(ideal: MonomialIdeal | SymbolicPower):
+    """Memo key: the generators (for a symbolic power, m and the facet
+    indicators) with the variables sorted by their sorted columns, so
+    equal keys mean equal ideals up to renaming the variables."""
+    if isinstance(ideal, SymbolicPower):
+        tag = ("symbolic", ideal.m)
+        gens = [tuple(f >> i & 1 for i in range(ideal.n)) for f in ideal.facets]
+    else:
+        tag = ()
+        gens = ideal.sorted_gens()
     cols = [tuple(sorted(g[i] for g in gens)) for i in range(ideal.n)]
     order = sorted(range(ideal.n), key=lambda i: cols[i])
-    return (ideal.n, tuple(sorted(tuple(g[i] for i in order) for g in gens)))
+    return tag + (ideal.n, tuple(sorted(tuple(g[i] for i in order) for g in gens)))
 
 
-def is_cm(ideal: MonomialIdeal, field: int | None = None, *, deadline: float | None = None) -> bool:
+def is_cm(ideal: MonomialIdeal | SymbolicPower, field: int | None = None, *,
+          deadline: float | None = None) -> bool:
     """Cohen-Macaulayness of S/I over the field: no local cohomology below
     the dimension."""
     _validate_field(field)
@@ -378,26 +492,25 @@ def is_cm(ideal: MonomialIdeal, field: int | None = None, *, deadline: float | N
         return True
     key = (_canonical_ideal_key(ideal), field)
     cached = _CM_MEMO.get(key)
-    if cached is not None:
-        return cached
-    dim_q = quotient_dimension(ideal)
-    result = not _scan(ideal, dim_q, field, first_only=True, deadline=deadline)
-    _CM_MEMO[key] = result
-    return result
+    if cached is None:
+        cached = not _nonvanishing_below(ideal, quotient_dimension(ideal), field, deadline)
+        _CM_MEMO[key] = cached
+    return cached
 
 
-def is_equidimensional(ideal: MonomialIdeal) -> bool:
+def is_equidimensional(ideal: MonomialIdeal | SymbolicPower) -> bool:
     """All minimal primes cut out quotients of the same dimension."""
     _require_proper(ideal)
     if ideal.is_zero:
         return True
-    return complex_of_radical(ideal).is_pure()
+    return _radical_complex(ideal).is_pure()
 
 
 _S2_MEMO: dict = {}
 
 
-def is_s2(ideal: MonomialIdeal, field: int | None = None, *, deadline: float | None = None) -> bool:
+def is_s2(ideal: MonomialIdeal | SymbolicPower, field: int | None = None, *,
+          deadline: float | None = None) -> bool:
     """Serre condition S2: every monomial-prime localization has depth at
     least min(2, its dimension).  Monomial primes suffice because the
     failure locus of a monomial quotient is itself monomial-graded."""
@@ -405,25 +518,24 @@ def is_s2(ideal: MonomialIdeal, field: int | None = None, *, deadline: float | N
     _require_proper(ideal)
     if ideal.is_zero:
         return True
-    n = ideal.n
-    full = (1 << n) - 1
+    full = (1 << ideal.n) - 1
     for wmask in range(1, full + 1):
-        sub = contract(ideal, full & ~wmask)
-        j = sub.ideal
-        if j.is_unit or j.is_zero:
+        j = _localize(ideal, full & ~wmask)
+        if j is None or j.is_zero:
             continue
         key = (_canonical_ideal_key(j), field)
         cached = _S2_MEMO.get(key)
         if cached is None:
             bound = min(2, quotient_dimension(j))
-            cached = not _scan(j, bound, field, first_only=True, deadline=deadline)
+            cached = not _nonvanishing_below(j, bound, field, deadline)
             _S2_MEMO[key] = cached
         if not cached:
             return False
     return True
 
 
-def is_generalized_cm(ideal: MonomialIdeal, field: int | None = None, *, deadline: float | None = None) -> bool:
+def is_generalized_cm(ideal: MonomialIdeal | SymbolicPower, field: int | None = None, *,
+                      deadline: float | None = None) -> bool:
     """Generalized Cohen-Macaulay: equidimensional and every one-variable
     localization is Cohen-Macaulay."""
     _validate_field(field)
@@ -432,9 +544,9 @@ def is_generalized_cm(ideal: MonomialIdeal, field: int | None = None, *, deadlin
         return True
     if not is_equidimensional(ideal):
         return False
-    for i in range(1, ideal.n + 1):
-        j = contract(ideal, 1 << (i - 1)).ideal
-        if j.is_unit or j.is_zero:
+    for i in range(ideal.n):
+        j = _localize(ideal, 1 << i)
+        if j is None or j.is_zero:
             continue
         if not is_cm(j, field, deadline=deadline):
             return False

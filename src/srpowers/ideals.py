@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import mask_of, minimal_transversals, vertices_of
+from .bits import compactify, mask_of, minimal_transversals, vertices_of
 from .complexes import SimplicialComplex
 
 MAX_POWER = 16  # desk scale guard
@@ -29,6 +29,10 @@ def _support(gen: tuple[int, ...]) -> int:
         if e:
             m |= 1 << i
     return m
+
+
+def _indicator(mask: int, n: int) -> tuple[int, ...]:
+    return tuple(mask >> i & 1 for i in range(n))
 
 
 def minimalize(vectors, n: int) -> frozenset[tuple[int, ...]]:
@@ -252,13 +256,7 @@ def facet_ideal(c: SimplicialComplex) -> MonomialIdeal:
     """Generated by the facet monomials."""
     if c.is_void or c.is_empty_complex:
         raise ValueError("facet ideal needs nonempty facets")
-    gens = []
-    for f in c.facets:
-        g = [0] * c.n
-        for v in vertices_of(f):
-            g[v - 1] = 1
-        gens.append(tuple(g))
-    return MonomialIdeal(c.n, frozenset(gens))
+    return MonomialIdeal(c.n, frozenset(_indicator(f, c.n) for f in c.facets))
 
 
 def cover_ideal(c: SimplicialComplex) -> MonomialIdeal:
@@ -269,13 +267,7 @@ def cover_ideal(c: SimplicialComplex) -> MonomialIdeal:
         raise ValueError("cover ideal needs nonempty facets")
     full = (1 << c.n) - 1
     covers = minimal_transversals(sorted(c.facets), full)
-    gens = []
-    for t in covers:
-        g = [0] * c.n
-        for v in vertices_of(t):
-            g[v - 1] = 1
-        gens.append(tuple(g))
-    return MonomialIdeal(c.n, frozenset(gens))
+    return MonomialIdeal(c.n, frozenset(_indicator(t, c.n) for t in covers))
 
 
 def dual_complex(c: SimplicialComplex) -> SimplicialComplex:
@@ -335,6 +327,58 @@ def symbolic_power_ideal(ideal: MonomialIdeal, m: int) -> MonomialIdeal:
 def symbolic_power(c: SimplicialComplex, m: int) -> MonomialIdeal:
     """m-th symbolic power of the Stanley-Reisner ideal of the complex."""
     return symbolic_power_ideal(sr_ideal(c), m)
+
+
+@dataclass(frozen=True)
+class SymbolicPower:
+    """I^(m) for a squarefree ideal I, held as the facets (bitmasks over
+    1..n) of the radical complex of I and the exponent m.
+
+    I^(m) is the intersection of the prime powers P_{V-F}^m over those
+    facets F, so the facets determine it without building generators.
+    The depth oracle reads its degree complexes from them in closed form;
+    ``ideal()`` gives the explicit generators for the general route.
+    """
+
+    n: int
+    facets: frozenset[int]
+    m: int
+
+    @staticmethod
+    def of(ideal: MonomialIdeal, m: int) -> "SymbolicPower":
+        """The m-th symbolic power of any proper squarefree ideal
+        (Stanley-Reisner, cover or facet ideal alike)."""
+        if not ideal.is_squarefree:
+            raise ValueError("symbolic powers are defined here for squarefree input")
+        if not 1 <= m <= MAX_POWER:
+            raise ValueError(f"power must lie in 1..{MAX_POWER}")
+        return SymbolicPower(ideal.n, complex_of_radical(ideal).facets, m)
+
+    @property
+    def is_zero(self) -> bool:
+        return (1 << self.n) - 1 in self.facets
+
+    def radical(self) -> MonomialIdeal:
+        """The squarefree ideal: its generators are the minimal nonfaces,
+        which are the minimal transversals of the facet complements."""
+        full = (1 << self.n) - 1
+        nonfaces = minimal_transversals([full & ~f for f in self.facets], full)
+        return MonomialIdeal(self.n, frozenset(_indicator(t, self.n) for t in nonfaces))
+
+    def ideal(self) -> MonomialIdeal:
+        """The explicit generators of I^(m)."""
+        return symbolic_power_ideal(self.radical(), self.m)
+
+    def contract(self, face: int) -> "SymbolicPower | None":
+        """Invert the variables of ``face`` (a mask): the symbolic power of
+        the link, with facets F - face for the facets F containing it,
+        relabelled onto the remaining variables in order.  None when
+        ``face`` is not a face, where the contraction is the unit ideal."""
+        star = [f & ~face for f in self.facets if f & face == face]
+        if not star:
+            return None
+        kept = ((1 << self.n) - 1) & ~face
+        return SymbolicPower(kept.bit_count(), frozenset(compactify(star, kept)), self.m)
 
 
 def symbolic_power_by_intersection(ideal: MonomialIdeal, m: int) -> MonomialIdeal:

@@ -7,6 +7,8 @@ matrices, a few dozen rows at most.
 
 from __future__ import annotations
 
+from math import isqrt
+
 
 def rank_rational(rows: list[list[int]]) -> int:
     """Rank of an integer matrix over Q, one-step Bareiss elimination."""
@@ -38,10 +40,16 @@ def rank_rational(rows: list[list[int]]) -> int:
     return rank
 
 
+def require_prime(p) -> int:
+    """p itself when it is a prime int; otherwise ValueError."""
+    if not isinstance(p, int) or p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise ValueError(f"{p!r} is not prime")
+    return p
+
+
 def rank_mod_p(rows: list[list[int]], p: int) -> int:
     """Rank over the prime field F_p by Gaussian elimination."""
-    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     if not rows or not rows[0]:
         return 0
     m = [[e % p for e in r] for r in rows]
@@ -81,10 +89,7 @@ def parse_field(text: str) -> int | None:
     if t in ("Q", "q", "QQ"):
         return None
     if t and t[0] in "Ff" and t[1:].isdigit():
-        p = int(t[1:])
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
-            raise ValueError(f"{p} is not prime")
-        return p
+        return require_prime(int(t[1:]))
     raise ValueError(f"cannot parse field {text!r}; use Q or Fp")
 
 

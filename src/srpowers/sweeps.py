@@ -18,14 +18,7 @@ from . import cohomology as co
 from .classify import Query, classify
 from .complexes import SimplicialComplex
 from .enumeration import distinct_complexes, sample_complexes, structured_positives
-from .ideals import (
-    cover_ideal,
-    dual_complex,
-    facet_ideal,
-    sr_ideal,
-    symbolic_power,
-    symbolic_power_ideal,
-)
+from .ideals import SymbolicPower, cover_ideal, dual_complex, facet_ideal, sr_ideal
 from .matroids import (
     graph_matroid_criterion,
     is_complete_intersection,
@@ -45,89 +38,107 @@ def complex_signature(c: SimplicialComplex) -> str:
 
 
 # -- individual checks: return (side_a, side_b) bools or None to skip ---------
+# Each takes (complex, field, deadline); the oracle checks hand the deadline
+# to the oracle, which raises OracleBudgetExceeded past it.
 
 
-def _chk_matroid_pair(c, field):
+def _chk_matroid_pair(c, field, deadline):
     return is_matroid_exchange(c), is_matroid_pair(c)
 
 
-def _chk_graph_4cycle(c, field):
+def _chk_graph_4cycle(c, field, deadline):
     if c.is_empty_complex or c.dimension() != 1 or not c.is_pure():
         return None
     return is_matroid_exchange(c), graph_matroid_criterion(c)
 
 
-def _chk_matroid_local(c, field):
+def _chk_matroid_local(c, field, deadline):
     if c.is_empty_complex or c.dimension() < 2:
         return None
     return is_matroid_exchange(c), c.is_connected() and is_locally_matroid(c)
 
 
-def _chk_local_components(c, field):
+def _chk_local_components(c, field, deadline):
     if c.is_empty_complex or c.dimension() < 2 or not c.is_pure():
         return None
     return is_locally_matroid(c), matroid_components(c).ok
 
 
-def _chk_ci_local(c, field):
+def _chk_ci_local(c, field, deadline):
     if c.is_empty_complex or c.dimension() < 2:
         return None
     return is_complete_intersection(c), c.is_connected() and is_locally_ci(c)
 
 
-def _chk_duality(c, field):
+def _chk_duality(c, field, deadline):
     if c.is_empty_complex:
         return None
     return is_matroid_exchange(c), is_matroid_exchange(c.complement())
 
 
-def _chk_sym_cube_cm(c, field):
+def _sym_cube(c):
+    return SymbolicPower.of(sr_ideal(c), 3)
+
+
+def _chk_sym_cube_cm(c, field, deadline):
     if c.is_empty_complex or c.dimension() < 2:
         return None
-    return is_matroid_exchange(c), co.is_cm(symbolic_power(c, 3), field)
+    return is_matroid_exchange(c), co.is_cm(_sym_cube(c), field, deadline=deadline)
 
 
-def _chk_sym_cube_s2(c, field):
+def _chk_sym_cube_s2(c, field, deadline):
     if c.is_empty_complex or c.dimension() < 2:
         return None
-    return is_matroid_exchange(c), co.is_s2(symbolic_power(c, 3), field)
+    return is_matroid_exchange(c), co.is_s2(_sym_cube(c), field, deadline=deadline)
 
 
-def _chk_ord_cube_cm(c, field):
+def _chk_ord_cube_cm(c, field, deadline):
     if c.is_empty_complex or c.dimension() < 1:
         return None
-    return is_complete_intersection(c), co.is_cm(sr_ideal(c).power(3), field)
+    return is_complete_intersection(c), co.is_cm(sr_ideal(c).power(3), field, deadline=deadline)
 
 
-def _chk_sym_cube_gcm(c, field):
+def _chk_sym_cube_gcm(c, field, deadline):
     if c.is_empty_complex or c.dimension() < 2:
         return None
     verdict = classify(Query(c, "stanley_reisner", "symbolic", "gCM", 3)).verdict
-    return verdict == "holds", co.is_generalized_cm(symbolic_power(c, 3), field)
+    return verdict == "holds", co.is_generalized_cm(_sym_cube(c), field, deadline=deadline)
 
 
-def _chk_ord_cube_gcm(c, field):
+def _chk_ord_cube_gcm(c, field, deadline):
     if c.is_empty_complex or c.dimension() < 2:
         return None
     verdict = classify(Query(c, "stanley_reisner", "ordinary", "gCM", 3)).verdict
-    return verdict == "holds", co.is_generalized_cm(sr_ideal(c).power(3), field)
+    return verdict == "holds", co.is_generalized_cm(sr_ideal(c).power(3), field, deadline=deadline)
 
 
-def _chk_cover_cube_cm(c, field):
+def _chk_cover_cube_cm(c, field, deadline):
     if c.is_empty_complex:
         return None
-    cube = symbolic_power_ideal(cover_ideal(c), 3)
-    return is_matroid_exchange(c), co.is_cm(cube, field)
+    cube = SymbolicPower.of(cover_ideal(c), 3)
+    return is_matroid_exchange(c), co.is_cm(cube, field, deadline=deadline)
 
 
-def _chk_facet_cube_cm(c, field):
+def _chk_facet_cube_cm(c, field, deadline):
     if c.is_empty_complex or facet_ideal(c).contains_variable:
         return None
-    cube = symbolic_power_ideal(facet_ideal(c), 3)
-    return is_matroid_exchange(dual_complex(c)), co.is_cm(cube, field)
+    cube = SymbolicPower.of(facet_ideal(c), 3)
+    return is_matroid_exchange(dual_complex(c)), co.is_cm(cube, field, deadline=deadline)
 
 
-def _chk_degree_complex_links(c, field):
+def _chk_sym_cube_routes(c, field, deadline):
+    """Cross-check of the two oracle routes: CM and S2 of the symbolic cube
+    from the facets (closed form) and from its explicit generators."""
+    if c.is_empty_complex:
+        return None
+    cube = _sym_cube(c)
+    explicit = cube.ideal()
+    closed = [f(cube, field, deadline=deadline) for f in (co.is_cm, co.is_s2)]
+    general = [f(explicit, field, deadline=deadline) for f in (co.is_cm, co.is_s2)]
+    return True, closed == general
+
+
+def _chk_degree_complex_links(c, field, deadline):
     if c.is_empty_complex:
         return None
     ideal = sr_ideal(c)
@@ -149,13 +160,13 @@ def _chk_degree_complex_links(c, field):
     return True, ok
 
 
-def _chk_reisner(c, field):
+def _chk_reisner(c, field, deadline):
     if c.is_empty_complex:
         return None
     ideal = sr_ideal(c)
     if ideal.is_zero:
         return co.reisner_is_cm(c, field), True
-    return co.reisner_is_cm(c, field), co.is_cm(ideal, field)
+    return co.reisner_is_cm(c, field), co.is_cm(ideal, field, deadline=deadline)
 
 
 CHECKS = {
@@ -172,19 +183,9 @@ CHECKS = {
     "ord-cube-gcm": _chk_ord_cube_gcm,
     "cover-cube-cm": _chk_cover_cube_cm,
     "facet-cube-cm": _chk_facet_cube_cm,
+    "sym-cube-routes": _chk_sym_cube_routes,
     "degree-complex-links": _chk_degree_complex_links,
     "reisner-cm": _chk_reisner,
-}
-
-ORACLE_CHECKS = {
-    "sym-cube-cm",
-    "sym-cube-s2",
-    "ord-cube-cm",
-    "sym-cube-gcm",
-    "ord-cube-gcm",
-    "cover-cube-cm",
-    "facet-cube-cm",
-    "reisner-cm",
 }
 
 
@@ -219,14 +220,20 @@ class SweepResult:
         return self.processed if self.exhausted else None
 
 
-def _job(args) -> list[tuple]:
-    n, facets, check_ids, field = args
+def _job(args) -> list[tuple] | None:
+    """The rows of one complex, or None when an oracle check ran past the
+    deadline (an absolute ``time.monotonic`` reading; the clock is
+    system-wide, so pool workers share it)."""
+    n, facets, check_ids, field, deadline = args
     c = SimplicialComplex(n, frozenset(facets))
     sig = complex_signature(c)
     rows = []
     for cid in check_ids:
         t0 = time.monotonic()
-        got = CHECKS[cid](c, field)
+        try:
+            got = CHECKS[cid](c, field, deadline)
+        except co.OracleBudgetExceeded:
+            return None
         if got is None:
             continue
         a, b = got
@@ -260,51 +267,49 @@ def run_sweep(
     resume: int = 0,
     field: int | None = None,
 ) -> SweepResult:
-    """Run checks over a family of complexes; deterministic row order."""
+    """Run checks over a family of complexes; deterministic row order.
+
+    With a budget, the run stops at the first complex left unfinished when
+    time runs out, and ``resume_token`` names it.  The first complex of a
+    run is exempt from the budget, so resuming always makes progress.
+    """
     if n_max > 7:
         raise ValueError("sweeps are limited to n_max <= 7")
+    if n_max == 7 and not sample:
+        raise ValueError(
+            "an exhaustive sweep at n_max=7 walks about 2.4e12 antichains; "
+            "pass a sample size (--sample)"
+        )
     unknown = [cid for cid in check_ids if cid not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}")
     deadline = time.monotonic() + budget_seconds if budget_seconds else None
     family = _family(n_max, dim_min, dim_max, sample, seed, include_structured=bool(sample))
     jobs = (
-        (c.n, tuple(sorted(c.facets)), tuple(check_ids), field)
-        for c in itertools.islice(family, resume, None)
+        (c.n, tuple(sorted(c.facets)), tuple(check_ids), field, deadline if i else None)
+        for i, c in enumerate(itertools.islice(family, resume, None))
     )
 
     rows: list[SweepRow] = []
     processed = resume
-    exhausted = False
-
-    def _consume(results_iter, jobs_iter):
-        nonlocal processed, exhausted
-        for out in results_iter:
-            for r in out:
-                rows.append(SweepRow(*r))
-            processed += 1
-            if deadline is not None and time.monotonic() > deadline:
-                exhausted = _has_more(jobs_iter)
-                return True
-        return False
-
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            while True:
-                chunk = list(itertools.islice(jobs, 256))
-                if not chunk:
+    exhausted = stop = False
+    pool = ProcessPoolExecutor(max_workers=parallel) if parallel > 1 else None
+    try:
+        while not stop and (chunk := list(itertools.islice(jobs, 256 if pool else 1))):
+            outs = pool.map(_job, chunk, chunksize=16) if pool else map(_job, chunk)
+            for k, out in enumerate(outs, start=1):
+                if out is None:
+                    stop = exhausted = True
                     break
-                stop = _consume(pool.map(_job, chunk, chunksize=16), jobs)
-                if stop:
+                rows.extend(SweepRow(*r) for r in out)
+                processed += 1
+                if deadline is not None and time.monotonic() > deadline:
+                    stop = True
+                    exhausted = k < len(chunk) or next(jobs, None) is not None
                     break
-    else:
-        _consume(map(_job, jobs), jobs)
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
 
     disagreements = sum(1 for r in rows if not r.agree)
     return SweepResult(tuple(rows), disagreements, processed, exhausted)
-
-
-def _has_more(jobs_iter) -> bool:
-    for _ in jobs_iter:
-        return True
-    return False

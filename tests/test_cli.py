@@ -146,6 +146,12 @@ def test_sweep_budget_resume_token():
     assert token >= 1
 
 
+def test_sweep_n7_needs_a_sample():
+    r = run_cli("sweep", "--check", "matroid-pair-criterion", "--n-max", "7")
+    assert r.returncode == 64
+    assert "--sample" in r.stderr
+
+
 def test_sweep_unknown_check():
     r = run_cli("sweep", "--check", "no-such-check", "--n-max", "4")
     assert r.returncode == 64

@@ -1,6 +1,8 @@
 import itertools
 import random
+import time
 
+import numpy as np
 import pytest
 
 from srpowers.complexes import (
@@ -9,11 +11,15 @@ from srpowers.complexes import (
     embed,
     empty_complex,
     from_facets,
+    path,
     simplex,
     uniform_matroid,
     void_complex,
 )
 from srpowers.cohomology import (
+    OracleBudgetExceeded,
+    _box_rows,
+    _select_facets,
     degree_complex,
     depth_dim,
     is_cm,
@@ -29,11 +35,15 @@ from srpowers.cohomology import (
 from srpowers.fixtures import named_complex
 from srpowers.ideals import (
     MonomialIdeal,
+    SymbolicPower,
     contract,
+    cover_ideal,
+    facet_ideal,
     localized_membership,
     principal,
     sr_ideal,
     symbolic_power,
+    symbolic_power_ideal,
 )
 
 EX410 = named_complex("example-4-10")
@@ -379,3 +389,80 @@ def test_qb_identity_over_random_family():
         done += 1
         for kind in ("symbolic", "ordinary"):
             assert qb_connectivity_consequence(c, rng.choice((2, 3)), kind)
+
+
+def _squarefree_bases(rng, count):
+    for _ in range(count):
+        c = random_complex(rng, n_max=5)
+        for kind in (sr_ideal, cover_ideal, facet_ideal):
+            base = kind(c)
+            if not base.is_zero:
+                yield kind.__name__, base
+
+
+def test_closed_form_degree_complex_matches_explicit_symbolic_power():
+    rng = random.Random(13)
+    kinds = set()
+    for kind, base in _squarefree_bases(rng, 25):
+        kinds.add(kind)
+        for m in (1, 2, 3):
+            sp = SymbolicPower.of(base, m)
+            explicit = symbolic_power_ideal(base, m)
+            for a in itertools.product(range(-1, m), repeat=base.n):
+                assert degree_complex(sp, a) == degree_complex(explicit, a), (base, m, a)
+    assert kinds == {"sr_ideal", "cover_ideal", "facet_ideal"}
+
+
+def test_scan_selection_matches_closed_form_degree_complexes():
+    rng = random.Random(17)
+    for _, base in _squarefree_bases(rng, 12):
+        for m in (1, 2, 3):
+            sp = SymbolicPower.of(base, m)
+            facets = sorted(sp.facets)
+            out = np.array([[1 - (f >> i & 1) for i in range(sp.n)] for f in facets])
+            rows = _box_rows((m,) * sp.n, sp.n + 1)
+            sel, live = _select_facets(rows, out, m)
+            for b, a in enumerate(rows.tolist()):
+                g = sum(1 << i for i, x in enumerate(a) if x < 0)
+                want = degree_complex(sp, a)
+                if b in live:
+                    got = {facets[j] & ~g for j in np.flatnonzero(sel[b])}
+                    assert got == want.facets, (base, m, a)
+                else:
+                    apex = any(all(f >> i & 1 for f in want.facets)
+                               for i in range(sp.n) if not g >> i & 1)
+                    assert want.is_void or apex, (base, m, a)
+
+
+def test_symbolic_power_route_matches_explicit_route():
+    rng = random.Random(21)
+    # fixed cases where CM changes with m; a shifted threshold shows there
+    fixed = [sr_ideal(c) for c in (EX410, cycle(5), cycle(6), path(4))]
+    for base in fixed + [base for _, base in _squarefree_bases(rng, 25)]:
+        for m in (2, 3):
+            sp = SymbolicPower.of(base, m)
+            explicit = sp.ideal()
+            for check in (is_cm, is_s2, is_generalized_cm):
+                assert check(sp) == check(explicit), (check.__name__, base, m)
+    rp2 = SymbolicPower.of(sr_ideal(RP2), 1)
+    assert is_cm(rp2) is True and is_cm(rp2, 2) is False
+
+
+def test_closed_form_scan_honours_deadline():
+    sp = SymbolicPower.of(sr_ideal(uniform_matroid(6, 3)), 4)
+    for check in (is_cm, is_s2, is_generalized_cm):
+        with pytest.raises(OracleBudgetExceeded):
+            check(sp, deadline=time.monotonic() - 1)
+    assert is_cm(sp) is True
+
+
+def test_box_rows_match_the_sorted_product():
+    for rho, below in [((2, 0, 3), 2), ((1, 1, 1, 1), 5), ((3, 2), 1), ((2, 2, 2), 0)]:
+        ref = sorted(
+            (a for a in itertools.product(*(range(-1, r) for r in rho))
+             if sum(x < 0 for x in a) < below),
+            key=lambda a: (sum(x < 0 for x in a), a),
+        )
+        assert [tuple(r) for r in _box_rows(rho, below).tolist()] == ref
+    with pytest.raises(ValueError):
+        _box_rows((1,) * 23, 5)

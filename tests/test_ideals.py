@@ -14,6 +14,7 @@ from srpowers.complexes import (
 from srpowers.fixtures import named_complex
 from srpowers.ideals import (
     MonomialIdeal,
+    SymbolicPower,
     adjoin_variable,
     complex_of_radical,
     contract,
@@ -146,6 +147,52 @@ def test_symbolic_power_box_matches_intersection_oracle():
             continue
         for m in (1, 2, 3):
             assert symbolic_power_ideal(I, m).gens == symbolic_power_by_intersection(I, m).gens
+
+
+def _random_squarefree_bases(rng, count):
+    """Stanley-Reisner, cover and facet ideals of random complexes on at
+    most five vertices (cover and facet ideals may contain variables)."""
+    for _ in range(count):
+        n = rng.randint(2, 5)
+        gens = [rng.sample(range(1, n + 1), rng.randint(1, n)) for _ in range(rng.randint(1, 3))]
+        gens += [[v] for v in range(1, n + 1)]
+        c = from_facets(n, gens)
+        yield c, sr_ideal(c)
+        yield c, cover_ideal(c)
+        yield c, facet_ideal(c)
+
+
+def test_symbolic_power_value_from_any_squarefree_ideal():
+    rng = random.Random(41)
+    for _, base in _random_squarefree_bases(rng, 10):
+        for m in (1, 2, 3):
+            sp = SymbolicPower.of(base, m)
+            assert sp.facets == complex_of_radical(base).facets
+            assert sp.radical() == base
+            assert sp.ideal() == symbolic_power_ideal(base, m)
+            assert sp.is_zero == base.is_zero
+    with pytest.raises(ValueError):
+        SymbolicPower.of(sr_ideal(cycle(5)).power(2), 2)
+    with pytest.raises(ValueError):
+        SymbolicPower.of(MonomialIdeal.unit(3), 2)
+    with pytest.raises(ValueError):
+        SymbolicPower.of(sr_ideal(cycle(5)), 0)
+
+
+def test_symbolic_power_contraction_is_the_link():
+    rng = random.Random(42)
+    for c, base in _random_squarefree_bases(rng, 6):
+        if base.is_zero:
+            continue
+        sp = SymbolicPower.of(base, 2)
+        explicit = sp.ideal()
+        for g in range((1 << c.n) - 1):
+            got = sp.contract(g)
+            want = contract(explicit, g).ideal
+            if got is None:
+                assert want.is_unit
+            else:
+                assert got.ideal() == want
 
 
 def test_power_contained_in_symbolic_power():

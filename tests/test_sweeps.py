@@ -1,0 +1,63 @@
+import pytest
+
+from srpowers import cohomology as co
+from srpowers import sweeps
+from srpowers.sweeps import run_sweep
+
+
+def _verdicts(result):
+    return [(r.signature, r.check_id, r.theorem_verdict, r.oracle_verdict) for r in result.rows]
+
+
+def test_parallel_budget_keeps_the_rest_of_the_last_chunk():
+    # the whole family fits in one chunk of the pool, so the budget runs
+    # out inside the last chunk
+    r = run_sweep(["sym-cube-cm"], n_max=6, dim_min=2, sample=60, seed=3,
+                  parallel=2, budget_seconds=0.01)
+    assert r.exhausted
+    assert r.resume_token == r.processed >= 1
+
+
+def test_check_past_the_deadline_leaves_its_complex_for_the_resume(monkeypatch):
+    seen = []
+
+    def probe(c, field, deadline):
+        if len(seen) == 2:
+            raise co.OracleBudgetExceeded("probe ran past its budget")
+        seen.append(c)
+        return True, True
+
+    monkeypatch.setitem(sweeps.CHECKS, "probe", probe)
+    r = run_sweep(["matroid-pair-criterion", "probe"], n_max=4, budget_seconds=60)
+    assert r.exhausted and r.resume_token == r.processed == 2
+    # the third complex's finished matroid row is dropped with it
+    assert len(r.rows) == 4 and len({row.signature for row in r.rows}) == 2
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_budgeted_resumes_reproduce_the_unbudgeted_rows(parallel):
+    checks = ["sym-cube-cm", "sym-cube-s2", "ord-cube-cm"]
+    kw = dict(n_max=5, dim_min=3, sample=4, seed=4, parallel=parallel)
+    full = run_sweep(checks, **kw)
+    rows, token, runs = [], 0, 0
+    while token is not None:
+        # the budget is gone before the second complex of a run
+        r = run_sweep(checks, budget_seconds=1e-3, resume=token, **kw)
+        assert r.processed > token  # every run makes progress
+        rows += _verdicts(r)
+        token = r.resume_token
+        runs += 1
+    assert runs > 1
+    assert rows == _verdicts(full)
+
+
+@pytest.mark.parametrize("field", [None, 2])
+def test_symbolic_power_routes_cross_check(field):
+    r = run_sweep(["sym-cube-routes"], n_max=5, sample=12, seed=11, field=field)
+    assert r.disagreements == 0
+    assert len(r.rows) >= 12
+
+
+def test_exhaustive_n7_sweep_is_refused():
+    with pytest.raises(ValueError, match="--sample"):
+        run_sweep(["matroid-pair-criterion"], n_max=7)
