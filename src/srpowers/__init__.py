@@ -39,6 +39,7 @@ from .matroids import (
 )
 from .ideals import (
     Contraction,
+    DeskScaleExceeded,
     MonomialIdeal,
     SymbolicPower,
     complex_of_radical,
@@ -81,6 +82,6 @@ from .classify import (
     classify_with_oracle,
     verify_against_oracle,
 )
-from .fixtures import named_complex, parse_complex_spec
+from .fixtures import named_complex, parse_complex_spec, parse_input
 
 __all__ = [name for name in dir() if not name.startswith("_")]

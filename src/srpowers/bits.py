@@ -20,6 +20,20 @@ def mask_of(vertices: Iterable[int], n: int | None = None) -> int:
     return m
 
 
+def support(vector: Iterable) -> int:
+    """Mask of the positions where the vector is nonzero (or true)."""
+    m = 0
+    for i, x in enumerate(vector):
+        if x:
+            m |= 1 << i
+    return m
+
+
+def indicator(mask: int, n: int) -> tuple[int, ...]:
+    """The 0/1 vector of length n with ones at the positions of ``mask``."""
+    return tuple(mask >> i & 1 for i in range(n))
+
+
 def vertices_of(mask: int) -> tuple[int, ...]:
     """Sorted 1-based vertex labels of a mask."""
     out = []
@@ -93,12 +107,7 @@ def minimal_transversals(masks: Iterable[int], ground: int) -> list[int]:
 
 def compactify(masks: Iterable[int], support: int) -> tuple[int, ...]:
     """Relabel masks on an arbitrary support to bits 0..k-1, order preserved."""
-    positions = []
-    s = support
-    while s:
-        low = s & -s
-        positions.append(low.bit_length() - 1)
-        s ^= low
+    positions = [v - 1 for v in vertices_of(support)]
     out = []
     for m in masks:
         c = 0

@@ -112,13 +112,6 @@ class ClassificationReport:
         }
 
 
-def _decided(ok: bool, rule: str, witness_no: str | None, witness_yes: str | None = None,
-             caveats: tuple[str, ...] = ()) -> ClassificationReport:
-    if ok:
-        return ClassificationReport("holds", rule, witness_yes, caveats)
-    return ClassificationReport("fails", rule, witness_no, caveats)
-
-
 def _oracle_only(reason: str) -> ClassificationReport:
     return ClassificationReport("oracle_only", None, reason)
 

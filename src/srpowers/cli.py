@@ -12,7 +12,8 @@ Subcommands:
 * ``sweep``: enumerate or sample small complexes, run named checks,
   emit CSV; nonzero exit on any disagreement.
 
-Usage errors exit 64, input parse errors 65, exhausted budgets 3.
+Usage errors exit 64, input parse errors 65, exhausted budgets and
+boxes past the desk-scale limit 3.
 The environment variable SRPL_BUDGET_SECONDS supplies a default budget.
 """
 
@@ -25,13 +26,12 @@ import sys
 
 from . import cohomology as co
 from .classify import Query, classify, classify_with_oracle
-from .complexes import SimplicialComplex
-from .fixtures import parse_complex_spec
+from .fixtures import parse_complex_spec, parse_input
 from .ideals import (
+    DeskScaleExceeded,
     MonomialIdeal,
     cover_ideal,
     facet_ideal,
-    ideal_from_json,
     sr_ideal,
     symbolic_power_ideal,
 )
@@ -71,30 +71,8 @@ def _parse_m(text: str):
         raise argparse.ArgumentTypeError('m must be a positive integer or "all"')
 
 
-def _load_input(text: str):
-    """A complex or an ideal: named example, JSON literal, file, or stdin."""
-    stripped = text.strip()
-    data = None
-    if stripped == "-":
-        data = json.load(sys.stdin)
-    elif stripped.startswith("{"):
-        data = json.loads(stripped)
-    elif os.path.exists(stripped):
-        with open(stripped) as fh:
-            data = json.load(fh)
-    if data is not None:
-        if "gens" in data:
-            return ideal_from_json(data)
-        from .complexes import complex_from_json
-
-        return complex_from_json(data)
-    return parse_complex_spec(stripped)
-
-
 def _cmd_analyze(args) -> int:
-    obj = _load_input(args.input)
-    if not isinstance(obj, SimplicialComplex):
-        raise ValueError("analyze needs a complex, not an ideal")
+    obj = parse_complex_spec(args.input)
     ideal_kind, power_kind = KIND_MAP[args.kind]
     prop = PROPERTY_MAP[args.property]
     q = Query(obj, ideal_kind, power_kind, prop, args.m)
@@ -123,7 +101,7 @@ def _base_ideal(obj, ideal_kind: str) -> MonomialIdeal:
 
 
 def _cmd_power(args) -> int:
-    obj = _load_input(args.input)
+    obj = parse_input(args.input)
     base = _base_ideal(obj, args.ideal)
     if base.contains_variable:
         print("note: the ideal contains a variable", file=sys.stderr)
@@ -136,7 +114,7 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_depth(args) -> int:
-    obj = _load_input(args.input)
+    obj = parse_input(args.input)
     ideal = obj if isinstance(obj, MonomialIdeal) else sr_ideal(obj)
     deadline = None
     if args.budget_seconds:
@@ -240,7 +218,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}", file=sys.stderr)
         return EX_DATA
-    except co.OracleBudgetExceeded as exc:
+    except (co.OracleBudgetExceeded, DeskScaleExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_BUDGET
     except (ValueError, KeyError) as exc:

@@ -17,26 +17,37 @@ hence only a_i in {-1, ..., rho_i - 1} matters, with rho_i the maximal
 exponent of x_i over the generators.  For squarefree ideals this box is
 {-1,0}^n and the scan reproduces the classical link-by-link criterion.
 
-The oracle has two routes, picked by the type of its input.  A
-``MonomialIdeal`` is scanned from its generators, each degree complex
-built by minimal transversals (after Takayama).  A ``SymbolicPower`` is
-scanned from the facets of its radical complex, each degree complex in
-closed form (Minh-Trung), without building I^(m); its explicit ideal
-through the first route is the cross-check (sweep ``sym-cube-routes``).
+One scan serves every input; only the reader of the degree complexes
+depends on its type.  For a ``MonomialIdeal`` the reader takes the
+minimal nonfaces from the generators and the facets by minimal
+transversals (after Takayama).  For a ``SymbolicPower`` it selects the
+facets of the radical complex in closed form (Minh-Trung), without
+building I^(m); scanning its explicit ideal instead is the cross-check
+(sweep ``sym-cube-routes``).
 
 All linear algebra is exact (rationals by default, or a prime field).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import antichain_minimal, compactify, iter_bits, minimal_transversals, submasks
+from .bits import (
+    antichain_minimal,
+    compactify,
+    indicator,
+    iter_bits,
+    minimal_transversals,
+    submasks,
+    support,
+)
 from .complexes import SimplicialComplex, void_complex
 from .ideals import (
+    DeskScaleExceeded,
     MonomialIdeal,
     SymbolicPower,
     complex_of_radical,
@@ -169,27 +180,19 @@ def degree_complex(ideal: MonomialIdeal | SymbolicPower, a) -> SimplicialComplex
     if len(a) != ideal.n:
         raise ValueError("degree vector length mismatch")
     n = ideal.n
-    full = (1 << n) - 1
-    neg = 0
-    for i, ai in enumerate(a):
-        if ai < 0:
-            neg |= 1 << i
+    neg = support(x < 0 for x in a)
     if isinstance(ideal, SymbolicPower):
         return SimplicialComplex(n, frozenset(
             f & ~neg
             for f in ideal.facets
             if f & neg == neg and sum(x for i, x in enumerate(a) if not f >> i & 1) < ideal.m
         ))
-    ground = full & ~neg
+    ground = ((1 << n) - 1) & ~neg
     if ideal.is_zero:
         return SimplicialComplex(n, frozenset({ground}))
     forbidden: set[int] = set()
     for g in ideal.gens:
-        d = 0
-        for i, (gi, ai) in enumerate(zip(g, a)):
-            if gi > ai:
-                d |= 1 << i
-        d &= ~neg
+        d = support(gi > ai for gi, ai in zip(g, a)) & ~neg
         if d == 0:
             return void_complex(n)
         forbidden.add(d)
@@ -231,43 +234,46 @@ class DepthReport:
         }
 
 
-_FACETS_CACHE: dict = {}
-_DIMS_CACHE: dict = {}
+_MEMO_LIMIT = 1 << 16  # entries per memo table; benchmark traffic peaks near 2k
+
+# The oracle's two memo tables, shared by both readers.
+_DIMS: dict = {}  # (compact facets of a degree complex, field) -> cohomology dims
+_VANISHES: dict = {}  # (canonical ideal, cap, field) -> none below min(cap, dim)
 
 
-def _facets_of_degree_complex(ground: int, dmin_key: tuple[int, ...]) -> tuple[int, ...]:
-    cached = _FACETS_CACHE.get((ground, dmin_key))
-    if cached is None:
-        trans = minimal_transversals(dmin_key, ground)
-        cached = tuple(sorted(ground ^ t for t in trans))
-        _FACETS_CACHE[(ground, dmin_key)] = cached
-    return cached
+def _memoized(table: dict, key, compute):
+    """``table[key]``, computed by ``compute()`` on a miss.  The table
+    keeps at most ``_MEMO_LIMIT`` entries and drops the oldest first."""
+    if key in table:
+        return table[key]
+    value = compute()
+    while len(table) >= _MEMO_LIMIT:
+        del table[next(iter(table))]
+    table[key] = value
+    return value
 
 
 def _dims_of_facets(facets: tuple[int, ...], field) -> tuple[int, ...]:
-    support = 0
+    union = 0
     for f in facets:
-        support |= f
-    key = (tuple(sorted(compactify(facets, support))), field)
-    cached = _DIMS_CACHE.get(key)
-    if cached is None:
-        cached = _cohomology_dims_of_facets(key[0], field)
-        _DIMS_CACHE[key] = cached
-    return cached
+        union |= f
+    key = tuple(sorted(compactify(facets, union)))
+    return _memoized(_DIMS, (key, field), lambda: _cohomology_dims_of_facets(key, field))
 
 
 _CHUNK = 4096  # box rows per numpy block; also the deadline granularity
+_BOX_LIMIT = 1 << 22  # points of a degree box at desk scale
 
 
 def _box_rows(rho: tuple[int, ...], below: int) -> np.ndarray:
     """The degree box {-1..rho_i - 1}^n as int16 rows with fewer than
     ``below`` negative coordinates, sorted by (negative count,
     lexicographic order)."""
-    size = 1
-    for r in rho:
-        size *= r + 1
-        if size > 1 << 22:
-            raise ValueError("degree box too large for desk scale")
+    size = math.prod(r + 1 for r in rho)
+    if size > _BOX_LIMIT:
+        raise DeskScaleExceeded(
+            f"the degree box has {size} points, over the desk-scale limit of {_BOX_LIMIT}"
+        )
     rows = np.indices([r + 1 for r in rho], dtype=np.int16).reshape(len(rho), -1).T - 1
     negc = (rows < 0).sum(axis=1)
     keep = negc < below
@@ -275,51 +281,27 @@ def _box_rows(rho: tuple[int, ...], below: int) -> np.ndarray:
     return rows[keep][np.argsort(negc[keep], kind="stable")]
 
 
-def _scan(
-    ideal: MonomialIdeal,
-    below: int,
-    field,
-    *,
-    first_only: bool,
-    deadline: float | None = None,
-) -> list[Witness]:
-    """Witnesses for nonvanishing local cohomology in indices < below.
-
-    Full mode keeps the first witness per index; first-only mode returns
-    at the first hit.  Deterministic: the box is scanned sorted by
-    (negative-coordinate count, lexicographic order).
-    """
-    if below <= 0:
-        return []
+def _generator_reader(ideal: MonomialIdeal):
+    """Degree complexes from the generators (after Takayama).  ``rows``
+    yields, per block of box rows, (row, |G_a|, key, is {0}) for the rows
+    whose degree complex is neither void nor a cone.  The key is the
+    minimal nonfaces relabelled onto 0..k-1, so it names the complex up
+    to renaming; ``facets`` turns it into facets by minimal transversals."""
     n = ideal.n
     full = (1 << n) - 1
-    gens = sorted(ideal.gens)
-    rho = ideal.max_exponents()
-    rows = _box_rows(rho, below)
-    U = np.array(gens, dtype=np.int16)
+    U = np.array(sorted(ideal.gens), dtype=np.int16)
     pow2 = np.array([1 << j for j in range(n)], dtype=np.int64)
-    found: dict[int, Witness] = {}
-    for start in range(0, len(rows), _CHUNK):
-        _check_deadline(deadline)
-        A = rows[start : start + _CHUNK]
-        masks = np.zeros((len(A), len(gens)), dtype=np.int64)
+
+    def rows(A):
+        masks = np.zeros((len(A), len(U)), dtype=np.int64)
         for j in range(n):
             masks |= (U[:, j][None, :] > A[:, j][:, None]).astype(np.int64) << j
-        neg_masks = ((A < 0).astype(np.int64) @ pow2).tolist()
-        mask_lists = masks.tolist()
-        for b, a in enumerate(A.tolist()):
-            neg = neg_masks[b]
-            negc = neg.bit_count()
-            ds = set()
-            void = False
-            for mm in set(mask_lists[b]):
-                d = mm & ~neg
-                if d == 0:
-                    void = True
-                    break
-                ds.add(d)
-            if void:
-                continue
+        negs = ((A < 0).astype(np.int64) @ pow2).tolist()
+        for b, row in enumerate(masks.tolist()):
+            neg = negs[b]
+            ds = {mm & ~neg for mm in set(row)}
+            if 0 in ds:
+                continue  # some generator divides x^a here: void
             dmin = antichain_minimal(ds)
             ground = full & ~neg
             covered = 0
@@ -327,37 +309,17 @@ def _scan(
                 covered |= d
             if ground & ~covered:
                 continue  # cone apex, all reduced cohomology vanishes
-            dmin_key = tuple(sorted(dmin))
-            facets = _facets_of_degree_complex(ground, dmin_key)
-            hits: list[tuple[int, int]] = []
-            if facets == (0,):
-                hits.append((-1, 1))
-            else:
-                jmax = below - negc - 2
-                if jmax < 0:
-                    continue
-                dims = _dims_of_facets(facets, field)
-                for j in range(0, min(jmax, len(dims) - 2) + 1):
-                    if dims[j + 1]:
-                        hits.append((j, dims[j + 1]))
-                        if first_only:
-                            break
-            for j_hit, cdim in hits:
-                i = j_hit + negc + 1
-                if i >= below or i in found:
-                    continue
-                w = Witness(i, tuple(a), cdim)
-                if first_only:
-                    return [w]
-                found[i] = w
-            if len(found) == below:
-                return sorted(found.values(), key=lambda w: w.index)
-    return sorted(found.values(), key=lambda w: w.index)
+            # every vertex a nonface: the complex {0}
+            point = all(d & (d - 1) == 0 for d in dmin)
+            yield b, neg.bit_count(), compactify(sorted(dmin), ground), point
 
+    def facets(dmin: tuple[int, ...]) -> tuple[int, ...]:
+        ground = 0
+        for d in dmin:
+            ground |= d
+        return tuple(sorted(ground ^ t for t in minimal_transversals(dmin, ground)))
 
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise OracleBudgetExceeded("depth scan ran past its budget")
+    return rows, facets
 
 
 def _select_facets(A: np.ndarray, out: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -371,66 +333,93 @@ def _select_facets(A: np.ndarray, out: np.ndarray, m: int) -> tuple[np.ndarray, 
     return sel, np.flatnonzero(sel.any(axis=1) & ~apex)
 
 
-def _scan_symbolic(sp: SymbolicPower, below: int, field, *, deadline: float | None = None) -> bool:
-    """Whether some local cohomology of S/I^(m) in an index < below is
-    nonzero, read from the facets of the radical complex.
-
-    The degree complex at a is <F - G_a : G_a <= F, sum_{i not in F} a_i
-    <= m - 1> (see ``degree_complex``), so a box row needs cohomology only
-    when it selects some facet (else void) and no vertex outside G_a lies
-    in every selected facet (else a cone).  The rest depend on a only
-    through (G_a, selected facets) and are computed once per pair.
-    """
-    if below <= 0:
-        return False
-    n, m = sp.n, sp.m
+def _closed_form_reader(sp: SymbolicPower):
+    """Degree complexes of I^(m) in closed form (Minh-Trung; see
+    ``degree_complex``): the complex at a depends on a only through G_a
+    and the selected facets.  ``rows`` yields, per block, (row, |G_a|,
+    facets, is {0}) for one row of each such pair whose complex is
+    neither void nor a cone, in the order of the pairs; the facets are
+    the key."""
+    n = sp.n
     facets = sorted(sp.facets)
-    out = 1 - np.array([[f >> i & 1 for i in range(n)] for f in facets], dtype=np.int32)
-    # a vertex in every facet is an apex of every degree complex, so its
-    # coordinate needs no value above -1; the other coordinates stop at m - 1
-    rows = _box_rows(tuple(m if out[:, i].any() else 0 for i in range(n)), below)
+    out = 1 - np.array([indicator(f, n) for f in facets], dtype=np.int32)
     pow2 = np.array([1 << i for i in range(n)], dtype=np.int64)
-    seen: set[bytes] = set()
-    for start in range(0, len(rows), _CHUNK):
-        _check_deadline(deadline)
-        A = rows[start : start + _CHUNK]
+
+    def rows(A):
         neg = A < 0
-        sel, live = _select_facets(A, out, m)
+        sel, live = _select_facets(A, out, sp.m)
         if not len(live):
-            continue
+            return
         keys = np.hstack([np.packbits(neg[live], axis=1), np.packbits(sel[live], axis=1)])
         _, first = np.unique(keys, axis=0, return_index=True)
         for u in first.tolist():
-            key = keys[u].tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            b = live[u]
+            b = int(live[u])
             g = int(neg[b] @ pow2)
-            negc = g.bit_count()
             link = tuple(facets[j] & ~g for j in np.flatnonzero(sel[b]).tolist())
-            if link == (0,):  # the complex {0}: reduced cohomology in degree -1
-                if negc < below:
-                    return True
+            yield b, g.bit_count(), link, link == (0,)
+
+    return rows, lambda link: link
+
+
+def _scan(
+    ideal: MonomialIdeal | SymbolicPower,
+    below: int,
+    field,
+    *,
+    first_only: bool,
+    deadline: float | None = None,
+) -> list[Witness]:
+    """Witnesses for nonvanishing local cohomology in indices < below.
+
+    One loop serves both routes; only the reader of the degree complexes
+    depends on the type of ``ideal``.  The box is read in blocks sorted
+    by (negative-coordinate count, lexicographic order), and a row whose
+    (|G_a|, degree complex) pair came up before is skipped, since it
+    gives the same indices.  Full mode keeps the first witness per index;
+    first-only mode returns at the first hit.
+    """
+    if below <= 0:
+        return []
+    reader = _closed_form_reader if isinstance(ideal, SymbolicPower) else _generator_reader
+    read, facets_of = reader(ideal)
+    rows = _box_rows(ideal.max_exponents(), below)
+    seen: set = set()
+    found: dict[int, Witness] = {}
+    for start in range(0, len(rows), _CHUNK):
+        _check_deadline(deadline)
+        A = rows[start : start + _CHUNK]
+        for b, negc, key, point in read(A):
+            if (negc, key) in seen:
                 continue
-            jmax = below - negc - 2
-            if jmax >= 0 and any(_dims_of_facets(link, field)[1 : jmax + 2]):
-                return True
-    return False
+            seen.add((negc, key))
+            jmax = below - negc - 2  # index j of the complex gives i = j + negc + 1
+            if point:  # the complex {0}: reduced cohomology in degree -1
+                hits = [(-1, 1)]
+            elif jmax < 0:
+                continue
+            else:
+                dims = _dims_of_facets(facets_of(key), field)
+                hits = [(j, dims[j + 1]) for j in range(min(jmax, len(dims) - 2) + 1) if dims[j + 1]]
+            for j, cdim in hits:
+                i = j + negc + 1
+                if i not in found:
+                    found[i] = Witness(i, tuple(A[b].tolist()), cdim)
+                    if first_only:
+                        return [found[i]]
+            if len(found) == below:
+                return sorted(found.values(), key=lambda w: w.index)
+    return sorted(found.values(), key=lambda w: w.index)
+
+
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise OracleBudgetExceeded("depth scan ran past its budget")
 
 
 def _radical_complex(ideal: MonomialIdeal | SymbolicPower) -> SimplicialComplex:
     if isinstance(ideal, SymbolicPower):
         return SimplicialComplex(ideal.n, ideal.facets)
     return complex_of_radical(ideal)
-
-
-def _nonvanishing_below(ideal: MonomialIdeal | SymbolicPower, below: int, field, deadline) -> bool:
-    """Some local cohomology in an index < below is nonzero: the closed
-    form for a symbolic power, the general scan for any other ideal."""
-    if isinstance(ideal, SymbolicPower):
-        return _scan_symbolic(ideal, below, field, deadline=deadline)
-    return bool(_scan(ideal, below, field, first_only=True, deadline=deadline))
 
 
 def _localize(ideal: MonomialIdeal | SymbolicPower, inverted: int):
@@ -464,16 +453,13 @@ def depth_dim(ideal: MonomialIdeal, field: int | None = None, *, deadline: float
     return DepthReport(depth, dim_q, depth == dim_q, field, tuple(witnesses))
 
 
-_CM_MEMO: dict = {}
-
-
 def _canonical_ideal_key(ideal: MonomialIdeal | SymbolicPower):
     """Memo key: the generators (for a symbolic power, m and the facet
     indicators) with the variables sorted by their sorted columns, so
     equal keys mean equal ideals up to renaming the variables."""
     if isinstance(ideal, SymbolicPower):
         tag = ("symbolic", ideal.m)
-        gens = [tuple(f >> i & 1 for i in range(ideal.n)) for f in ideal.facets]
+        gens = [indicator(f, ideal.n) for f in ideal.facets]
     else:
         tag = ()
         gens = ideal.sorted_gens()
@@ -482,20 +468,24 @@ def _canonical_ideal_key(ideal: MonomialIdeal | SymbolicPower):
     return tag + (ideal.n, tuple(sorted(tuple(g[i] for i in order) for g in gens)))
 
 
+def _vanishes_below(ideal: MonomialIdeal | SymbolicPower, cap: int, field, deadline) -> bool:
+    """No local cohomology of S/I in an index below min(cap, dim S/I).
+    CM asks this with cap n, S2 with cap 2, so the two share one memo."""
+    return _memoized(
+        _VANISHES,
+        (_canonical_ideal_key(ideal), cap, field),
+        lambda: not _scan(ideal, min(cap, quotient_dimension(ideal)), field,
+                          first_only=True, deadline=deadline),
+    )
+
+
 def is_cm(ideal: MonomialIdeal | SymbolicPower, field: int | None = None, *,
           deadline: float | None = None) -> bool:
     """Cohen-Macaulayness of S/I over the field: no local cohomology below
     the dimension."""
     _validate_field(field)
     _require_proper(ideal)
-    if ideal.is_zero:
-        return True
-    key = (_canonical_ideal_key(ideal), field)
-    cached = _CM_MEMO.get(key)
-    if cached is None:
-        cached = not _nonvanishing_below(ideal, quotient_dimension(ideal), field, deadline)
-        _CM_MEMO[key] = cached
-    return cached
+    return ideal.is_zero or _vanishes_below(ideal, ideal.n, field, deadline)
 
 
 def is_equidimensional(ideal: MonomialIdeal | SymbolicPower) -> bool:
@@ -504,9 +494,6 @@ def is_equidimensional(ideal: MonomialIdeal | SymbolicPower) -> bool:
     if ideal.is_zero:
         return True
     return _radical_complex(ideal).is_pure()
-
-
-_S2_MEMO: dict = {}
 
 
 def is_s2(ideal: MonomialIdeal | SymbolicPower, field: int | None = None, *,
@@ -523,13 +510,7 @@ def is_s2(ideal: MonomialIdeal | SymbolicPower, field: int | None = None, *,
         j = _localize(ideal, full & ~wmask)
         if j is None or j.is_zero:
             continue
-        key = (_canonical_ideal_key(j), field)
-        cached = _S2_MEMO.get(key)
-        if cached is None:
-            bound = min(2, quotient_dimension(j))
-            cached = not _nonvanishing_below(j, bound, field, deadline)
-            _S2_MEMO[key] = cached
-        if not cached:
+        if not _vanishes_below(j, 2, field, deadline):
             return False
     return True
 

@@ -256,6 +256,19 @@ def disjoint_union(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComp
     return SimplicialComplex(a.n, frozenset(a.facets | b.facets))
 
 
+def join_shifted(parts: list[SimplicialComplex]) -> SimplicialComplex:
+    """The join of the parts after shifting each one onto fresh vertex
+    labels, so the join of two triangles lives on 6 vertices."""
+    total = sum(p.n for p in parts)
+    out = None
+    offset = 0
+    for p in parts:
+        shifted = embed(p, total, offset)
+        offset += p.n
+        out = shifted if out is None else out.join(shifted)
+    return out
+
+
 # -- named constructions ----------------------------------------------------
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
-from .bits import antichain_maximal, compactify
+from .bits import antichain_maximal, compactify, mask_of
 from .complexes import SimplicialComplex
 
 
@@ -111,11 +111,7 @@ def sample_complexes(
         gen_masks = []
         for _ in range(k):
             size = rng.choice(sizes)
-            verts = rng.sample(range(n), min(size, n))
-            m = 0
-            for v in verts:
-                m |= 1 << v
-            gen_masks.append(m)
+            gen_masks.append(mask_of(v + 1 for v in rng.sample(range(n), min(size, n))))
         facets = antichain_maximal(gen_masks)
         top = max(f.bit_count() for f in facets) - 1
         if top < dim_min:
@@ -140,6 +136,7 @@ def structured_positives(max_n: int = 8) -> list[SimplicialComplex]:
         cycle,
         disjoint_union,
         embed,
+        join_shifted,
         simplex,
         uniform_matroid,
     )
@@ -154,11 +151,11 @@ def structured_positives(max_n: int = 8) -> list[SimplicialComplex]:
         simplex(4),
         simplex(5),
         # joins of edges: complete intersections of dimension >= 2
-        _join_shifted([complete_graph(2), complete_graph(2), complete_graph(2)]),
-        _join_shifted([simplex(2), complete_graph(3)]),
-        _join_shifted([complete_graph(3), complete_graph(3)]),
+        join_shifted([complete_graph(2), complete_graph(2), complete_graph(2)]),
+        join_shifted([simplex(2), complete_graph(3)]),
+        join_shifted([complete_graph(3), complete_graph(3)]),
         # boundary of the tetrahedron joined with a segment
-        _join_shifted([uniform_matroid(4, 2), simplex(2)]),
+        join_shifted([uniform_matroid(4, 2), simplex(2)]),
         # disjoint unions with equal and unequal dimensions
         disjoint_union(embed(uniform_matroid(4, 2), 8), embed(uniform_matroid(4, 2), 8, 4)),
         disjoint_union(embed(simplex(4), 8), embed(simplex(4), 8, 4)),
@@ -166,16 +163,3 @@ def structured_positives(max_n: int = 8) -> list[SimplicialComplex]:
         disjoint_union(embed(simplex(3), 6), embed(cycle(3), 6, 3)),
     ]
     return [c for c in out if c.n <= max_n]
-
-
-def _join_shifted(parts: list[SimplicialComplex]) -> SimplicialComplex:
-    from .complexes import embed
-
-    total = sum(p.n for p in parts)
-    out = None
-    offset = 0
-    for p in parts:
-        shifted = embed(p, total, offset)
-        offset += p.n
-        out = shifted if out is None else out.join(shifted)
-    return out

@@ -1,4 +1,4 @@
-"""Named example complexes and the input grammar of the command line.
+"""Named example complexes and the one input grammar of the command line.
 
 The fixture names are part of the CLI contract.  ``five-cycle`` is the
 5-cycle graph; ``example-4-10`` is the boundary of a tetrahedron with an
@@ -12,18 +12,20 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 
 from .complexes import (
     SimplicialComplex,
     complete_graph,
     complex_from_json,
     cycle,
-    embed,
     from_facets,
+    join_shifted,
     path,
     simplex,
     uniform_matroid,
 )
+from .ideals import MonomialIdeal, ideal_from_json
 
 
 def _five_cycle() -> SimplicialComplex:
@@ -73,38 +75,38 @@ def _parametric(text: str) -> SimplicialComplex | None:
     return None
 
 
-def parse_complex_spec(text: str) -> SimplicialComplex:
-    """Named example, parametric family, join of parts, JSON literal,
-    file path, or "-" for stdin JSON.
+def parse_input(text: str) -> SimplicialComplex | MonomialIdeal:
+    """A complex or an ideal, read by the first form that fits: a named
+    example, a parametric family, a join of parts, "-" for JSON on stdin,
+    a JSON literal, or a JSON file path.  JSON with "gens" is an ideal,
+    any other JSON a complex.
 
     ``join:A+B+...`` joins the parts after shifting each one onto fresh
     vertex labels, so ``join:complete:3+complete:3`` lives on 6 vertices.
     """
     text = text.strip()
-    if text == "-":
-        import sys
-
-        return complex_from_json(json.load(sys.stdin))
-    if text.startswith("{"):
-        return complex_from_json(json.loads(text))
-    if text.startswith("join:"):
-        parts = [parse_complex_spec(p) for p in text[len("join:"):].split("+")]
-        if not parts:
-            raise ValueError("join needs at least one part")
-        total = sum(p.n for p in parts)
-        out = None
-        offset = 0
-        for p in parts:
-            shifted = embed(p, total, offset)
-            offset += p.n
-            out = shifted if out is None else out.join(shifted)
-        return out
     if text in NAMED:
         return named_complex(text)
     para = _parametric(text)
     if para is not None:
         return para
-    if os.path.exists(text):
+    if text.startswith("join:"):
+        return join_shifted([parse_complex_spec(p) for p in text[len("join:"):].split("+")])
+    if text == "-":
+        data = json.load(sys.stdin)
+    elif text.startswith("{"):
+        data = json.loads(text)
+    elif os.path.exists(text):
         with open(text) as fh:
-            return complex_from_json(json.load(fh))
-    raise ValueError(f"cannot interpret complex spec {text!r}")
+            data = json.load(fh)
+    else:
+        raise ValueError(f"cannot interpret input {text!r}")
+    return ideal_from_json(data) if "gens" in data else complex_from_json(data)
+
+
+def parse_complex_spec(text: str) -> SimplicialComplex:
+    """A complex in the grammar of ``parse_input``; an ideal is refused."""
+    obj = parse_input(text)
+    if not isinstance(obj, SimplicialComplex):
+        raise ValueError(f"{text.strip()!r} is an ideal; a complex is needed here")
+    return obj

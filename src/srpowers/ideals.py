@@ -17,22 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import compactify, mask_of, minimal_transversals, vertices_of
+from .bits import compactify, indicator, mask_of, minimal_transversals, support, vertices_of
 from .complexes import SimplicialComplex
 
 MAX_POWER = 16  # desk scale guard
 
 
-def _support(gen: tuple[int, ...]) -> int:
-    m = 0
-    for i, e in enumerate(gen):
-        if e:
-            m |= 1 << i
-    return m
+class DeskScaleExceeded(ValueError):
+    """A box of exponent vectors too large to enumerate at desk scale.
 
-
-def _indicator(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(mask >> i & 1 for i in range(n))
+    The input is valid, so this is no usage error; nor is it a spent time
+    budget, since a resumed run would meet the same box again."""
 
 
 def minimalize(vectors, n: int) -> frozenset[tuple[int, ...]]:
@@ -115,9 +110,6 @@ class MonomialIdeal:
                 if e > rho[i]:
                     rho[i] = e
         return tuple(rho)
-
-    def support_masks(self) -> tuple[int, ...]:
-        return tuple(sorted(_support(g) for g in self.gens))
 
     # -- membership and comparisons -------------------------------------------
 
@@ -215,13 +207,15 @@ def sr_ideal(c: SimplicialComplex) -> MonomialIdeal:
     if c.vertex_mask != (1 << c.n) - 1:
         missing = sorted(set(range(1, c.n + 1)) - set(vertices_of(c.vertex_mask)))
         raise ValueError(f"vertices {missing} lie in no facet; their variables would be generators")
-    gens = []
-    for nf in c.minimal_nonfaces():
-        g = [0] * c.n
-        for v in nf:
-            g[v - 1] = 1
-        gens.append(tuple(g))
-    return MonomialIdeal(c.n, frozenset(gens))
+    return MonomialIdeal(c.n, frozenset(indicator(m, c.n) for m in c.minimal_nonface_masks()))
+
+
+def _prime_support_masks(ideal: MonomialIdeal) -> list[int]:
+    """Supports of the minimal primes: the minimal transversals of the
+    generator supports."""
+    full = (1 << ideal.n) - 1
+    supports = sorted(set(support(g) for g in ideal.gens))
+    return minimal_transversals(supports, full)
 
 
 def complex_of_radical(ideal: MonomialIdeal) -> SimplicialComplex:
@@ -235,28 +229,24 @@ def complex_of_radical(ideal: MonomialIdeal) -> SimplicialComplex:
     full = (1 << ideal.n) - 1
     if ideal.is_zero:
         return SimplicialComplex(ideal.n, frozenset({full}))
-    supports = sorted(set(_support(g) for g in ideal.gens))
-    covers = minimal_transversals(supports, full)
-    return SimplicialComplex(ideal.n, frozenset(full & ~t for t in covers))
+    return SimplicialComplex(ideal.n, frozenset(full & ~t for t in _prime_support_masks(ideal)))
 
 
 def minimal_primes(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
     """Supports W with P_W a minimal prime: complements of the facets of
-    the radical complex."""
+    the radical complex, so the minimal transversals of the generators."""
     if not ideal.is_squarefree:
         raise ValueError("minimal primes are computed for squarefree input")
     if ideal.is_unit or ideal.is_zero:
         raise ValueError("need a proper nonzero ideal")
-    full = (1 << ideal.n) - 1
-    rad = complex_of_radical(ideal)
-    return tuple(sorted(vertices_of(full & ~f) for f in rad.facets))
+    return tuple(sorted(vertices_of(t) for t in _prime_support_masks(ideal)))
 
 
 def facet_ideal(c: SimplicialComplex) -> MonomialIdeal:
     """Generated by the facet monomials."""
     if c.is_void or c.is_empty_complex:
         raise ValueError("facet ideal needs nonempty facets")
-    return MonomialIdeal(c.n, frozenset(_indicator(f, c.n) for f in c.facets))
+    return MonomialIdeal(c.n, frozenset(indicator(f, c.n) for f in c.facets))
 
 
 def cover_ideal(c: SimplicialComplex) -> MonomialIdeal:
@@ -267,7 +257,7 @@ def cover_ideal(c: SimplicialComplex) -> MonomialIdeal:
         raise ValueError("cover ideal needs nonempty facets")
     full = (1 << c.n) - 1
     covers = minimal_transversals(sorted(c.facets), full)
-    return MonomialIdeal(c.n, frozenset(_indicator(t, c.n) for t in covers))
+    return MonomialIdeal(c.n, frozenset(indicator(t, c.n) for t in covers))
 
 
 def dual_complex(c: SimplicialComplex) -> SimplicialComplex:
@@ -279,12 +269,6 @@ def dual_complex(c: SimplicialComplex) -> SimplicialComplex:
 
 
 # -- powers ----------------------------------------------------------------------
-
-
-def _prime_support_masks(ideal: MonomialIdeal) -> list[int]:
-    full = (1 << ideal.n) - 1
-    supports = sorted(set(_support(g) for g in ideal.gens))
-    return minimal_transversals(supports, full)
 
 
 def symbolic_power_ideal(ideal: MonomialIdeal, m: int) -> MonomialIdeal:
@@ -300,11 +284,12 @@ def symbolic_power_ideal(ideal: MonomialIdeal, m: int) -> MonomialIdeal:
         raise ValueError(f"power must lie in 1..{MAX_POWER}")
     n = ideal.n
     if (m + 1) ** n > 1 << 24:
-        raise ValueError("box enumeration too large for desk scale")
+        raise DeskScaleExceeded(
+            f"the exponent box {{0..{m}}}^{n} has {(m + 1) ** n} points, "
+            f"over the desk-scale limit of {1 << 24}"
+        )
     primes = _prime_support_masks(ideal)
-    pmat = np.array(
-        [[1 if t >> i & 1 else 0 for i in range(n)] for t in primes], dtype=np.int32
-    )
+    pmat = np.array([indicator(t, n) for t in primes], dtype=np.int32)
     gens: list[tuple[int, ...]] = []
     chunk = 1 << 14
     box = itertools.product(range(m + 1), repeat=n)
@@ -358,12 +343,21 @@ class SymbolicPower:
     def is_zero(self) -> bool:
         return (1 << self.n) - 1 in self.facets
 
+    def max_exponents(self) -> tuple[int, ...]:
+        """Per-variable maximum exponent over the generators of I^(m): m
+        for a variable outside some facet, 0 for one inside every facet
+        (it lies in no minimal prime)."""
+        common = (1 << self.n) - 1
+        for f in self.facets:
+            common &= f
+        return tuple(0 if common >> i & 1 else self.m for i in range(self.n))
+
     def radical(self) -> MonomialIdeal:
         """The squarefree ideal: its generators are the minimal nonfaces,
         which are the minimal transversals of the facet complements."""
         full = (1 << self.n) - 1
         nonfaces = minimal_transversals([full & ~f for f in self.facets], full)
-        return MonomialIdeal(self.n, frozenset(_indicator(t, self.n) for t in nonfaces))
+        return MonomialIdeal(self.n, frozenset(indicator(t, self.n) for t in nonfaces))
 
     def ideal(self) -> MonomialIdeal:
         """The explicit generators of I^(m)."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bits import iter_bits, vertices_of
+from .bits import iter_bits, mask_of, vertices_of
 from .complexes import SimplicialComplex
 
 
@@ -110,15 +110,8 @@ def ci_witness(c: SimplicialComplex):
 def _vertex_nonface_masks(c: SimplicialComplex) -> list[int]:
     """Minimal nonfaces restricted to the covered vertex set."""
     vm = c.vertex_mask
-    masks = [m for s in c.minimal_nonfaces() if (m := _mask(s)) & vm == m]
+    masks = [m for s in c.minimal_nonfaces() if (m := mask_of(s)) & vm == m]
     return sorted(masks, key=lambda m: (m.bit_count(), m))
-
-
-def _mask(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << (v - 1)
-    return m
 
 
 def is_complete_intersection(c: SimplicialComplex) -> bool:
@@ -179,7 +172,7 @@ def _all_subsets_of_size(vm: int, size: int) -> frozenset[int]:
     import itertools
 
     verts = vertices_of(vm)
-    return frozenset(_mask(s) for s in itertools.combinations(verts, size))
+    return frozenset(mask_of(s) for s in itertools.combinations(verts, size))
 
 
 def is_disjoint_union_of_uniform(c: SimplicialComplex, r: int) -> bool:

@@ -15,6 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import cohomology as co
+from .bits import support
 from .classify import Query, classify
 from .complexes import SimplicialComplex
 from .enumeration import distinct_complexes, sample_complexes, structured_positives
@@ -146,10 +147,7 @@ def _chk_degree_complex_links(c, field, deadline):
         return None
     ok = True
     for a in itertools.product((-1, 0), repeat=c.n):
-        g = 0
-        for i, x in enumerate(a):
-            if x < 0:
-                g |= 1 << i
+        g = support(x < 0 for x in a)
         da = co.degree_complex(ideal, a)
         if c.has_face(g):
             ok = ok and da.facets == c.link(g).facets

@@ -6,8 +6,8 @@ import pytest
 
 from srpowers.cli import main
 from srpowers.complexes import complex_from_json, cycle
-from srpowers.fixtures import parse_complex_spec
-from srpowers.ideals import ideal_from_json, symbolic_power
+from srpowers.fixtures import parse_complex_spec, parse_input
+from srpowers.ideals import MonomialIdeal, ideal_from_json, symbolic_power
 
 
 def run_cli(*args, stdin_text=None):
@@ -174,3 +174,42 @@ def test_main_callable_directly(capsys):
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["verdict"] == "holds"
+
+
+def test_fixture_names_come_before_files(tmp_path, monkeypatch, capsys):
+    # a file named like a fixture or a family does not shadow it
+    monkeypatch.chdir(tmp_path)
+    full = json.dumps({"n": 5, "facets": [[1, 2, 3, 4, 5]]})
+    (tmp_path / "five-cycle").write_text(full)
+    (tmp_path / "cycle:5").write_text(full)
+    for spec in ("five-cycle", "cycle:5"):
+        assert parse_complex_spec(spec) == cycle(5)
+        code = main(["analyze", spec, "--kind", "sr-symbolic", "--m", "3", "--property", "cm"])
+        assert code == 1
+        assert json.loads(capsys.readouterr().out)["verdict"] == "fails"
+    (tmp_path / "full.json").write_text(full)
+    assert parse_complex_spec("full.json").facet_sets() == ((1, 2, 3, 4, 5),)
+
+
+def test_one_grammar_for_complexes_and_ideals(tmp_path, capsys):
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({"n": 3, "gens": [[1, 1, 0], [0, 1, 1]]}))
+    assert parse_input(str(path)) == MonomialIdeal.from_generators(3, [(1, 1, 0), (0, 1, 1)])
+    with pytest.raises(ValueError, match="ideal"):
+        parse_complex_spec(str(path))
+    assert parse_input("join:cycle:3+simplex:1").minimal_nonfaces() == ((1, 2, 3),)
+    assert main(["analyze", str(path), "--kind", "cover", "--m", "3", "--property", "cm"]) == 64
+    assert "ideal" in capsys.readouterr().err
+    assert main(["depth", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["dim"] == 2
+
+
+def test_desk_scale_limit_exits_3():
+    big = json.dumps({"n": 12, "gens": [[4] * 12]})
+    r = run_cli("depth", big)
+    assert r.returncode == 3
+    assert "244140625" in r.stderr and str(1 << 22) in r.stderr
+    r = run_cli("power", json.dumps({"n": 12, "gens": [[1, 1] + [0] * 10]}),
+                "--m", "4", "--kind", "symbolic")
+    assert r.returncode == 3
+    assert "desk-scale limit" in r.stderr

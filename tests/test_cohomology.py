@@ -16,9 +16,11 @@ from srpowers.complexes import (
     uniform_matroid,
     void_complex,
 )
+from srpowers import cohomology
 from srpowers.cohomology import (
     OracleBudgetExceeded,
     _box_rows,
+    _scan,
     _select_facets,
     degree_complex,
     depth_dim,
@@ -36,6 +38,7 @@ from srpowers.fixtures import named_complex
 from srpowers.ideals import (
     MonomialIdeal,
     SymbolicPower,
+    DeskScaleExceeded,
     contract,
     cover_ideal,
     facet_ideal,
@@ -466,3 +469,60 @@ def test_box_rows_match_the_sorted_product():
         assert [tuple(r) for r in _box_rows(rho, below).tolist()] == ref
     with pytest.raises(ValueError):
         _box_rows((1,) * 23, 5)
+
+
+def test_box_guard_is_a_desk_scale_error():
+    with pytest.raises(DeskScaleExceeded) as info:
+        _box_rows((4,) * 12, 13)
+    assert not isinstance(info.value, OracleBudgetExceeded)
+    assert "244140625" in str(info.value) and str(1 << 22) in str(info.value)
+
+
+def test_one_scan_gives_both_readers_the_same_witness_indices():
+    rng = random.Random(29)
+    cases = 0
+    for _, base in _squarefree_bases(rng, 15):
+        for m in (1, 2, 3):
+            sp = SymbolicPower.of(base, m)
+            dim = quotient_dimension(sp)
+            explicit = sp.ideal()
+            for field in (None, 2):
+                closed = _scan(sp, dim, field, first_only=False)
+                general = _scan(explicit, dim, field, first_only=False)
+                assert [w.index for w in closed] == [w.index for w in general], (base, m, field)
+                for w in closed:
+                    dc = degree_complex(sp, w.a)
+                    j = w.index - sum(x < 0 for x in w.a) - 1
+                    assert reduced_cohomology_dims(dc, field)[j + 1] == w.cohomology_dim
+                cases += 1
+    rp2 = SymbolicPower.of(sr_ideal(RP2), 2)
+    assert [w.index for w in _scan(rp2, 3, 2, first_only=False)] == [
+        w.index for w in _scan(rp2.ideal(), 3, 2, first_only=False)
+    ]
+    assert cases >= 200
+
+
+def test_memo_tables_stay_within_their_bound(monkeypatch):
+    rng = random.Random(31)
+    family = []
+    for _, base in _squarefree_bases(rng, 8):
+        family.append(SymbolicPower.of(base, 3))
+        if base.n <= 4:
+            family.append(base.power(2))
+    checks = (is_cm, is_s2, is_generalized_cm)
+    want = [[check(x) for check in checks] for x in family]
+    monkeypatch.setattr(cohomology, "_MEMO_LIMIT", 8)
+    monkeypatch.setattr(cohomology, "_DIMS", {})
+    monkeypatch.setattr(cohomology, "_VANISHES", {})
+    peak = 0
+    got = []
+    for x in family:
+        row = []
+        for check in checks:
+            row.append(check(x))
+            sizes = (len(cohomology._DIMS), len(cohomology._VANISHES))
+            assert max(sizes) <= 8, sizes
+            peak = max(peak, *sizes)
+        got.append(row)
+    assert got == want
+    assert peak == 8  # the bound was reached, so entries were dropped

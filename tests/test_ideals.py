@@ -12,7 +12,9 @@ from srpowers.complexes import (
     uniform_matroid,
 )
 from srpowers.fixtures import named_complex
+from srpowers.cohomology import OracleBudgetExceeded
 from srpowers.ideals import (
+    DeskScaleExceeded,
     MonomialIdeal,
     SymbolicPower,
     adjoin_variable,
@@ -177,6 +179,20 @@ def test_symbolic_power_value_from_any_squarefree_ideal():
         SymbolicPower.of(MonomialIdeal.unit(3), 2)
     with pytest.raises(ValueError):
         SymbolicPower.of(sr_ideal(cycle(5)), 0)
+
+
+def test_symbolic_power_max_exponents_match_its_generators():
+    rng = random.Random(43)
+    fixed = [sr_ideal(c) for c in (EX410, E54, cycle(6), uniform_matroid(6, 2))]
+    bases = [(None, b) for b in fixed] + list(_random_squarefree_bases(rng, 25))
+    for _, base in bases:
+        for m in (1, 2, 3):
+            sp = SymbolicPower.of(base, m)
+            assert sp.max_exponents() == sp.ideal().max_exponents(), (base, m)
+    # a vertex in every facet (a cone point) lies in no minimal prime
+    cone = SymbolicPower.of(sr_ideal(from_facets(4, [(1, 2, 4), (2, 3, 4)])), 3)
+    assert cone.max_exponents() == (3, 0, 3, 0)
+    assert SymbolicPower.of(MonomialIdeal.zero(3), 2).max_exponents() == (0, 0, 0)
 
 
 def test_symbolic_power_contraction_is_the_link():
@@ -361,6 +377,16 @@ def test_power_guard():
         I.power(17)
     with pytest.raises(ValueError):
         symbolic_power(cycle(5), 17)
+
+
+def test_symbolic_power_box_guard_is_a_desk_scale_error():
+    big = MonomialIdeal.from_generators(12, [(1, 1) + (0,) * 10])
+    with pytest.raises(DeskScaleExceeded) as info:
+        symbolic_power_ideal(big, 4)
+    # valid input, so no usage error; and no budget error, which a sweep resumes
+    assert isinstance(info.value, ValueError)
+    assert not isinstance(info.value, OracleBudgetExceeded)
+    assert "244140625" in str(info.value) and str(1 << 24) in str(info.value)
 
 
 def test_unit_and_zero_flags():
