@@ -14,8 +14,8 @@ def mask_of(vertices: Iterable[int], n: int | None = None) -> int:
     """Bitmask of a vertex set; validates labels against 1..n when given."""
     m = 0
     for v in vertices:
-        if v < 1 or (n is not None and v > n):
-            raise ValueError(f"vertex label {v} out of range 1..{n}")
+        if type(v) is bool or not isinstance(v, int) or v < 1 or (n is not None and v > n):
+            raise ValueError(f"vertex label {v!r} is not an integer in 1..{n}")
         m |= 1 << (v - 1)
     return m
 

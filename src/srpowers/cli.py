@@ -12,8 +12,8 @@ Subcommands:
 * ``sweep``: enumerate or sample small complexes, run named checks,
   emit CSV; nonzero exit on any disagreement.
 
-Usage errors exit 64, input parse errors 65, exhausted budgets and
-boxes past the desk-scale limit 3.
+Usage errors exit 64, malformed input (not JSON, or JSON of the wrong
+shape) 65, exhausted budgets and input past a desk-scale limit 3.
 The environment variable SRPL_BUDGET_SECONDS supplies a default budget.
 """
 
@@ -26,7 +26,7 @@ import sys
 
 from . import cohomology as co
 from .classify import Query, classify, classify_with_oracle
-from .fixtures import parse_complex_spec, parse_input
+from .fixtures import MalformedInput, parse_complex_spec, parse_input
 from .ideals import (
     DeskScaleExceeded,
     MonomialIdeal,
@@ -221,6 +221,9 @@ def main(argv=None) -> int:
     except (co.OracleBudgetExceeded, DeskScaleExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_BUDGET
+    except MalformedInput as exc:
+        print(f"error: malformed input: {exc}", file=sys.stderr)
+        return EX_DATA
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE

@@ -263,12 +263,15 @@ def _dims_of_facets(facets: tuple[int, ...], field) -> tuple[int, ...]:
 
 _CHUNK = 4096  # box rows per numpy block; also the deadline granularity
 _BOX_LIMIT = 1 << 22  # points of a degree box at desk scale
+_EXPONENT_LIMIT = (1 << 15) - 1  # box rows and generators are held as int16
 
 
 def _box_rows(rho: tuple[int, ...], below: int) -> np.ndarray:
     """The degree box {-1..rho_i - 1}^n as int16 rows with fewer than
     ``below`` negative coordinates, sorted by (negative count,
     lexicographic order)."""
+    if max(rho, default=0) > _EXPONENT_LIMIT:
+        raise DeskScaleExceeded(f"the exponent {max(rho)} is over the desk-scale limit of {_EXPONENT_LIMIT}")
     size = math.prod(r + 1 for r in rho)
     if size > _BOX_LIMIT:
         raise DeskScaleExceeded(
@@ -380,9 +383,9 @@ def _scan(
     """
     if below <= 0:
         return []
+    rows = _box_rows(ideal.max_exponents(), below)  # refuses what int16 cannot hold
     reader = _closed_form_reader if isinstance(ideal, SymbolicPower) else _generator_reader
     read, facets_of = reader(ideal)
-    rows = _box_rows(ideal.max_exponents(), below)
     seen: set = set()
     found: dict[int, Witness] = {}
     for start in range(0, len(rows), _CHUNK):
@@ -424,9 +427,12 @@ def _radical_complex(ideal: MonomialIdeal | SymbolicPower) -> SimplicialComplex:
 
 def _localize(ideal: MonomialIdeal | SymbolicPower, inverted: int):
     """The ideal with the variables of ``inverted`` inverted, or None for
-    the unit ideal (for a symbolic power: ``inverted`` is no face)."""
+    the unit ideal (for a symbolic power: ``inverted`` is no face; for a
+    proper ideal: every variable is inverted)."""
     if isinstance(ideal, SymbolicPower):
         return ideal.contract(inverted)
+    if inverted == (1 << ideal.n) - 1:
+        return None
     j = contract(ideal, inverted).ideal
     return None if j.is_unit else j
 

@@ -17,8 +17,8 @@ from typing import Iterable
 
 from .bits import (
     antichain_maximal,
-    iter_bits,
     mask_of,
+    minimal_transversals,
     submasks,
     vertices_of,
 )
@@ -76,11 +76,7 @@ class SimplicialComplex:
 
     @cached_property
     def _face_set(self) -> frozenset[int]:
-        faces: set[int] = set()
-        for f in self.facets:
-            for s in submasks(f):
-                faces.add(s)
-        return frozenset(faces)
+        return frozenset(s for f in self.facets for s in submasks(f))
 
     def faces(self) -> frozenset[int]:
         """All faces as masks (the empty face 0 included unless void)."""
@@ -99,26 +95,19 @@ class SimplicialComplex:
 
     # -- combinatorial constructions ---------------------------------------
 
-    def minimal_nonfaces(self) -> tuple[tuple[int, ...], ...]:
-        """Inclusion-minimal subsets of the ambient set that are not faces."""
+    def minimal_nonface_masks(self) -> tuple[int, ...]:
+        """Inclusion-minimal nonfaces as masks, ordered by (size, mask): the
+        minimal transversals of the facet complements, since a set is a
+        nonface exactly when it meets the complement of every facet."""
         if self.is_void:
             raise ValueError("the void complex has no nonfaces")
-        out = []
-        for size in range(1, self.n + 1):
-            for combo in itertools.combinations(range(self.n), size):
-                m = 0
-                for i in combo:
-                    m |= 1 << i
-                if self.has_face(m):
-                    continue
-                if all(self.has_face(m & ~b) for b in iter_bits(m)):
-                    out.append(m)
-        return tuple(
-            sorted((vertices_of(m) for m in out), key=lambda t: (len(t), t))
-        )
+        full = (1 << self.n) - 1
+        return tuple(minimal_transversals([full & ~f for f in self.facets], full))
 
-    def minimal_nonface_masks(self) -> tuple[int, ...]:
-        return tuple(mask_of(s) for s in self.minimal_nonfaces())
+    def minimal_nonfaces(self) -> tuple[tuple[int, ...], ...]:
+        """Inclusion-minimal subsets of the ambient set that are not faces."""
+        masks = self.minimal_nonface_masks()
+        return tuple(sorted((vertices_of(m) for m in masks), key=lambda t: (len(t), t)))
 
     def link(self, face) -> "SimplicialComplex":
         """Faces F \\ G over facets F containing G; same ambient size."""

@@ -5,9 +5,9 @@ subsets of {1..n}.  The enumerator walks them depth first over the
 subset lattice; a cheap relabeling-invariant signature (vertex count,
 facet size multiset, per-vertex incidence profiles) deduplicates the
 stream, since every property checked by the sweeps is invariant under
-vertex relabeling.  Signature collisions between genuinely different
-complexes merge test cases; that is a deliberate lightweight filter,
-not an isomorphism test.
+vertex relabeling.  The dedup is not isomorphism-exact (ROADMAP item
+2): signature collisions drop non-isomorphic test cases, so n = 5
+yields 202 of its 208 classes and n = 6 yields 9 546 of 16 351.
 """
 
 from __future__ import annotations

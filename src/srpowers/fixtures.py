@@ -25,7 +25,11 @@ from .complexes import (
     simplex,
     uniform_matroid,
 )
-from .ideals import MonomialIdeal, ideal_from_json
+from .ideals import DeskScaleExceeded, MonomialIdeal, ideal_from_json
+
+
+class MalformedInput(ValueError):
+    """JSON input of the wrong shape for a complex or an ideal."""
 
 
 def _five_cycle() -> SimplicialComplex:
@@ -79,7 +83,8 @@ def parse_input(text: str) -> SimplicialComplex | MonomialIdeal:
     """A complex or an ideal, read by the first form that fits: a named
     example, a parametric family, a join of parts, "-" for JSON on stdin,
     a JSON literal, or a JSON file path.  JSON with "gens" is an ideal,
-    any other JSON a complex.
+    any other JSON a complex.  JSON of the wrong shape raises
+    ``MalformedInput``.
 
     ``join:A+B+...`` joins the parts after shifting each one onto fresh
     vertex labels, so ``join:complete:3+complete:3`` lives on 6 vertices.
@@ -101,7 +106,17 @@ def parse_input(text: str) -> SimplicialComplex | MonomialIdeal:
             data = json.load(fh)
     else:
         raise ValueError(f"cannot interpret input {text!r}")
-    return ideal_from_json(data) if "gens" in data else complex_from_json(data)
+    if not isinstance(data, dict) or type(data.get("n")) is not int or data["n"] < 1:
+        raise MalformedInput('expected a JSON object with a positive integer "n"')
+    key = "gens" if "gens" in data else "facets"
+    if not isinstance(data.get(key), list) or not all(isinstance(r, list) for r in data[key]):
+        raise MalformedInput(f'"{key}" must be a list of lists')
+    try:
+        return ideal_from_json(data) if key == "gens" else complex_from_json(data)
+    except DeskScaleExceeded:
+        raise
+    except ValueError as exc:
+        raise MalformedInput(str(exc)) from None
 
 
 def parse_complex_spec(text: str) -> SimplicialComplex:

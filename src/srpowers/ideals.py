@@ -13,6 +13,8 @@ preserves every constraint).
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,34 +26,42 @@ MAX_POWER = 16  # desk scale guard
 
 
 class DeskScaleExceeded(ValueError):
-    """A box of exponent vectors too large to enumerate at desk scale.
+    """Input past desk scale: too large a box or too large an exponent.
 
     The input is valid, so this is no usage error; nor is it a spent time
     budget, since a resumed run would meet the same box again."""
 
 
+_INT64_MAX = (1 << 63) - 1
+_BLOCK = 1 << 18  # cells (pairs times coordinates) per comparison block in ``minimalize``
+
+
 def minimalize(vectors, n: int) -> frozenset[tuple[int, ...]]:
-    """Coordinatewise-minimal elements of a set of exponent vectors."""
-    vs = sorted(set(map(tuple, vectors)), key=lambda v: (sum(v), v))
-    if len(vs) > 400:
-        return _minimalize_np(vs, n)
-    kept: list[tuple[int, ...]] = []
-    for v in vs:
-        if not any(all(u[i] <= v[i] for i in range(n)) for u in kept):
-            kept.append(v)
-    return frozenset(kept)
+    """Coordinatewise-minimal elements of a set of exponent vectors.
 
-
-def _minimalize_np(vs, n):
-    arr = np.array(vs, dtype=np.int32)
-    keep = np.ones(len(vs), dtype=bool)
-    for i in range(len(vs)):
-        if not keep[i]:
-            continue
-        dominated = (arr >= arr[i]).all(axis=1)
-        dominated[i] = False
-        keep &= ~dominated
-    return frozenset(map(tuple, arr[keep].tolist()))
+    A vector can only be divided by one of lower total degree, so the
+    vectors are taken level by level in degree, and each level is
+    compared, in blocks of at most ``_BLOCK`` cells, with the minimal
+    vectors kept so far.  The arithmetic is exact int64: exponents whose
+    degree could leave that range are refused."""
+    vs = list(set(map(tuple, vectors)))
+    limit = _INT64_MAX // max(n, 1)  # so that no degree leaves int64
+    if max((max(v, default=0) for v in vs), default=0) > limit:
+        raise DeskScaleExceeded(f"an exponent lies past {limit}, the int64 limit for {n} variables")
+    arr = np.array(vs, dtype=np.int64).reshape(len(vs), n)
+    deg = arr.sum(axis=1)
+    order = np.argsort(deg, kind="stable")
+    arr, deg = arr[order], deg[order]
+    step = max(1, math.isqrt(_BLOCK // max(n, 1)))  # rows per side of a block
+    kept = arr[:0]
+    for level in np.split(arr, np.flatnonzero(np.diff(deg)) + 1):
+        alive = np.ones(len(level), dtype=bool)
+        for i in range(0, len(level), step):
+            rows = level[i : i + step, None]
+            for j in range(0, len(kept), step):
+                alive[i : i + step] &= ~(kept[None, j : j + step] <= rows).all(axis=2).any(axis=1)
+        kept = np.concatenate([kept, level[alive]])
+    return frozenset(map(tuple, kept.tolist()))
 
 
 @dataclass(frozen=True)
@@ -63,8 +73,12 @@ class MonomialIdeal:
     def from_generators(n: int, gens) -> "MonomialIdeal":
         gens = [tuple(g) for g in gens]
         for g in gens:
-            if len(g) != n or any(e < 0 for e in g):
-                raise ValueError(f"bad exponent vector {g} for n={n}")
+            if len(g) != n or not all(
+                isinstance(e, (int, np.integer)) and not isinstance(e, bool) and 0 <= e <= _INT64_MAX
+                for e in g
+            ):
+                raise ValueError(f"bad exponent vector {g} for n={n}: "
+                                 f"exponents are integers in 0..{_INT64_MAX}")
         return MonomialIdeal(n, minimalize(gens, n))
 
     @staticmethod
@@ -104,12 +118,7 @@ class MonomialIdeal:
 
     def max_exponents(self) -> tuple[int, ...]:
         """Per-variable maximum exponent over the generators."""
-        rho = [0] * self.n
-        for g in self.gens:
-            for i, e in enumerate(g):
-                if e > rho[i]:
-                    rho[i] = e
-        return tuple(rho)
+        return tuple(map(max, zip(*self.gens))) if self.gens else (0,) * self.n
 
     # -- membership and comparisons -------------------------------------------
 
@@ -132,29 +141,21 @@ class MonomialIdeal:
 
     # -- arithmetic ------------------------------------------------------------
 
-    def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
+    def _pairwise(self, other: "MonomialIdeal", op) -> "MonomialIdeal":
+        """Generated by ``op`` applied coordinatewise to every pair of
+        generators: lcms for the intersection, sums for the product."""
         if self.n != other.n:
             raise ValueError("ambient size mismatch")
         if self.is_zero or other.is_zero:
             return MonomialIdeal.zero(self.n)
-        lcms = [
-            tuple(max(a, b) for a, b in zip(u, v))
-            for u in self.gens
-            for v in other.gens
-        ]
-        return MonomialIdeal(self.n, minimalize(lcms, self.n))
+        pairs = [tuple(map(op, u, v)) for u in self.gens for v in other.gens]
+        return MonomialIdeal(self.n, minimalize(pairs, self.n))
+
+    def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
+        return self._pairwise(other, max)
 
     def multiply(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        if self.n != other.n:
-            raise ValueError("ambient size mismatch")
-        if self.is_zero or other.is_zero:
-            return MonomialIdeal.zero(self.n)
-        sums = [
-            tuple(a + b for a, b in zip(u, v))
-            for u in self.gens
-            for v in other.gens
-        ]
-        return MonomialIdeal(self.n, minimalize(sums, self.n))
+        return self._pairwise(other, operator.add)
 
     def power(self, m: int) -> "MonomialIdeal":
         if not 1 <= m <= MAX_POWER:
@@ -207,15 +208,12 @@ def sr_ideal(c: SimplicialComplex) -> MonomialIdeal:
     if c.vertex_mask != (1 << c.n) - 1:
         missing = sorted(set(range(1, c.n + 1)) - set(vertices_of(c.vertex_mask)))
         raise ValueError(f"vertices {missing} lie in no facet; their variables would be generators")
+    return _nonface_ideal(c)
+
+
+def _nonface_ideal(c: SimplicialComplex) -> MonomialIdeal:
+    """The squarefree ideal generated by the minimal nonfaces."""
     return MonomialIdeal(c.n, frozenset(indicator(m, c.n) for m in c.minimal_nonface_masks()))
-
-
-def _prime_support_masks(ideal: MonomialIdeal) -> list[int]:
-    """Supports of the minimal primes: the minimal transversals of the
-    generator supports."""
-    full = (1 << ideal.n) - 1
-    supports = sorted(set(support(g) for g in ideal.gens))
-    return minimal_transversals(supports, full)
 
 
 def complex_of_radical(ideal: MonomialIdeal) -> SimplicialComplex:
@@ -229,7 +227,8 @@ def complex_of_radical(ideal: MonomialIdeal) -> SimplicialComplex:
     full = (1 << ideal.n) - 1
     if ideal.is_zero:
         return SimplicialComplex(ideal.n, frozenset({full}))
-    return SimplicialComplex(ideal.n, frozenset(full & ~t for t in _prime_support_masks(ideal)))
+    supports = sorted(set(support(g) for g in ideal.gens))
+    return SimplicialComplex(ideal.n, frozenset(full & ~t for t in minimal_transversals(supports, full)))
 
 
 def minimal_primes(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
@@ -239,7 +238,8 @@ def minimal_primes(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
         raise ValueError("minimal primes are computed for squarefree input")
     if ideal.is_unit or ideal.is_zero:
         raise ValueError("need a proper nonzero ideal")
-    return tuple(sorted(vertices_of(t) for t in _prime_support_masks(ideal)))
+    full = (1 << ideal.n) - 1
+    return tuple(sorted(vertices_of(full & ~f) for f in complex_of_radical(ideal).facets))
 
 
 def facet_ideal(c: SimplicialComplex) -> MonomialIdeal:
@@ -255,9 +255,7 @@ def cover_ideal(c: SimplicialComplex) -> MonomialIdeal:
     every facet); callers should warn on ``contains_variable``."""
     if c.is_void or c.is_empty_complex:
         raise ValueError("cover ideal needs nonempty facets")
-    full = (1 << c.n) - 1
-    covers = minimal_transversals(sorted(c.facets), full)
-    return MonomialIdeal(c.n, frozenset(indicator(t, c.n) for t in covers))
+    return _nonface_ideal(c.complement())  # a cover meets every facet
 
 
 def dual_complex(c: SimplicialComplex) -> SimplicialComplex:
@@ -273,40 +271,12 @@ def dual_complex(c: SimplicialComplex) -> SimplicialComplex:
 
 def symbolic_power_ideal(ideal: MonomialIdeal, m: int) -> MonomialIdeal:
     """m-th symbolic power of a squarefree ideal: intersection of the m-th
-    powers of its minimal primes, via box enumeration."""
+    powers of its minimal primes, by ``SymbolicPower.ideal``."""
     if not ideal.is_squarefree:
         raise ValueError("symbolic powers are defined here for squarefree input")
-    if ideal.is_unit:
+    if ideal.is_unit or ideal.is_zero:
         return ideal
-    if ideal.is_zero:
-        return ideal
-    if not 1 <= m <= MAX_POWER:
-        raise ValueError(f"power must lie in 1..{MAX_POWER}")
-    n = ideal.n
-    if (m + 1) ** n > 1 << 24:
-        raise DeskScaleExceeded(
-            f"the exponent box {{0..{m}}}^{n} has {(m + 1) ** n} points, "
-            f"over the desk-scale limit of {1 << 24}"
-        )
-    primes = _prime_support_masks(ideal)
-    pmat = np.array([indicator(t, n) for t in primes], dtype=np.int32)
-    gens: list[tuple[int, ...]] = []
-    chunk = 1 << 14
-    box = itertools.product(range(m + 1), repeat=n)
-    while True:
-        rows = list(itertools.islice(box, chunk))
-        if not rows:
-            break
-        arr = np.array(rows, dtype=np.int32)
-        sums = arr @ pmat.T
-        ok = (sums >= m).all(axis=1)
-        if not ok.any():
-            continue
-        tight = sums == m
-        covered = tight.astype(np.int32) @ pmat
-        minimal = ok & ((arr == 0) | (covered > 0)).all(axis=1)
-        gens.extend(map(tuple, arr[minimal].tolist()))
-    return MonomialIdeal(n, frozenset(gens))
+    return SymbolicPower.of(ideal, m).ideal()
 
 
 def symbolic_power(c: SimplicialComplex, m: int) -> MonomialIdeal:
@@ -353,15 +323,32 @@ class SymbolicPower:
         return tuple(0 if common >> i & 1 else self.m for i in range(self.n))
 
     def radical(self) -> MonomialIdeal:
-        """The squarefree ideal: its generators are the minimal nonfaces,
-        which are the minimal transversals of the facet complements."""
-        full = (1 << self.n) - 1
-        nonfaces = minimal_transversals([full & ~f for f in self.facets], full)
-        return MonomialIdeal(self.n, frozenset(indicator(t, self.n) for t in nonfaces))
+        """The squarefree ideal, generated by the minimal nonfaces."""
+        return _nonface_ideal(SimplicialComplex(self.n, self.facets))
 
     def ideal(self) -> MonomialIdeal:
-        """The explicit generators of I^(m)."""
-        return symbolic_power_ideal(self.radical(), self.m)
+        """The explicit generators of I^(m), by enumerating the box
+        {0..m}^n against the primes P_{V-F}: a point is a generator when
+        it meets every prime at least m times and lowering any nonzero
+        coordinate breaks a constraint that holds with equality."""
+        n, m = self.n, self.m
+        if self.is_zero:
+            return MonomialIdeal.zero(n)
+        if (m + 1) ** n > 1 << 24:
+            raise DeskScaleExceeded(
+                f"the exponent box {{0..{m}}}^{n} has {(m + 1) ** n} points, "
+                f"over the desk-scale limit of {1 << 24}"
+            )
+        pmat = 1 - np.array([indicator(f, n) for f in self.facets], dtype=np.int32)
+        gens: list[tuple[int, ...]] = []
+        box = itertools.product(range(m + 1), repeat=n)
+        while rows := list(itertools.islice(box, 1 << 14)):
+            arr = np.array(rows, dtype=np.int32)
+            sums = arr @ pmat.T
+            covered = (sums == m).astype(np.int32) @ pmat  # meets a tight prime
+            minimal = (sums >= m).all(axis=1) & ((arr == 0) | (covered > 0)).all(axis=1)
+            gens.extend(map(tuple, arr[minimal].tolist()))
+        return MonomialIdeal(n, frozenset(gens))
 
     def contract(self, face: int) -> "SymbolicPower | None":
         """Invert the variables of ``face`` (a mask): the symbolic power of
@@ -383,18 +370,17 @@ def symbolic_power_by_intersection(ideal: MonomialIdeal, m: int) -> MonomialIdea
     if not 1 <= m <= MAX_POWER:
         raise ValueError(f"power must lie in 1..{MAX_POWER}")
     n = ideal.n
+    full = (1 << n) - 1
     result: MonomialIdeal | None = None
-    for t in _prime_support_masks(ideal):
-        verts = [v - 1 for v in vertices_of(t)]
+    for f in complex_of_radical(ideal).facets:
         gens = []
-        for combo in itertools.combinations_with_replacement(verts, m):
+        for combo in itertools.combinations_with_replacement(vertices_of(full & ~f), m):
             g = [0] * n
-            for i in combo:
-                g[i] += 1
+            for v in combo:
+                g[v - 1] += 1
             gens.append(tuple(g))
         pm = MonomialIdeal(n, minimalize(gens, n))
         result = pm if result is None else result.intersect(pm)
-    assert result is not None
     return result
 
 

@@ -110,8 +110,7 @@ def ci_witness(c: SimplicialComplex):
 def _vertex_nonface_masks(c: SimplicialComplex) -> list[int]:
     """Minimal nonfaces restricted to the covered vertex set."""
     vm = c.vertex_mask
-    masks = [m for s in c.minimal_nonfaces() if (m := mask_of(s)) & vm == m]
-    return sorted(masks, key=lambda m: (m.bit_count(), m))
+    return [m for m in c.minimal_nonface_masks() if m & vm == m]
 
 
 def is_complete_intersection(c: SimplicialComplex) -> bool:

@@ -69,6 +69,28 @@ def test_usage_and_data_errors():
     assert "line" in r.stderr
 
 
+def test_malformed_json_exits_65(tmp_path, capsys):
+    listing = tmp_path / "list.json"
+    listing.write_text("[1, 2]")
+    for text in (
+        '{"n": 3}',
+        '{"facets": [[1, 2]]}',
+        '{"gens": [[1, 1]]}',
+        str(listing),
+        '{"n": 2.5, "facets": [[1, 2]]}',
+        '{"n": "3", "facets": [[1, 2]]}',
+        '{"n": 3, "facets": [1, 2]}',
+        '{"n": 3, "facets": [[1.5, 2]]}',
+        '{"n": 3, "facets": [[true, 2]]}',
+        '{"n": 2, "gens": [[1.5, 1], [0, 2]]}',
+        '{"n": 2, "gens": [[1, 1, 1]]}',
+        '{"n": 2, "gens": [[true, 1]]}',
+    ):
+        assert main(["depth", text]) == 65, text
+        assert "malformed input" in capsys.readouterr().err
+    assert main(["analyze", '{"n": 3}', "--kind", "cover", "--m", "3", "--property", "cm"]) == 65
+
+
 def test_power_and_depth_pipeline():
     r = run_cli("power", "example-4-10", "--m", "2", "--kind", "symbolic")
     assert r.returncode == 0
@@ -209,6 +231,9 @@ def test_desk_scale_limit_exits_3():
     r = run_cli("depth", big)
     assert r.returncode == 3
     assert "244140625" in r.stderr and str(1 << 22) in r.stderr
+    r = run_cli("depth", '{"n": 2, "gens": [[40000, 1], [0, 2]]}')
+    assert r.returncode == 3
+    assert "40000" in r.stderr and "32767" in r.stderr
     r = run_cli("power", json.dumps({"n": 12, "gens": [[1, 1] + [0] * 10]}),
                 "--m", "4", "--kind", "symbolic")
     assert r.returncode == 3

@@ -296,6 +296,16 @@ def test_gcm_examples():
     assert is_generalized_cm(nonpure) is False
 
 
+def test_one_variable_ideals_invert_every_variable():
+    for k in (1, 2, 3):
+        ideal = MonomialIdeal.from_generators(1, [(k,)])
+        # inverting the only variable gives the unit ideal, so gCM reduces to
+        # equidimensionality; S/(x^k) is zero-dimensional, hence CM
+        for check in (is_cm, is_s2, is_generalized_cm):
+            assert check(ideal) is True
+    assert is_generalized_cm(SymbolicPower.of(MonomialIdeal.from_generators(1, [(1,)]), 2)) is True
+
+
 def test_gcm_detects_cone_over_disconnected_base():
     cone = from_facets(7, [(1, 2, 3, 7), (4, 5, 6, 7)])
     I = sr_ideal(cone)
@@ -476,6 +486,18 @@ def test_box_guard_is_a_desk_scale_error():
         _box_rows((4,) * 12, 13)
     assert not isinstance(info.value, OracleBudgetExceeded)
     assert "244140625" in str(info.value) and str(1 << 22) in str(info.value)
+
+
+def test_degree_box_exponents_stay_within_int16():
+    assert depth_dim(MonomialIdeal.from_generators(2, [(3, 1), (0, 2)])).depth == 0
+    rep = depth_dim(MonomialIdeal.from_generators(2, [(30000, 1), (0, 2)]))
+    assert (rep.depth, rep.dim) == (0, 1)
+    assert rep.witnesses[0].a == (0, 1)
+    with pytest.raises(DeskScaleExceeded, match="40000.*32767"):
+        depth_dim(MonomialIdeal.from_generators(2, [(40000, 1), (0, 2)]))
+    with pytest.raises(DeskScaleExceeded, match="32768"):
+        _box_rows((1, 32768), 2)
+    assert _box_rows((32767,), 1)[-1].tolist() == [32766]
 
 
 def test_one_scan_gives_both_readers_the_same_witness_indices():

@@ -89,6 +89,14 @@ def test_minimal_nonfaces_against_brute_force():
         gens = [rng.sample(range(1, n + 1), rng.randint(1, n)) for _ in range(rng.randint(1, 4))]
         c = from_facets(n, gens)
         assert c.minimal_nonfaces() == brute_force_minimal_nonfaces(c)
+    for _ in range(20):
+        gens = [rng.sample(range(1, 8), rng.randint(1, 7)) for _ in range(rng.randint(1, 6))]
+        c = from_facets(7, gens)
+        assert c.minimal_nonfaces() == brute_force_minimal_nonfaces(c)
+    for n in (1, 3, 7):  # the empty complex {0}: every vertex is a minimal nonface
+        c = empty_complex(n)
+        assert c.minimal_nonfaces() == brute_force_minimal_nonfaces(c) == tuple((v,) for v in range(1, n + 1))
+        assert c.minimal_nonface_masks() == tuple(1 << i for i in range(n))
 
 
 def test_nonfaces_regenerate_complex():

@@ -13,7 +13,9 @@ from srpowers.complexes import (
 )
 from srpowers.fixtures import named_complex
 from srpowers.cohomology import OracleBudgetExceeded
+from srpowers import ideals
 from srpowers.ideals import (
+    MAX_POWER,
     DeskScaleExceeded,
     MonomialIdeal,
     SymbolicPower,
@@ -28,6 +30,7 @@ from srpowers.ideals import (
     localized_membership,
     maximal_ideal,
     minimal_primes,
+    minimalize,
     principal,
     sr_ideal,
     symbolic_power,
@@ -387,6 +390,57 @@ def test_symbolic_power_box_guard_is_a_desk_scale_error():
     assert isinstance(info.value, ValueError)
     assert not isinstance(info.value, OracleBudgetExceeded)
     assert "244140625" in str(info.value) and str(1 << 24) in str(info.value)
+
+
+def brute_force_minimalize(vectors):
+    vs = set(map(tuple, vectors))
+    return frozenset(
+        v for v in vs if not any(u != v and all(a <= b for a, b in zip(u, v)) for u in vs)
+    )
+
+
+def composition(rng, d, n):
+    cuts = sorted(rng.randint(0, d) for _ in range(n - 1))
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [d]))
+
+
+@pytest.mark.parametrize("block", [None, 40])
+def test_minimalize_against_brute_force(monkeypatch, block):
+    if block is not None:  # small blocks: many blocks per degree level and per kept set
+        monkeypatch.setattr(ideals, "_BLOCK", block)
+    assert minimalize([], 3) == frozenset()
+    assert minimalize([(0, 0, 0), (1, 2, 0), (0, 0, 0)], 3) == {(0, 0, 0)}
+    assert minimalize([[2], (1,), (3,)], 1) == {(1,)}
+    rng = random.Random(23)
+    for n in range(1, 9):
+        # sizes on both sides of 400 vectors; exponents to MAX_POWER and past int16
+        families = [
+            [tuple(rng.randint(0, top) for _ in range(n)) for _ in range(size)]
+            for size, top in ((rng.randint(1, 60), 2), (rng.randint(1, 60), MAX_POWER),
+                              (rng.randint(300, 520), 3), (rng.randint(1, 60), 40000))
+        ]
+        # wide degree levels: vectors of degree 6 and 7
+        families.append([composition(rng, rng.choice((6, 7)), n) for _ in range(rng.randint(300, 520))])
+        for vs in families:
+            vs += rng.sample(vs, len(vs) // 3)  # duplicates
+            if rng.random() < 0.2:
+                vs.append((0,) * n)
+            got = minimalize(vs, n)
+            assert got == brute_force_minimalize(vs), (n, len(vs))
+            assert all(type(e) is int for v in got for e in v)
+
+
+def test_bad_exponents_are_refused():
+    for bad in ((1.5, 1), (True, 1), ("1", 1), (-1, 1), (1 << 63, 1), (1, 2, 3)):
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            MonomialIdeal.from_generators(2, [bad, (0, 2)])
+    # exponents are held so that no degree leaves int64: at most int64 max // n
+    with pytest.raises(DeskScaleExceeded, match="int64"):
+        MonomialIdeal.from_generators(2, [(1 << 62, 1 << 62)])
+    half = principal(2, (1 << 61, 0))
+    with pytest.raises(DeskScaleExceeded, match="int64"):
+        half.multiply(half)
+    assert MonomialIdeal.from_generators(1, [(1 << 62,)]).gens == {(1 << 62,)}
 
 
 def test_unit_and_zero_flags():
