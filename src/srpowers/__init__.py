@@ -41,6 +41,7 @@ from .ideals import (
     Contraction,
     DeskScaleExceeded,
     MonomialIdeal,
+    OrdinaryPower,
     SymbolicPower,
     complex_of_radical,
     contract,

@@ -38,6 +38,7 @@ from .matroids import (
 )
 from .ideals import (
     MonomialIdeal,
+    OrdinaryPower,
     SymbolicPower,
     cover_ideal,
     dual_complex,
@@ -311,8 +312,8 @@ def build_ideal(q: Query) -> MonomialIdeal:
 
 def run_oracle(q: Query, field: int | None = None, budget_seconds: float | None = None) -> OracleRun:
     """Run the exact local cohomology oracle on the power: a symbolic power
-    from the facets of its radical complex, an ordinary one from its
-    generators."""
+    from the facets of its radical complex, an ordinary one through
+    I^m = I^(m) and the symbolic verdict."""
     start = time.monotonic()
     if q.property not in ORACLE_DECIDABLE:
         return OracleRun(False, None, 0.0, "property has no algebraic oracle")
@@ -322,7 +323,7 @@ def run_oracle(q: Query, field: int | None = None, budget_seconds: float | None 
     if q.power_kind == "symbolic":
         power = SymbolicPower.of(_base_ideal(q), q.m)
     else:
-        power = build_ideal(q)
+        power = OrdinaryPower(_base_ideal(q), q.m)
     if q.property == "CM":
         result = co.is_cm(power, field, deadline=deadline)
     elif q.property == "S2":

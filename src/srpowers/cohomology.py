@@ -25,6 +25,14 @@ facets of the radical complex in closed form (Minh-Trung), without
 building I^(m); scanning its explicit ideal instead is the cross-check
 (sweep ``sym-cube-routes``).
 
+An ``OrdinaryPower`` I^m is not scanned.  CM and S2 each make S/I^m
+unmixed (S1), and the unmixed part of I^m is I^(m), so S/I^m has either
+property exactly when I^m = I^(m) and S/I^(m) has it.  This is general
+ring theory, not the paper's criterion.  Equality is tested first,
+because building both generator sets costs much less than a cold
+symbolic verdict; scanning the explicit I^m instead is the cross-check
+(sweep ``ord-cube-routes``).
+
 All linear algebra is exact (rationals by default, or a prime field).
 """
 
@@ -49,6 +57,7 @@ from .complexes import SimplicialComplex, void_complex
 from .ideals import (
     DeskScaleExceeded,
     MonomialIdeal,
+    OrdinaryPower,
     SymbolicPower,
     complex_of_radical,
     contract,
@@ -69,7 +78,7 @@ def _validate_field(field) -> None:
 
 
 def _require_proper(ideal) -> None:
-    if isinstance(ideal, MonomialIdeal) and ideal.is_unit:
+    if not isinstance(ideal, SymbolicPower) and ideal.is_unit:
         raise ValueError("the unit ideal is not allowed here")
 
 
@@ -419,17 +428,22 @@ def _check_deadline(deadline: float | None) -> None:
         raise OracleBudgetExceeded("depth scan ran past its budget")
 
 
-def _radical_complex(ideal: MonomialIdeal | SymbolicPower) -> SimplicialComplex:
+Oracle = MonomialIdeal | SymbolicPower | OrdinaryPower  # what the oracle decides
+
+
+def _radical_complex(ideal: Oracle) -> SimplicialComplex:
     if isinstance(ideal, SymbolicPower):
         return SimplicialComplex(ideal.n, ideal.facets)
+    if isinstance(ideal, OrdinaryPower):
+        return complex_of_radical(ideal.base)
     return complex_of_radical(ideal)
 
 
-def _localize(ideal: MonomialIdeal | SymbolicPower, inverted: int):
+def _localize(ideal: Oracle, inverted: int):
     """The ideal with the variables of ``inverted`` inverted, or None for
     the unit ideal (for a symbolic power: ``inverted`` is no face; for a
     proper ideal: every variable is inverted)."""
-    if isinstance(ideal, SymbolicPower):
+    if isinstance(ideal, (SymbolicPower, OrdinaryPower)):
         return ideal.contract(inverted)
     if inverted == (1 << ideal.n) - 1:
         return None
@@ -437,7 +451,7 @@ def _localize(ideal: MonomialIdeal | SymbolicPower, inverted: int):
     return None if j.is_unit else j
 
 
-def quotient_dimension(ideal: MonomialIdeal | SymbolicPower) -> int:
+def quotient_dimension(ideal: Oracle) -> int:
     """Krull dimension of S/I: one more than the radical complex dimension."""
     _require_proper(ideal)
     if ideal.is_zero:
@@ -485,16 +499,30 @@ def _vanishes_below(ideal: MonomialIdeal | SymbolicPower, cap: int, field, deadl
     )
 
 
-def is_cm(ideal: MonomialIdeal | SymbolicPower, field: int | None = None, *,
+def _symbolic_if_equal(power: OrdinaryPower, deadline) -> SymbolicPower | None:
+    """I^(m) when I^m = I^(m) (equal minimal generators), else None."""
+    sym = power.symbolic()
+    equal = power.ideal().gens == sym.ideal().gens
+    _check_deadline(deadline)
+    return sym if equal else None
+
+
+def is_cm(ideal: Oracle, field: int | None = None, *,
           deadline: float | None = None) -> bool:
     """Cohen-Macaulayness of S/I over the field: no local cohomology below
-    the dimension."""
+    the dimension.  An ordinary power is decided through I^(m)."""
     _validate_field(field)
     _require_proper(ideal)
-    return ideal.is_zero or _vanishes_below(ideal, ideal.n, field, deadline)
+    if ideal.is_zero:
+        return True
+    if isinstance(ideal, OrdinaryPower):
+        ideal = _symbolic_if_equal(ideal, deadline)
+        if ideal is None:
+            return False
+    return _vanishes_below(ideal, ideal.n, field, deadline)
 
 
-def is_equidimensional(ideal: MonomialIdeal | SymbolicPower) -> bool:
+def is_equidimensional(ideal: Oracle) -> bool:
     """All minimal primes cut out quotients of the same dimension."""
     _require_proper(ideal)
     if ideal.is_zero:
@@ -502,15 +530,20 @@ def is_equidimensional(ideal: MonomialIdeal | SymbolicPower) -> bool:
     return _radical_complex(ideal).is_pure()
 
 
-def is_s2(ideal: MonomialIdeal | SymbolicPower, field: int | None = None, *,
+def is_s2(ideal: Oracle, field: int | None = None, *,
           deadline: float | None = None) -> bool:
     """Serre condition S2: every monomial-prime localization has depth at
     least min(2, its dimension).  Monomial primes suffice because the
-    failure locus of a monomial quotient is itself monomial-graded."""
+    failure locus of a monomial quotient is itself monomial-graded.  An
+    ordinary power is decided through I^(m)."""
     _validate_field(field)
     _require_proper(ideal)
     if ideal.is_zero:
         return True
+    if isinstance(ideal, OrdinaryPower):
+        ideal = _symbolic_if_equal(ideal, deadline)
+        if ideal is None:
+            return False
     full = (1 << ideal.n) - 1
     for wmask in range(1, full + 1):
         j = _localize(ideal, full & ~wmask)
@@ -521,7 +554,7 @@ def is_s2(ideal: MonomialIdeal | SymbolicPower, field: int | None = None, *,
     return True
 
 
-def is_generalized_cm(ideal: MonomialIdeal | SymbolicPower, field: int | None = None, *,
+def is_generalized_cm(ideal: Oracle, field: int | None = None, *,
                       deadline: float | None = None) -> bool:
     """Generalized Cohen-Macaulay: equidimensional and every one-variable
     localization is Cohen-Macaulay."""

@@ -95,14 +95,18 @@ class SimplicialComplex:
 
     # -- combinatorial constructions ---------------------------------------
 
+    @cached_property
+    def _minimal_nonface_masks(self) -> tuple[int, ...]:
+        full = (1 << self.n) - 1
+        return tuple(minimal_transversals([full & ~f for f in self.facets], full))
+
     def minimal_nonface_masks(self) -> tuple[int, ...]:
         """Inclusion-minimal nonfaces as masks, ordered by (size, mask): the
         minimal transversals of the facet complements, since a set is a
         nonface exactly when it meets the complement of every facet."""
         if self.is_void:
             raise ValueError("the void complex has no nonfaces")
-        full = (1 << self.n) - 1
-        return tuple(minimal_transversals([full & ~f for f in self.facets], full))
+        return self._minimal_nonface_masks
 
     def minimal_nonfaces(self) -> tuple[tuple[int, ...], ...]:
         """Inclusion-minimal subsets of the ambient set that are not faces."""

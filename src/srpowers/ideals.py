@@ -330,7 +330,9 @@ class SymbolicPower:
         """The explicit generators of I^(m), by enumerating the box
         {0..m}^n against the primes P_{V-F}: a point is a generator when
         it meets every prime at least m times and lowering any nonzero
-        coordinate breaks a constraint that holds with equality."""
+        coordinate breaks a constraint that holds with equality.  The box
+        is read in blocks of at most 1 << 14 rows: one ``np.indices`` grid
+        of the trailing coordinates per point of the leading ones."""
         n, m = self.n, self.m
         if self.is_zero:
             return MonomialIdeal.zero(n)
@@ -340,10 +342,13 @@ class SymbolicPower:
                 f"over the desk-scale limit of {1 << 24}"
             )
         pmat = 1 - np.array([indicator(f, n) for f in self.facets], dtype=np.int32)
+        k = n  # trailing coordinates per block, so a block has at most 1 << 14 rows
+        while (m + 1) ** k > 1 << 14:
+            k -= 1
+        tail = np.indices([m + 1] * k, dtype=np.int32).reshape(k, -1).T
         gens: list[tuple[int, ...]] = []
-        box = itertools.product(range(m + 1), repeat=n)
-        while rows := list(itertools.islice(box, 1 << 14)):
-            arr = np.array(rows, dtype=np.int32)
+        for head in itertools.product(range(m + 1), repeat=n - k):
+            arr = np.hstack([np.broadcast_to(np.array(head, dtype=np.int32), (len(tail), n - k)), tail])
             sums = arr @ pmat.T
             covered = (sums == m).astype(np.int32) @ pmat  # meets a tight prime
             minimal = (sums >= m).all(axis=1) & ((arr == 0) | (covered > 0)).all(axis=1)
@@ -360,6 +365,55 @@ class SymbolicPower:
             return None
         kept = ((1 << self.n) - 1) & ~face
         return SymbolicPower(kept.bit_count(), frozenset(compactify(star, kept)), self.m)
+
+
+@dataclass(frozen=True)
+class OrdinaryPower:
+    """I^m for a squarefree ideal I, held as I and the exponent m.
+
+    The depth oracle decides CM and S2 of S/I^m through I^(m): either
+    property makes S/I^m unmixed, so it holds exactly when I^m = I^(m)
+    and it holds for I^(m).  ``ideal()`` gives the explicit generators
+    for the general route.
+    """
+
+    base: MonomialIdeal
+    m: int
+
+    def __post_init__(self):
+        if not self.base.is_squarefree:
+            raise ValueError("ordinary powers are held here for squarefree input")
+        if not 1 <= self.m <= MAX_POWER:
+            raise ValueError(f"power must lie in 1..{MAX_POWER}")
+
+    @property
+    def n(self) -> int:
+        return self.base.n
+
+    @property
+    def is_zero(self) -> bool:
+        return self.base.is_zero
+
+    @property
+    def is_unit(self) -> bool:
+        return self.base.is_unit
+
+    def ideal(self) -> MonomialIdeal:
+        return self.base.power(self.m)
+
+    def symbolic(self) -> SymbolicPower:
+        return SymbolicPower.of(self.base, self.m)
+
+    def contract(self, face: int) -> "OrdinaryPower | None":
+        """Invert the variables of ``face`` (a mask): localization commutes
+        with products, so this is the ordinary power of the contracted
+        base ideal on the remaining variables in order.  None when the
+        contraction is the unit ideal (``face`` holds a generator, or is
+        every variable)."""
+        if face == (1 << self.n) - 1:
+            return None
+        base = contract(self.base, face).ideal
+        return None if base.is_unit else OrdinaryPower(base, self.m)
 
 
 def symbolic_power_by_intersection(ideal: MonomialIdeal, m: int) -> MonomialIdeal:

@@ -19,7 +19,7 @@ from .bits import support
 from .classify import Query, classify
 from .complexes import SimplicialComplex
 from .enumeration import distinct_complexes, sample_complexes, structured_positives
-from .ideals import SymbolicPower, cover_ideal, dual_complex, facet_ideal, sr_ideal
+from .ideals import OrdinaryPower, SymbolicPower, cover_ideal, dual_complex, facet_ideal, sr_ideal
 from .matroids import (
     graph_matroid_criterion,
     is_complete_intersection,
@@ -81,6 +81,10 @@ def _sym_cube(c):
     return SymbolicPower.of(sr_ideal(c), 3)
 
 
+def _ord_cube(c):
+    return OrdinaryPower(sr_ideal(c), 3)
+
+
 def _chk_sym_cube_cm(c, field, deadline):
     if c.is_empty_complex or c.dimension() < 2:
         return None
@@ -96,7 +100,7 @@ def _chk_sym_cube_s2(c, field, deadline):
 def _chk_ord_cube_cm(c, field, deadline):
     if c.is_empty_complex or c.dimension() < 1:
         return None
-    return is_complete_intersection(c), co.is_cm(sr_ideal(c).power(3), field, deadline=deadline)
+    return is_complete_intersection(c), co.is_cm(_ord_cube(c), field, deadline=deadline)
 
 
 def _chk_sym_cube_gcm(c, field, deadline):
@@ -110,7 +114,7 @@ def _chk_ord_cube_gcm(c, field, deadline):
     if c.is_empty_complex or c.dimension() < 2:
         return None
     verdict = classify(Query(c, "stanley_reisner", "ordinary", "gCM", 3)).verdict
-    return verdict == "holds", co.is_generalized_cm(sr_ideal(c).power(3), field, deadline=deadline)
+    return verdict == "holds", co.is_generalized_cm(_ord_cube(c), field, deadline=deadline)
 
 
 def _chk_cover_cube_cm(c, field, deadline):
@@ -127,16 +131,29 @@ def _chk_facet_cube_cm(c, field, deadline):
     return is_matroid_exchange(dual_complex(c)), co.is_cm(cube, field, deadline=deadline)
 
 
+def _routes_agree(cube, field, deadline):
+    """CM and S2 of a cube value against the same checks on its explicit
+    generators."""
+    value = [f(cube, field, deadline=deadline) for f in (co.is_cm, co.is_s2)]
+    general = [f(cube.ideal(), field, deadline=deadline) for f in (co.is_cm, co.is_s2)]
+    return value == general
+
+
 def _chk_sym_cube_routes(c, field, deadline):
     """Cross-check of the two oracle routes: CM and S2 of the symbolic cube
     from the facets (closed form) and from its explicit generators."""
     if c.is_empty_complex:
         return None
-    cube = _sym_cube(c)
-    explicit = cube.ideal()
-    closed = [f(cube, field, deadline=deadline) for f in (co.is_cm, co.is_s2)]
-    general = [f(explicit, field, deadline=deadline) for f in (co.is_cm, co.is_s2)]
-    return True, closed == general
+    return True, _routes_agree(_sym_cube(c), field, deadline)
+
+
+def _chk_ord_cube_routes(c, field, deadline):
+    """Cross-check of the two oracle routes: CM and S2 of the ordinary cube
+    through I^3 = I^(3) and the symbolic verdict, and from its explicit
+    generators."""
+    if c.is_empty_complex:
+        return None
+    return True, _routes_agree(_ord_cube(c), field, deadline)
 
 
 def _chk_degree_complex_links(c, field, deadline):
@@ -182,6 +199,7 @@ CHECKS = {
     "cover-cube-cm": _chk_cover_cube_cm,
     "facet-cube-cm": _chk_facet_cube_cm,
     "sym-cube-routes": _chk_sym_cube_routes,
+    "ord-cube-routes": _chk_ord_cube_routes,
     "degree-complex-links": _chk_degree_complex_links,
     "reisner-cm": _chk_reisner,
 }

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,13 +11,20 @@ from srpowers.complexes import complex_from_json, cycle
 from srpowers.fixtures import parse_complex_spec, parse_input
 from srpowers.ideals import MonomialIdeal, ideal_from_json, symbolic_power
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 
 def run_cli(*args, stdin_text=None):
+    """The CLI in a fresh interpreter on this checkout's sources, with no
+    time budget from the environment."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("SRPL_BUDGET_SECONDS", None)
     proc = subprocess.run(
         [sys.executable, "-m", "srpowers.cli", *args],
         capture_output=True,
         text=True,
         input=stdin_text,
+        env=env,
     )
     return proc
 
@@ -185,7 +194,7 @@ def test_budget_env_var_default():
          "--n-max", "5", "--dim-filter", ">=2"],
         capture_output=True,
         text=True,
-        env={"SRPL_BUDGET_SECONDS": "0.05", "PATH": "/usr/bin:/bin", "PYTHONPATH": "src"},
+        env={"SRPL_BUDGET_SECONDS": "0.05", "PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC)},
     )
     assert proc.returncode == 3
     assert "# resume-token:" in proc.stdout

@@ -35,8 +35,10 @@ from srpowers.cohomology import (
     reisner_is_cm,
 )
 from srpowers.fixtures import named_complex
+from srpowers.enumeration import distinct_complexes
 from srpowers.ideals import (
     MonomialIdeal,
+    OrdinaryPower,
     SymbolicPower,
     DeskScaleExceeded,
     contract,
@@ -467,6 +469,32 @@ def test_closed_form_scan_honours_deadline():
         with pytest.raises(OracleBudgetExceeded):
             check(sp, deadline=time.monotonic() - 1)
     assert is_cm(sp) is True
+
+
+@pytest.mark.parametrize("field", [None, 2])
+def test_ordinary_power_route_matches_explicit_route(field):
+    checks = (is_cm, is_s2, is_generalized_cm)
+    classes = equal = 0
+    for c in distinct_complexes(5):
+        if c.is_empty_complex:
+            continue
+        cube = OrdinaryPower(sr_ideal(c), 3)
+        explicit = cube.ideal()
+        got = [check(cube, field) for check in checks]
+        assert got == [check(explicit, field) for check in checks], (c, field)
+        classes += 1
+        equal += explicit == cube.symbolic().ideal()
+    assert classes > 150 and 0 < equal < classes
+
+
+def test_ordinary_power_route_honours_deadline():
+    for c in (uniform_matroid(5, 2), cycle(5), uniform_matroid(4, 2)):
+        cube = OrdinaryPower(sr_ideal(c), 3)
+        for check in (is_cm, is_s2, is_generalized_cm):
+            with pytest.raises(OracleBudgetExceeded):
+                check(cube, deadline=time.monotonic() - 1)
+    assert is_cm(OrdinaryPower(sr_ideal(cycle(5)), 3)) is False
+    assert is_cm(OrdinaryPower(sr_ideal(uniform_matroid(4, 2)), 3)) is True
 
 
 def test_box_rows_match_the_sorted_product():

@@ -99,6 +99,22 @@ def test_minimal_nonfaces_against_brute_force():
         assert c.minimal_nonface_masks() == tuple(1 << i for i in range(n))
 
 
+def test_minimal_nonface_masks_are_cached(monkeypatch):
+    import srpowers.complexes as cx
+
+    calls = []
+    transversals = cx.minimal_transversals
+    monkeypatch.setattr(cx, "minimal_transversals", lambda *a: calls.append(a) or transversals(*a))
+    c = from_facets(5, [(1, 2, 3), (3, 4), (4, 5)])
+    first = c.minimal_nonface_masks()
+    assert len(calls) == 1
+    assert c.minimal_nonface_masks() is first
+    assert c.minimal_nonfaces() == brute_force_minimal_nonfaces(c)
+    assert len(calls) == 1
+    with pytest.raises(ValueError):
+        void_complex(3).minimal_nonface_masks()
+
+
 def test_nonfaces_regenerate_complex():
     rng = random.Random(9)
     for _ in range(40):

@@ -18,6 +18,7 @@ from srpowers.ideals import (
     MAX_POWER,
     DeskScaleExceeded,
     MonomialIdeal,
+    OrdinaryPower,
     SymbolicPower,
     adjoin_variable,
     complex_of_radical,
@@ -212,6 +213,41 @@ def test_symbolic_power_contraction_is_the_link():
                 assert want.is_unit
             else:
                 assert got.ideal() == want
+
+
+def test_symbolic_power_box_blocks_cover_the_box():
+    # (m+1)^n past 1 << 14 splits the box into blocks of leading coordinates
+    rng = random.Random(44)
+    for n, m in ((8, 3), (7, 4), (9, 2)):
+        for _ in range(2):
+            facets = [rng.sample(range(1, n + 1), rng.randint(2, n - 2)) for _ in range(3)]
+            base = sr_ideal(from_facets(n, facets + [[v] for v in range(1, n + 1)]))
+            assert symbolic_power_ideal(base, m).gens == symbolic_power_by_intersection(base, m).gens
+
+
+def test_ordinary_power_value():
+    rng = random.Random(45)
+    for c, base in _random_squarefree_bases(rng, 6):
+        for m in (1, 2, 3):
+            op = OrdinaryPower(base, m)
+            assert op.ideal() == base.power(m)
+            assert op.symbolic() == SymbolicPower.of(base, m)
+            assert (op.n, op.is_zero) == (base.n, base.is_zero)
+            if m != 2:
+                continue
+            explicit = op.ideal()
+            for g in range(1 << c.n):
+                got = op.contract(g)
+                want = None if g == (1 << c.n) - 1 else contract(explicit, g).ideal
+                if got is None:
+                    assert want is None or want.is_unit
+                else:
+                    assert got.ideal() == want and got.m == m
+    assert OrdinaryPower(sr_ideal(cycle(5)), 1).ideal() == sr_ideal(cycle(5))
+    with pytest.raises(ValueError):
+        OrdinaryPower(sr_ideal(cycle(5)).power(2), 2)
+    with pytest.raises(ValueError):
+        OrdinaryPower(sr_ideal(cycle(5)), 0)
 
 
 def test_power_contained_in_symbolic_power():

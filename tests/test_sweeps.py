@@ -58,6 +58,15 @@ def test_symbolic_power_routes_cross_check(field):
     assert len(r.rows) >= 12
 
 
+@pytest.mark.parametrize("field", [None, 2])
+@pytest.mark.parametrize("family", [dict(n_max=6, sample=80, seed=5), dict(n_max=4)],
+                         ids=["sample", "exhaustive"])
+def test_ordinary_power_routes_cross_check(field, family):
+    r = run_sweep(["ord-cube-routes"], field=field, **family)
+    assert r.disagreements == 0
+    assert len(r.rows) >= (80 if "sample" in family else 27)
+
+
 def test_exhaustive_n7_sweep_is_refused():
     with pytest.raises(ValueError, match="--sample"):
         run_sweep(["matroid-pair-criterion"], n_max=7)
