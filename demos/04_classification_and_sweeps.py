@@ -52,7 +52,7 @@ print("\nthree-4-sets fixture, facet symbolic powers, CM:", rep.verdict)
 print("  caveats:", rep.caveats)
 
 # A miniature sweep: the pair criterion against the exchange axiom over
-# every signature class on up to four vertices.
+# every isomorphism class on up to four vertices.
 result = run_sweep(["matroid-pair-criterion"], n_max=4)
 print("\nsweep: exchange = pair criterion on <= 4 vertices")
 print(CSV_HEADER)

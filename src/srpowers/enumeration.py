@@ -1,66 +1,60 @@
 """Enumeration and sampling of small complexes for property sweeps.
 
-Complexes on at most n vertices are exactly the antichains of nonempty
-subsets of {1..n}.  The enumerator walks them depth first over the
-subset lattice; a cheap relabeling-invariant signature (vertex count,
-facet size multiset, per-vertex incidence profiles) deduplicates the
-stream, since every property checked by the sweeps is invariant under
-vertex relabeling.  The dedup is not isomorphism-exact (ROADMAP item
-2): signature collisions drop non-isomorphic test cases, so n = 5
-yields 202 of its 208 classes and n = 6 yields 9 546 of 16 351.
+``distinct_complexes(n)`` yields one complex per isomorphism class on
+1..n vertices, built one vertex at a time (McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 1998).  A complex on k+1 vertices
+is D u v*L, where D, its deletion at v, is a complex on k vertices and
+L, its link at v, is a nonvoid subcomplex of D.  So the children of one
+D per class on k vertices, one per L, meet every class on k+1 vertices;
+a child is kept the first time its exact ``canonical_key`` appears.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .bits import antichain_maximal, compactify, mask_of
+import numpy as np
+
+from .bits import antichain_maximal, compactify, mask_of, submasks
 from .complexes import SimplicialComplex
 
+# A facet bitmap on k vertices has 2^k bits; k <= 6 fits one uint64.
+MAX_KEY_VERTICES = 6
 
-def antichains(n: int) -> Iterator[tuple[int, ...]]:
-    """All antichains of nonempty subsets of {1..n}, as mask tuples.
 
-    The empty antichain and the empty-set facet are excluded; callers
-    wanting the degenerate complexes handle them separately.
-    """
-    size = 1 << n
-    comparable = [0] * size
-    for s in range(size):
-        bad = 0
-        for t in range(size):
-            if s & t == s or s & t == t:
-                bad |= 1 << t
-        comparable[s] = bad
+def antichains(masks: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """All antichains of a family of distinct masks, the empty one first."""
+    masks = list(masks)
+    comparable = [sum(1 << j for j, t in enumerate(masks) if s & t in (s, t)) for s in masks]
 
     def rec(avail: int, chosen: tuple[int, ...]):
-        if chosen:
-            yield chosen
+        yield chosen
         while avail:
             low = avail & -avail
             avail ^= low
-            s = low.bit_length() - 1
-            yield from rec(avail & ~comparable[s], chosen + (s,))
+            i = low.bit_length() - 1
+            yield from rec(avail & ~comparable[i], chosen + (masks[i],))
 
-    start = ((1 << size) - 1) & ~1  # all nonempty subsets
-    yield from rec(start, ())
+    yield from rec((1 << len(masks)) - 1, ())
 
 
-def signature(facets: tuple[int, ...]) -> tuple:
-    """Relabeling-invariant fingerprint of a facet antichain."""
-    union = 0
-    for f in facets:
-        union |= f
-    sizes = sorted(f.bit_count() for f in facets)
-    profiles = []
-    u = union
-    while u:
-        b = u & -u
-        u ^= b
-        profiles.append(tuple(sorted(f.bit_count() for f in facets if f & b)))
-    profiles.sort()
-    return (union.bit_count(), tuple(sizes), tuple(profiles))
+def relabel_table(k: int) -> np.ndarray:
+    """The uint64 table of 1 << pi(F), one row per face mask F on 1..k
+    and one column per relabeling pi, that ``canonical_key`` reads."""
+    if k > MAX_KEY_VERTICES:
+        raise ValueError(f"canonical keys are limited to {MAX_KEY_VERTICES} vertices")
+    perms = np.array(list(itertools.permutations(range(k))), dtype=np.uint64)
+    bits = np.arange(1 << k, dtype=np.uint64)[:, None] >> np.arange(k, dtype=np.uint64) & np.uint64(1)
+    return np.uint64(1) << (bits @ (np.uint64(1) << perms).T)
+
+
+def canonical_key(facets: Iterable[int], table: np.ndarray) -> int:
+    """The least facet bitmap OR(1 << pi(F)) over the relabelings pi of
+    ``table``.  For facets on the table's k vertices, equal keys mean
+    isomorphic complexes."""
+    return int(np.bitwise_or.reduce(table[list(facets)], axis=0).min())
 
 
 def compact_complex(facets: tuple[int, ...]) -> SimplicialComplex:
@@ -73,32 +67,40 @@ def compact_complex(facets: tuple[int, ...]) -> SimplicialComplex:
 
 
 def distinct_complexes(n: int, *, dim_min: int = -1, dim_max: int | None = None) -> Iterator[SimplicialComplex]:
-    """One compactified representative per signature class over all
-    antichains on at most n vertices."""
-    seen: set[tuple] = set()
-    for facets in antichains(n):
-        top = max(f.bit_count() for f in facets) - 1
-        if top < dim_min or (dim_max is not None and top > dim_max):
-            continue
-        sig = signature(facets)
-        if sig in seen:
-            continue
-        seen.add(sig)
-        yield compact_complex(facets)
+    """One representative per isomorphism class of complexes on 1..n
+    vertices with dimension in [dim_min, dim_max], by vertex count, each
+    yielded as soon as it is found."""
+    tables = [relabel_table(k + 1) for k in range(n)]  # refuses n > MAX_KEY_VERTICES up front
+    top = n if dim_max is None else dim_max
+    level: list[tuple[int, ...]] = [(0,)]  # {empty face} on no vertices
+    for k, table in enumerate(tables):
+        v = 1 << k
+        seen: set[int] = set()
+        children = []
+        for facets in level:
+            # a child has dimension max(dim D, max |F| over F in L)
+            faces = sorted({s for f in facets for s in submasks(f) if s.bit_count() <= top})
+            for link in itertools.islice(antichains(faces), 1, None):
+                child = tuple(f for f in facets if f not in link) + tuple(f | v for f in link)
+                key = canonical_key(child, table)
+                if key in seen:
+                    continue
+                seen.add(key)
+                if k + 1 < n:
+                    children.append(child)
+                if max(f.bit_count() for f in child) > dim_min:
+                    yield SimplicialComplex(k + 1, frozenset(child))
+        level = children
 
 
-def sample_complexes(
-    n: int,
-    count: int,
-    seed: int,
-    *,
-    dim_min: int = 2,
-    full_vertex_set: bool = True,
-) -> list[SimplicialComplex]:
-    """A fixed pseudorandom family of complexes, deduplicated by facet set.
+def sample_complexes(n: int, count: int, seed: int, *, dim_min: int = 2,
+                     dim_max: int | None = None) -> list[SimplicialComplex]:
+    """A fixed pseudorandom family of complexes on 3..n vertices with
+    dimension in [dim_min, dim_max], deduplicated by facet set.
 
     Deterministic for a given seed; used where exhaustive enumeration
-    exceeds the budget.
+    exceeds the budget.  Raises ``ValueError`` when the draws do not
+    reach ``count`` complexes.
     """
     rng = random.Random(seed)
     out: list[SimplicialComplex] = []
@@ -114,17 +116,15 @@ def sample_complexes(
             gen_masks.append(mask_of(v + 1 for v in rng.sample(range(n), min(size, n))))
         facets = antichain_maximal(gen_masks)
         top = max(f.bit_count() for f in facets) - 1
-        if top < dim_min:
+        if top < dim_min or (dim_max is not None and top > dim_max):
             continue
         c = compact_complex(tuple(sorted(facets)))
-        if full_vertex_set and c.n < 3:
-            continue
-        if c.facets in seen:
+        if c.n < 3 or c.facets in seen:
             continue
         seen.add(c.facets)
         out.append(c)
     if len(out) < count:
-        raise RuntimeError("sampling failed to reach the requested count")
+        raise ValueError(f"sampling reached {len(out)} of the {count} complexes asked for")
     return out
 
 

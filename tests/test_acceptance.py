@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines as the
 criteria execute.  Every tolerance is exact; the slow sweeps state their
-family (full signature-deduplicated enumeration, or the fixed seeded
+family (every isomorphism class, or the fixed seeded
 sample documented in the README).
 """
 

@@ -198,7 +198,7 @@ def test_gcm_and_facet_routes_agree_with_oracle_on_sampled_family():
 
 def test_dim1_cube_routes_match_oracle_exhaustively():
     # symbolic cube CM = matroid and ordinary cube CM = complete
-    # intersection already for graphs; checked on every signature class
+    # intersection already for graphs; checked on every isomorphism class
     # of one-dimensional complexes on up to five vertices
     from srpowers.cohomology import is_cm
     from srpowers.enumeration import distinct_complexes
@@ -217,7 +217,7 @@ def test_dim1_cube_routes_match_oracle_exhaustively():
 
 def test_cover_route_matches_oracle_in_low_dimensions():
     # the cover-ideal criterion carries no dimension hypothesis; checked
-    # exhaustively on the 0- and 1-dimensional signature classes
+    # exhaustively on the 0- and 1-dimensional isomorphism classes
     from srpowers.cohomology import is_cm
     from srpowers.enumeration import distinct_complexes
     from srpowers.ideals import cover_ideal, symbolic_power_ideal

@@ -183,6 +183,13 @@ def test_sweep_n7_needs_a_sample():
     assert "--sample" in r.stderr
 
 
+def test_sweep_unreachable_sample_exits_64():
+    r = run_cli("sweep", "--check", "matroid-pair-criterion", "--n-max", "3", "--sample", "10")
+    assert r.returncode == 64
+    assert "reached 3 of the 10" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_sweep_unknown_check():
     r = run_cli("sweep", "--check", "no-such-check", "--n-max", "4")
     assert r.returncode == 64

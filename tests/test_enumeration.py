@@ -8,10 +8,11 @@ from srpowers.cohomology import OracleBudgetExceeded, is_cm
 from srpowers.complexes import from_facets
 from srpowers.enumeration import (
     antichains,
+    canonical_key,
     compact_complex,
     distinct_complexes,
+    relabel_table,
     sample_complexes,
-    signature,
     structured_positives,
 )
 from srpowers.ideals import symbolic_power
@@ -20,28 +21,59 @@ from srpowers.sweeps import complex_signature, run_sweep
 
 
 def test_antichain_counts_match_the_free_distributive_lattice():
-    # number of antichains of nonempty subsets of an n-set
+    # number of nonempty antichains of nonempty subsets of an n-set
     expected = {1: 1, 2: 4, 3: 18, 4: 166}
     for n, count in expected.items():
-        assert sum(1 for _ in antichains(n)) == count
+        walk = list(antichains(range(1, 1 << n)))
+        assert walk[0] == ()
+        assert len(walk) - 1 == count
 
 
 def test_antichains_are_antichains():
-    for fa in antichains(4):
+    for fa in antichains(range(1, 16)):
         for a, b in itertools.permutations(fa, 2):
             assert a & b != a  # no containment
 
 
-def test_signature_is_relabeling_invariant():
+def test_class_counts_match_the_isomorphism_classes():
+    # OEIS A003182 (2, 3, 5, 10, 30, 210, 16353) less the void complex
+    # and {empty set}
+    expected = {1: 1, 2: 3, 3: 8, 4: 28, 5: 208, 6: 16351}
+    for n, count in expected.items():
+        assert sum(1 for _ in distinct_complexes(n)) == count
+
+
+def _relabeled(facets, perm):
+    return tuple(sum(1 << perm[i] for i in range(len(perm)) if f >> i & 1) for f in facets)
+
+
+def test_canonical_key_separates_exactly_the_isomorphism_classes():
+    # every labelled complex on at most 4 vertices, against the least
+    # sorted facet tuple over all relabelings
+    table = relabel_table(4)
+    perms = list(itertools.permutations(range(4)))
+    keys, reps = [], []
+    for facets in antichains(range(16)):
+        keys.append(canonical_key(facets, table))
+        reps.append(min(tuple(sorted(_relabeled(facets, p))) for p in perms))
+    assert len(keys) == 168
+    assert len(set(keys)) == len(set(reps)) == len(set(zip(keys, reps)))
+
+
+def test_canonical_key_is_relabeling_invariant():
     rng = random.Random(13)
-    for _ in range(30):
-        n = rng.randint(2, 6)
-        gens = [rng.sample(range(1, n + 1), rng.randint(1, n)) for _ in range(rng.randint(1, 4))]
-        c = from_facets(n, gens)
-        perm = list(range(1, n + 1))
-        rng.shuffle(perm)
-        relabeled = from_facets(n, [[perm[v - 1] for v in f] for f in c.facet_sets()])
-        assert signature(tuple(sorted(c.facets))) == signature(tuple(sorted(relabeled.facets)))
+    table = relabel_table(5)
+    for c in distinct_complexes(5):
+        facets = tuple(c.facets)
+        key = canonical_key(facets, table)
+        for _ in range(5):
+            perm = rng.sample(range(5), 5)
+            assert canonical_key(_relabeled(facets, perm), table) == key
+
+
+def test_distinct_complexes_refuses_seven_vertices():
+    with pytest.raises(ValueError):
+        next(distinct_complexes(7))
 
 
 def test_compact_complex_covers_all_vertices():
@@ -52,6 +84,11 @@ def test_compact_complex_covers_all_vertices():
 def test_distinct_complexes_dim_filter():
     for c in distinct_complexes(4, dim_min=2):
         assert c.dimension() >= 2
+    # pruning by dim_max loses no class
+    every = [c for c in distinct_complexes(5) if 1 <= c.dimension() <= 2]
+    window = list(distinct_complexes(5, dim_min=1, dim_max=2))
+    assert all(1 <= c.dimension() <= 2 for c in window)
+    assert len(window) == len(every)
 
 
 def test_sample_is_deterministic_and_deduplicated():
@@ -60,6 +97,8 @@ def test_sample_is_deterministic_and_deduplicated():
     assert [c.facets for c in a] == [c.facets for c in b]
     assert len({c.facets for c in a}) == 50
     assert all(c.dimension() >= 2 for c in a)
+    low = sample_complexes(6, 50, 123, dim_min=1, dim_max=2)
+    assert all(1 <= c.dimension() <= 2 for c in low)
 
 
 def test_structured_positives_hit_both_sides():
@@ -73,17 +112,19 @@ def test_structured_positives_hit_both_sides():
 def test_graph_criterion_on_six_and_seven_vertices():
     # exhaustive on 6 vertices, sampled on 7
     pairs6 = list(itertools.combinations(range(1, 7), 2))
+    table = relabel_table(6)
     seen = set()
     for bits in range(1, 1 << len(pairs6)):
         edges = [p for i, p in enumerate(pairs6) if bits >> i & 1]
         if len({v for e in edges for v in e}) < 6:
             continue
         c = from_facets(6, edges)
-        sig = signature(tuple(sorted(c.facets)))
-        if sig in seen:
+        key = canonical_key(c.facets, table)
+        if key in seen:
             continue
-        seen.add(sig)
+        seen.add(key)
         assert graph_matroid_criterion(c) == is_matroid_exchange(c)
+    assert len(seen) == 122  # OEIS A002494: graphs without isolated vertices
 
     rng = random.Random(77)
     pairs7 = list(itertools.combinations(range(1, 8), 2))

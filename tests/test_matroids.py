@@ -46,7 +46,7 @@ def test_exchange_witness_is_real():
 
 
 def test_pair_criterion_equals_exchange_exhaustively():
-    # every signature class on up to 5 vertices
+    # every isomorphism class on up to 5 vertices
     for c in distinct_complexes(5):
         assert is_matroid_pair(c) == is_matroid_exchange(c), c
 

@@ -70,3 +70,11 @@ def test_ordinary_power_routes_cross_check(field, family):
 def test_exhaustive_n7_sweep_is_refused():
     with pytest.raises(ValueError, match="--sample"):
         run_sweep(["matroid-pair-criterion"], n_max=7)
+
+
+def test_sampled_sweep_respects_the_dimension_window():
+    r = run_sweep(["matroid-pair-criterion"], n_max=6, dim_min=1, dim_max=2, sample=30, seed=1)
+    assert r.processed > 30  # the sample plus the structured positives in the window
+    for row in r.rows:
+        facets = row.signature.split(":")[1].split("+")
+        assert 1 <= max(len(f) for f in facets) - 1 <= 2
