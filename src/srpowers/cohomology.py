@@ -97,12 +97,11 @@ def _faces_by_size(facets) -> dict[int, list[int]]:
     return by_size
 
 
-def _coboundary_ranks(by_size: dict[int, list[int]], field) -> dict[int, int]:
-    """rank of delta^j: C^j -> C^(j+1) for j = -1..top, sign fixed by
+def _coboundary_ranks(by_size: dict[int, list[int]], field, through: int) -> dict[int, int]:
+    """rank of delta^j: C^j -> C^(j+1) for j = -1..through, sign fixed by
     sorted vertex order."""
-    top = max(by_size) - 1
     ranks: dict[int, int] = {}
-    for j in range(-1, top + 1):
+    for j in range(-1, through + 1):
         rows_idx = by_size.get(j + 2, [])
         cols_idx = by_size.get(j + 1, [])
         if not rows_idx or not cols_idx:
@@ -119,18 +118,18 @@ def _coboundary_ranks(by_size: dict[int, list[int]], field) -> dict[int, int]:
     return ranks
 
 
-def _cohomology_dims_of_facets(facets, field) -> tuple[int, ...]:
-    """Reduced cohomology dimensions, indices -1..dim, for a nonvoid
-    complex given by facet masks (labels are irrelevant)."""
+def _cohomology_dims_of_facets(facets, field, through: int) -> tuple[int, ...]:
+    """Reduced cohomology dimensions, indices -1..min(through, dim), for a
+    nonvoid complex given by facet masks (labels are irrelevant)."""
     if set(facets) == {0}:
         return (1,)
+    through = min(through, max(f.bit_count() for f in facets) - 1)
     by_size = _faces_by_size(facets)
-    ranks = _coboundary_ranks(by_size, field)
-    top = max(by_size) - 1
+    ranks = _coboundary_ranks(by_size, field, through)
     out = []
-    for j in range(-1, top + 1):
+    for j in range(-1, through + 1):
         cj = len(by_size.get(j + 1, [])) if j >= 0 else 1
-        out.append(cj - ranks.get(j, 0) - ranks.get(j - 1, 0))
+        out.append(cj - ranks[j] - ranks.get(j - 1, 0))
     return tuple(out)
 
 
@@ -140,7 +139,7 @@ def reduced_cohomology_dims(c: SimplicialComplex, field: int | None = None) -> t
     _validate_field(field)
     if c.is_void:
         return ()
-    return _cohomology_dims_of_facets(tuple(sorted(c.facets)), field)
+    return _cohomology_dims_of_facets(tuple(sorted(c.facets)), field, c.dimension())
 
 
 def reduced_homology_dims(c: SimplicialComplex, field: int | None = None) -> tuple[int, ...]:
@@ -243,10 +242,13 @@ class DepthReport:
         }
 
 
-_MEMO_LIMIT = 1 << 16  # entries per memo table; benchmark traffic peaks near 2k
+# Entries per memo table.  A lookup that needs more indices than its
+# _DIMS entry holds replaces the entry, so there is one entry per key
+# however deep the scans go; benchmark traffic peaks near 2k entries.
+_MEMO_LIMIT = 1 << 16
 
 # The oracle's two memo tables, shared by both readers.
-_DIMS: dict = {}  # (compact facets of a degree complex, field) -> cohomology dims
+_DIMS: dict = {}  # (compact facets of a degree complex, field) -> dims from index -1
 _VANISHES: dict = {}  # (canonical ideal, cap, field) -> none below min(cap, dim)
 
 
@@ -262,12 +264,19 @@ def _memoized(table: dict, key, compute):
     return value
 
 
-def _dims_of_facets(facets: tuple[int, ...], field) -> tuple[int, ...]:
+def _dims_of_facets(facets: tuple[int, ...], field, jmax: int) -> tuple[int, ...]:
+    """Reduced cohomology dimensions in indices -1..min(jmax, dim) at
+    least.  One ``_DIMS`` entry per complex and field: a lookup that needs
+    more indices than the entry holds recomputes it through ``jmax``."""
     union = 0
     for f in facets:
         union |= f
     key = tuple(sorted(compactify(facets, union)))
-    return _memoized(_DIMS, (key, field), lambda: _cohomology_dims_of_facets(key, field))
+    need = min(jmax, max(f.bit_count() for f in key) - 1)
+    held = _DIMS.get((key, field))
+    if held is not None and len(held) - 2 < need:
+        del _DIMS[(key, field)]
+    return _memoized(_DIMS, (key, field), lambda: _cohomology_dims_of_facets(key, field, jmax))
 
 
 _CHUNK = 4096  # box rows per numpy block; also the deadline granularity
@@ -387,8 +396,10 @@ def _scan(
     depends on the type of ``ideal``.  The box is read in blocks sorted
     by (negative-coordinate count, lexicographic order), and a row whose
     (|G_a|, degree complex) pair came up before is skipped, since it
-    gives the same indices.  Full mode keeps the first witness per index;
-    first-only mode returns at the first hit.
+    gives the same indices.  Of each degree complex only the cohomology
+    in indices up to jmax, the last that lands below ``below``, is
+    computed.  Full mode keeps the first witness per index; first-only
+    mode returns at the first hit.
     """
     if below <= 0:
         return []
@@ -410,7 +421,7 @@ def _scan(
             elif jmax < 0:
                 continue
             else:
-                dims = _dims_of_facets(facets_of(key), field)
+                dims = _dims_of_facets(facets_of(key), field, jmax)
                 hits = [(j, dims[j + 1]) for j in range(min(jmax, len(dims) - 2) + 1) if dims[j + 1]]
             for j, cdim in hits:
                 i = j + negc + 1

@@ -99,20 +99,23 @@ def sample_complexes(n: int, count: int, seed: int, *, dim_min: int = 2,
     dimension in [dim_min, dim_max], deduplicated by facet set.
 
     Deterministic for a given seed; used where exhaustive enumeration
-    exceeds the budget.  Raises ``ValueError`` when the draws do not
-    reach ``count`` complexes.
+    exceeds the budget.  Each drawn facet size is clamped to dim_max + 1,
+    so low dimensions are reachable.  Raises ``ValueError`` when the
+    draws do not reach ``count`` complexes.
     """
     rng = random.Random(seed)
     out: list[SimplicialComplex] = []
     seen: set[frozenset[int]] = set()
     sizes = [2, 3, 3, 3, 3, 4, 4, 5]
+    # the clamp makes the same rng calls, so dim_max >= 4 changes no draw
+    cap = max(sizes) if dim_max is None else max(dim_max + 1, 0)
     attempts = 0
     while len(out) < count and attempts < count * 200:
         attempts += 1
         k = rng.randint(2, 7)
         gen_masks = []
         for _ in range(k):
-            size = rng.choice(sizes)
+            size = min(rng.choice(sizes), cap)
             gen_masks.append(mask_of(v + 1 for v in rng.sample(range(n), min(size, n))))
         facets = antichain_maximal(gen_masks)
         top = max(f.bit_count() for f in facets) - 1
@@ -128,7 +131,7 @@ def sample_complexes(n: int, count: int, seed: int, *, dim_min: int = 2,
     return out
 
 
-def structured_positives(max_n: int = 8) -> list[SimplicialComplex]:
+def structured_positives() -> list[SimplicialComplex]:
     """Hand-picked matroids, complete intersections and disjoint unions
     that exercise the "holds" side of the classification sweeps."""
     from .complexes import (
@@ -141,7 +144,7 @@ def structured_positives(max_n: int = 8) -> list[SimplicialComplex]:
         uniform_matroid,
     )
 
-    out = [
+    return [
         uniform_matroid(4, 2),
         uniform_matroid(5, 2),
         uniform_matroid(5, 3),
@@ -162,4 +165,3 @@ def structured_positives(max_n: int = 8) -> list[SimplicialComplex]:
         disjoint_union(embed(uniform_matroid(4, 2), 7), embed(simplex(3), 7, 4)),
         disjoint_union(embed(simplex(3), 6), embed(cycle(3), 6, 3)),
     ]
-    return [c for c in out if c.n <= max_n]

@@ -1,8 +1,14 @@
 """Exact matrix rank over the rationals or a prime field.
 
-Rational ranks use fraction-free (Bareiss) elimination on Python ints,
-so there is no rounding anywhere.  Matrices here are small coboundary
-matrices, a few dozen rows at most.
+One sparse elimination serves Q and every F_p.  Rows are kept as dicts
+and reduced against pivot rows whose pivot entry is a unit: +-1 over Q,
+any nonzero entry over F_p.  Clearing a column with a unit pivot is a
+unimodular row operation on integer rows, so nothing is rounded and no
+entry becomes a fraction.  Coboundary matrices are sparse with +-1
+entries, so unit pivots usually find the whole rank (the standard exact
+method for simplicial homology; Dumas, Heckenbach, Saunders and Welker,
+2003).  Over Q, rows left with no entry +-1 go to fraction-free (Bareiss)
+elimination on Python ints, the one dense rank here.
 """
 
 from __future__ import annotations
@@ -47,40 +53,54 @@ def require_prime(p) -> int:
     return p
 
 
-def rank_mod_p(rows: list[list[int]], p: int) -> int:
-    """Rank over the prime field F_p by Gaussian elimination."""
-    require_prime(p)
-    if not rows or not rows[0]:
-        return 0
-    m = [[e % p for e in r] for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, nrows):
-            if m[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][col], -1, p)
-        m[rank] = [(e * inv) % p for e in m[rank]]
-        for i in range(nrows):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
 def rank(rows: list[list[int]], field: int | None = None) -> int:
-    """Rank over Q (field None) or F_p (field a prime)."""
+    """Rank over Q (field None) or F_p (field a prime) of a dense integer
+    matrix.
+
+    Rows are reduced shortest first against the pivot rows found so far,
+    in the order they were found, so each pivot row is zero in the pivot
+    columns before its own.  A reduced row with a unit entry becomes a
+    pivot row there; the others are reduced again once new pivots appear.
+    Over Q, Bareiss ranks the rows no pass gives a unit."""
     if field is None:
-        return rank_rational(rows)
-    return rank_mod_p(rows, field)
+        live = [row for row in ({j: e for j, e in enumerate(r) if e} for r in rows) if row]
+    else:
+        require_prime(field)
+        live = [row for row in ({j: e % field for j, e in enumerate(r) if e % field} for r in rows) if row]
+    live.sort(key=len)
+    pivots: dict[int, tuple[dict[int, int], int]] = {}  # column -> (row, inverse of its entry)
+    while live:
+        left = []
+        for row in live:
+            for col, (prow, inv) in pivots.items():
+                f = row.get(col)
+                if f:
+                    f *= inv
+                    for j, e in prow.items():
+                        v = row.get(j, 0) - f * e
+                        if field is not None:
+                            v %= field
+                        if v:
+                            row[j] = v
+                        else:
+                            del row[j]
+                    if not row:
+                        break
+            if not row:
+                continue
+            for j, e in row.items():
+                if field is not None or e == 1 or e == -1:
+                    pivots[j] = (row, e if field is None else pow(e, -1, field))  # over Q, 1/e = e
+                    break
+            else:
+                left.append(row)
+        if len(left) == len(live):
+            break
+        live = left
+    if not live:
+        return len(pivots)
+    cols = sorted({j for row in live for j in row})
+    return len(pivots) + rank_rational([[row.get(j, 0) for j in cols] for row in live])
 
 
 def parse_field(text: str) -> int | None:

@@ -254,3 +254,32 @@ def test_desk_scale_limit_exits_3():
                 "--m", "4", "--kind", "symbolic")
     assert r.returncode == 3
     assert "desk-scale limit" in r.stderr
+
+
+def test_package_runs_as_a_module():
+    args = ("analyze", "five-cycle", "--kind", "sr-symbolic", "--m", "3", "--property", "cm", "--oracle")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("SRPL_BUDGET_SECONDS", None)
+    as_module = subprocess.run([sys.executable, "-m", "srpowers", *args],
+                               capture_output=True, text=True, env=env)
+    direct = run_cli(*args)
+
+    def report(proc):  # the oracle's wall time is the one field that may differ
+        out = json.loads(proc.stdout)
+        del out["oracle"]["seconds"]
+        return proc.returncode, out
+
+    assert report(as_module) == report(direct)
+    assert as_module.returncode == 1
+
+
+def test_sampled_sweep_reaches_low_dimensions():
+    r = run_cli("sweep", "--check", "matroid-pair-criterion", "--n-max", "5", "--sample", "5",
+                "--seed", "1", "--dim-filter", "<=1")
+    assert r.returncode == 0, r.stderr
+    rows = [line for line in r.stdout.strip().splitlines()[1:] if not line.startswith("#")]
+    assert len(rows) == 5
+    for line in rows:
+        # a signature n5:12+34 lists facets as digit strings (vertices <= 5)
+        facets = line.split(",")[0].split(":")[1].split("+")
+        assert max(len(f) for f in facets) - 1 <= 1, line

@@ -576,3 +576,51 @@ def test_memo_tables_stay_within_their_bound(monkeypatch):
         got.append(row)
     assert got == want
     assert peak == 8  # the bound was reached, so entries were dropped
+
+
+def _oracle_answers(field):
+    """is_s2, is_cm and the full-mode witnesses of the Stanley-Reisner
+    ideal and its symbolic square, over every class on <= 5 vertices."""
+    out = []
+    for c in distinct_complexes(5):
+        for ideal in (sr_ideal(c), SymbolicPower.of(sr_ideal(c), 2)):
+            if not isinstance(ideal, SymbolicPower) and (ideal.is_zero or ideal.is_unit):
+                continue
+            full = _scan(ideal, quotient_dimension(ideal), field, first_only=False)
+            out.append((is_s2(ideal, field), is_cm(ideal, field), full))
+    return out
+
+
+@pytest.mark.parametrize("field", [None, 2])
+def test_truncated_cohomology_gives_the_full_answers(field, monkeypatch):
+    # the scan asks only for indices up to jmax; the full computation
+    # asks every lookup for all indices
+    tables = []
+    for depth in (None, 1 << 10):
+        monkeypatch.setattr(cohomology, "_DIMS", {})
+        monkeypatch.setattr(cohomology, "_VANISHES", {})
+        if depth is not None:
+            truncated = cohomology._dims_of_facets
+            monkeypatch.setattr(cohomology, "_dims_of_facets",
+                                lambda facets, f, jmax: truncated(facets, f, depth))
+        tables.append((_oracle_answers(field), cohomology._DIMS))
+    (got, dims), (want, full) = tables
+    assert got == want
+    # the same keys, one per complex and field; truncated values are prefixes
+    assert dims.keys() == full.keys()
+    assert all(full[k][: len(v)] == v for k, v in dims.items())
+    assert any(len(v) < len(full[k]) for k, v in dims.items())
+
+
+def test_deeper_lookups_replace_the_one_entry(monkeypatch):
+    monkeypatch.setattr(cohomology, "_DIMS", {})
+    full = reduced_cohomology_dims(RP2, 2)  # (0, 0, 1, 1)
+    facets = tuple(sorted(RP2.facets))
+    shuffled = tuple(sorted(f << 1 for f in facets))  # the same complex, relabelled
+    held = []
+    for jmax, fs in [(0, facets), (0, shuffled), (1, facets), (0, facets), (5, shuffled), (2, facets)]:
+        dims = cohomology._dims_of_facets(fs, 2, jmax)
+        assert dims[: jmax + 2] == full[: jmax + 2]
+        assert len(cohomology._DIMS) == 1
+        held.append(len(next(iter(cohomology._DIMS.values()))))
+    assert held == [2, 2, 3, 3, 4, 4]

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -99,6 +100,20 @@ def test_sample_is_deterministic_and_deduplicated():
     assert all(c.dimension() >= 2 for c in a)
     low = sample_complexes(6, 50, 123, dim_min=1, dim_max=2)
     assert all(1 <= c.dimension() <= 2 for c in low)
+    flat = sample_complexes(5, 20, 1, dim_min=0, dim_max=1)
+    assert all(c.dimension() <= 1 for c in flat)
+
+
+def test_sample_draws_are_pinned():
+    # clamping facet sizes to dim_max + 1 changes no draw at dim_max >= 4,
+    # so the sampled sweep families stay as they were
+    pinned = {1: "44640f29644d0a2d", 2: "bd0cc094bd59b72b", 3: "9994b554840562d8",
+              20120229: "40dd56ade5687788"}
+    for seed, digest in pinned.items():
+        for dim_max in (None, 4):
+            fam = sample_complexes(6, 500, seed, dim_min=2, dim_max=dim_max)
+            text = ";".join(f"{c.n}:{sorted(c.facets)}" for c in fam)
+            assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, (seed, dim_max)
 
 
 def test_structured_positives_hit_both_sides():

@@ -1,0 +1,74 @@
+import random
+from fractions import Fraction
+
+import pytest
+
+from srpowers import linalg
+from srpowers.linalg import rank
+
+FIELDS = [None, 2, 3, 7]
+
+
+def reference_rank(rows, field):
+    """Gauss-Jordan elimination on Fractions (over Q) or residues mod p."""
+    m = [[Fraction(e) if field is None else e % field for e in r] for r in rows]
+    found = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(found, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[found], m[pivot] = m[pivot], m[found]
+        inv = 1 / m[found][col] if field is None else pow(m[found][col], -1, field)
+        for i in range(len(m)):
+            if i != found and m[i][col]:
+                f = m[i][col] * inv
+                m[i] = [a - f * b for a, b in zip(m[i], m[found])]
+                if field is not None:
+                    m[i] = [a % field for a in m[i]]
+        found += 1
+    return found
+
+
+def _random_matrix(rng, values):
+    nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+    density = rng.choice([0.3, 0.6, 1.0])
+    return [[rng.choice(values) if rng.random() < density else 0 for _ in range(ncols)] for _ in range(nrows)]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_rank_matches_reference_on_random_matrices(field):
+    rng = random.Random(field or 0)
+    for _ in range(400):
+        m = _random_matrix(rng, range(-3, 4))
+        assert rank(m, field) == reference_rank(m, field), m
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_rank_matches_reference_without_unit_entries(field, monkeypatch):
+    # no entry +-1: over Q the unit pivots find nothing at first, and the
+    # remainder goes to Bareiss
+    calls = []
+    bareiss = linalg.rank_rational
+    monkeypatch.setattr(linalg, "rank_rational", lambda rows: calls.append(rows) or bareiss(rows))
+    rng = random.Random(100 + (field or 0))
+    for _ in range(400):
+        m = _random_matrix(rng, [-3, -2, 2, 3])
+        assert rank(m, field) == reference_rank(m, field), m
+    assert bool(calls) == (field is None)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_rank_edge_shapes(field):
+    assert rank([], field) == 0
+    assert rank([[]], field) == 0
+    assert rank([[0, 0, 0], [0, 0, 0]], field) == 0
+    for m in ([[0, 2, -1, 3]], [[0], [3], [-2]], [[3, 2, 0]], [[2], [-1]], [[1, 1], [1, 1]]):
+        assert rank(m, field) == reference_rank(m, field), m
+
+
+def test_rank_reduces_mod_p_and_needs_a_prime():
+    assert rank([[2, 0], [0, 2]], 2) == 0
+    assert rank([[2, 0], [0, 2]]) == 2
+    for bad in (4, 1, 0, -3, 2.0):
+        with pytest.raises(ValueError):
+            rank([[1]], bad)
