@@ -37,18 +37,17 @@ from .matroids import (
     matroid_exchange_witness,
 )
 from .ideals import (
-    MonomialIdeal,
     OrdinaryPower,
     SymbolicPower,
     cover_ideal,
     dual_complex,
     facet_ideal,
     sr_ideal,
-    symbolic_power_ideal,
 )
 from . import cohomology as co
 
-IDEAL_KINDS = ("stanley_reisner", "facet", "cover")
+BASE_IDEALS = {"stanley_reisner": sr_ideal, "facet": facet_ideal, "cover": cover_ideal}
+IDEAL_KINDS = tuple(BASE_IDEALS)
 POWER_KINDS = ("ordinary", "symbolic")
 PROPERTIES = ("CM", "S2", "gCM", "Buchsbaum", "quasiBuchsbaum")
 ORACLE_DECIDABLE = ("CM", "S2", "gCM")
@@ -184,19 +183,12 @@ def classify(q: Query) -> ClassificationReport:
                 return _oracle_only("graph Buchsbaum behavior at m=3 differs; not decided here")
             if q.property == "gCM":
                 if dim >= 2:
+                    # matroid_components fails an impure complex, so the
+                    # components of a success share one dimension
                     split = matroid_components(c)
-                    if not split.ok:
-                        why = split.reason or "component fails exchange"
-                        return ClassificationReport(
-                            "fails", "symbolic-gcm-disjoint-matroids", why
-                        )
-                    dims = {comp.dimension() for comp in split.components}
-                    if len(dims) > 1:
-                        return ClassificationReport(
-                            "fails", "symbolic-gcm-disjoint-matroids",
-                            f"component dimensions differ: {sorted(dims)}",
-                        )
-                    return ClassificationReport("holds", "symbolic-gcm-disjoint-matroids")
+                    return ClassificationReport(
+                        "holds" if split.ok else "fails", "symbolic-gcm-disjoint-matroids", split.reason
+                    )
                 return _oracle_only("dimension <= 1 outside the stated hypotheses")
         else:  # ordinary powers
             if q.property in ("CM", "S2"):
@@ -225,12 +217,11 @@ def classify(q: Query) -> ClassificationReport:
                     return _component_report(
                         c, "ordinary-gcm-paths-cycles", _is_path_or_cycle, "a path or cycle"
                     )
-                if dim >= 2:
+                if dim >= 2:  # purity first: every component has dimension dim
                     return _component_report(
                         c,
                         "ordinary-gcm-disjoint-ci",
-                        lambda comp: is_complete_intersection(comp)
-                        and comp.dimension() == dim,
+                        is_complete_intersection,
                         "a complete intersection of full dimension",
                     )
                 return _oracle_only("dimension 0 outside the stated hypotheses")
@@ -293,37 +284,31 @@ def _assert_dual_agreement(c: SimplicialComplex, rep: ClassificationReport) -> N
         )
 
 
-def _base_ideal(q: Query) -> MonomialIdeal:
-    if q.ideal_kind == "stanley_reisner":
-        return sr_ideal(q.complex)
-    if q.ideal_kind == "facet":
-        return facet_ideal(q.complex)
-    return cover_ideal(q.complex)
-
-
-def build_ideal(q: Query) -> MonomialIdeal:
-    """The concrete power named by the query (m must be an integer)."""
+def build_ideal(q: Query) -> SymbolicPower | OrdinaryPower:
+    """The power the query names, as the value the oracle decides:
+    ``SymbolicPower.of(base, m)`` or ``OrdinaryPower(base, m)``, with the
+    base ideal built by ``BASE_IDEALS[q.ideal_kind]``.  Its ``ideal()``
+    gives the explicit generators.  m must be an integer."""
     if q.m == "all":
         raise ValueError('cannot build the power for m="all"')
+    base = BASE_IDEALS[q.ideal_kind](q.complex)
     if q.power_kind == "ordinary":
-        return _base_ideal(q).power(q.m)
-    return symbolic_power_ideal(_base_ideal(q), q.m)
+        return OrdinaryPower(base, q.m)
+    return SymbolicPower.of(base, q.m)
 
 
-def run_oracle(q: Query, field: int | None = None, budget_seconds: float | None = None) -> OracleRun:
-    """Run the exact local cohomology oracle on the power: a symbolic power
-    from the facets of its radical complex, an ordinary one through
-    I^m = I^(m) and the symbolic verdict."""
+def run_oracle(q: Query, field: int | None = None, *, deadline: float | None = None) -> OracleRun:
+    """Run the exact local cohomology oracle on ``build_ideal(q)``: a
+    symbolic power from the facets of its radical complex, an ordinary one
+    through I^m = I^(m) and the symbolic verdict.  ``deadline`` is an
+    absolute ``time.monotonic()`` reading; past it the scan raises
+    ``OracleBudgetExceeded``."""
     start = time.monotonic()
     if q.property not in ORACLE_DECIDABLE:
         return OracleRun(False, None, 0.0, "property has no algebraic oracle")
     if q.m == "all":
         return OracleRun(False, None, 0.0, 'power not constructible at m="all"')
-    deadline = start + budget_seconds if budget_seconds else None
-    if q.power_kind == "symbolic":
-        power = SymbolicPower.of(_base_ideal(q), q.m)
-    else:
-        power = OrdinaryPower(_base_ideal(q), q.m)
+    power = build_ideal(q)
     if q.property == "CM":
         result = co.is_cm(power, field, deadline=deadline)
     elif q.property == "S2":
@@ -341,15 +326,16 @@ class OracleComparison:
     seconds: float
 
 
-def verify_against_oracle(q: Query, field: int | None = None,
-                          budget_seconds: float | None = None) -> OracleComparison:
-    """Compare the theorem verdict with the oracle (see ``run_oracle``)."""
+def verify_against_oracle(q: Query, field: int | None = None, *,
+                          deadline: float | None = None) -> OracleComparison:
+    """Compare the theorem verdict with the oracle, run until ``deadline``
+    (see ``run_oracle``)."""
     if q.property not in ORACLE_DECIDABLE:
         raise ValueError("only CM, S2 and gCM are oracle-decidable")
     if q.m == "all":
         raise ValueError("oracle verification needs a concrete exponent")
     report = classify(q)
-    run = run_oracle(q, field, budget_seconds)
+    run = run_oracle(q, field, deadline=deadline)
     assert run.ran and run.result is not None
     if report.verdict == "oracle_only":
         agree = True  # nothing to contradict
@@ -358,9 +344,10 @@ def verify_against_oracle(q: Query, field: int | None = None,
     return OracleComparison(report.verdict, run.result, agree, run.seconds)
 
 
-def classify_with_oracle(q: Query, field: int | None = None,
-                         budget_seconds: float | None = None) -> ClassificationReport:
-    """Classification report with an oracle section attached."""
+def classify_with_oracle(q: Query, field: int | None = None, *,
+                         deadline: float | None = None) -> ClassificationReport:
+    """Classification report with the section of an oracle run until
+    ``deadline`` attached (see ``run_oracle``)."""
     report = classify(q)
-    run = run_oracle(q, field, budget_seconds)
+    run = run_oracle(q, field, deadline=deadline)
     return ClassificationReport(report.verdict, report.rule, report.witness, report.caveats, run)

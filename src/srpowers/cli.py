@@ -14,27 +14,23 @@ Subcommands:
 
 Usage errors exit 64, malformed input (not JSON, or JSON of the wrong
 shape) 65, exhausted budgets and input past a desk-scale limit 3.
-The environment variable SRPL_BUDGET_SECONDS supplies a default budget.
+The environment variable SRPL_BUDGET_SECONDS supplies a default budget;
+like --budget-seconds it must be a finite number of seconds above zero.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+import time
 
 from . import cohomology as co
-from .classify import Query, classify, classify_with_oracle
+from .classify import BASE_IDEALS, Query, classify, classify_with_oracle
 from .fixtures import MalformedInput, parse_complex_spec, parse_input
-from .ideals import (
-    DeskScaleExceeded,
-    MonomialIdeal,
-    cover_ideal,
-    facet_ideal,
-    sr_ideal,
-    symbolic_power_ideal,
-)
+from .ideals import DeskScaleExceeded, MonomialIdeal, sr_ideal, symbolic_power_ideal
 from .linalg import parse_field
 from .sweeps import CSV_HEADER, run_sweep
 
@@ -48,6 +44,8 @@ KIND_MAP = {
     "cover": ("cover", "symbolic"),
 }
 
+IDEAL_NAMES = {"sr": "stanley_reisner", "facet": "facet", "cover": "cover"}
+
 PROPERTY_MAP = {
     "cm": "CM",
     "s2": "S2",
@@ -57,9 +55,23 @@ PROPERTY_MAP = {
 }
 
 
-def _default_budget() -> float | None:
-    raw = os.environ.get("SRPL_BUDGET_SECONDS")
-    return float(raw) if raw else None
+def _parse_budget(text: str) -> float | None:
+    """Seconds, a finite number > 0; an empty string (an empty
+    SRPL_BUDGET_SECONDS) means no budget."""
+    if not text:
+        return None
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = math.nan
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise argparse.ArgumentTypeError(f"budget must be a finite number of seconds > 0, not {text!r}")
+    return seconds
+
+
+def _deadline(args) -> float | None:
+    """The absolute ``time.monotonic()`` reading at which the budget ends."""
+    return time.monotonic() + args.budget_seconds if args.budget_seconds else None
 
 
 def _parse_m(text: str):
@@ -77,7 +89,7 @@ def _cmd_analyze(args) -> int:
     prop = PROPERTY_MAP[args.property]
     q = Query(obj, ideal_kind, power_kind, prop, args.m)
     if args.oracle:
-        report = classify_with_oracle(q, args.field, args.budget_seconds)
+        report = classify_with_oracle(q, args.field, deadline=_deadline(args))
     else:
         report = classify(q)
     print(json.dumps(report.to_json()))
@@ -90,19 +102,9 @@ def _cmd_analyze(args) -> int:
     return EX_ORACLE_ONLY
 
 
-def _base_ideal(obj, ideal_kind: str) -> MonomialIdeal:
-    if isinstance(obj, MonomialIdeal):
-        return obj
-    if ideal_kind == "facet":
-        return facet_ideal(obj)
-    if ideal_kind == "cover":
-        return cover_ideal(obj)
-    return sr_ideal(obj)
-
-
 def _cmd_power(args) -> int:
     obj = parse_input(args.input)
-    base = _base_ideal(obj, args.ideal)
+    base = obj if isinstance(obj, MonomialIdeal) else BASE_IDEALS[IDEAL_NAMES[args.ideal]](obj)
     if base.contains_variable:
         print("note: the ideal contains a variable", file=sys.stderr)
     if args.kind == "ordinary":
@@ -116,12 +118,7 @@ def _cmd_power(args) -> int:
 def _cmd_depth(args) -> int:
     obj = parse_input(args.input)
     ideal = obj if isinstance(obj, MonomialIdeal) else sr_ideal(obj)
-    deadline = None
-    if args.budget_seconds:
-        import time
-
-        deadline = time.monotonic() + args.budget_seconds
-    report = co.depth_dim(ideal, args.field, deadline=deadline)
+    report = co.depth_dim(ideal, args.field, deadline=_deadline(args))
     print(json.dumps(report.to_json()))
     return EX_OK
 
@@ -167,6 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Combinatorial classification and exact depth oracle for powers of squarefree monomial ideals",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    budget = os.environ.get("SRPL_BUDGET_SECONDS")  # a string default goes through the type
 
     pa = sub.add_parser("analyze", help="classify a (complex, power, property) query")
     pa.add_argument("input", help="named example, JSON, file, or - for stdin")
@@ -175,21 +173,21 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--property", required=True, choices=sorted(PROPERTY_MAP))
     pa.add_argument("--oracle", action="store_true", help="also run the exact oracle")
     pa.add_argument("--field", type=parse_field, default=None, help="Q (default) or Fp")
-    pa.add_argument("--budget-seconds", type=float, default=_default_budget())
+    pa.add_argument("--budget-seconds", type=_parse_budget, default=budget)
     pa.set_defaults(fn=_cmd_analyze)
 
     pp = sub.add_parser("power", help="construct a power and print ideal JSON")
     pp.add_argument("input")
     pp.add_argument("--m", type=int, required=True)
     pp.add_argument("--kind", required=True, choices=("ordinary", "symbolic"))
-    pp.add_argument("--ideal", default="sr", choices=("sr", "facet", "cover"),
+    pp.add_argument("--ideal", default="sr", choices=tuple(IDEAL_NAMES),
                     help="how to read a complex input as an ideal")
     pp.set_defaults(fn=_cmd_power)
 
     pd = sub.add_parser("depth", help="depth/dimension report for an ideal")
     pd.add_argument("input")
     pd.add_argument("--field", type=parse_field, default=None)
-    pd.add_argument("--budget-seconds", type=float, default=_default_budget())
+    pd.add_argument("--budget-seconds", type=_parse_budget, default=budget)
     pd.set_defaults(fn=_cmd_depth)
 
     ps = sub.add_parser("sweep", help="run equivalence checks over small complexes")
@@ -199,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--sample", type=int, default=None,
                     help="use a fixed pseudorandom family of this size instead of enumeration")
     ps.add_argument("--seed", type=int, default=20120711)
-    ps.add_argument("--budget-seconds", type=float, default=_default_budget())
+    ps.add_argument("--budget-seconds", type=_parse_budget, default=budget)
     ps.add_argument("--parallel", type=int, default=1)
     ps.add_argument("--resume-token", type=int, default=0)
     ps.add_argument("--field", type=parse_field, default=None)

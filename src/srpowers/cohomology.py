@@ -85,13 +85,17 @@ def _require_proper(ideal) -> None:
 # -- reduced (co)homology -----------------------------------------------------
 
 
-def _faces_by_size(facets) -> dict[int, list[int]]:
+def _faces_by_size(facets, cap: float = math.inf) -> dict[int, list[int]]:
+    """The faces of the given facets by size, each list sorted; sizes past
+    ``cap`` are left out before the sort."""
     faces: set[int] = set()
     for f in facets:
         faces.update(submasks(f))
     by_size: dict[int, list[int]] = {}
     for s in faces:
-        by_size.setdefault(s.bit_count(), []).append(s)
+        size = s.bit_count()
+        if size <= cap:
+            by_size.setdefault(size, []).append(s)
     for v in by_size.values():
         v.sort()
     return by_size
@@ -124,7 +128,7 @@ def _cohomology_dims_of_facets(facets, field, through: int) -> tuple[int, ...]:
     if set(facets) == {0}:
         return (1,)
     through = min(through, max(f.bit_count() for f in facets) - 1)
-    by_size = _faces_by_size(facets)
+    by_size = _faces_by_size(facets, through + 2)  # delta^through reads faces of size through + 2
     ranks = _coboundary_ranks(by_size, field, through)
     out = []
     for j in range(-1, through + 1):

@@ -203,22 +203,18 @@ def empty_complex(n: int) -> SimplicialComplex:
     return SimplicialComplex(n, frozenset({0}))
 
 
-def from_facets(n: int, generators: Iterable[Iterable[int]], *, if_empty: str = "empty") -> SimplicialComplex:
+def from_facets(n: int, generators: Iterable[Iterable[int]]) -> SimplicialComplex:
     """Complex generated by the given vertex sets.
 
     Non-maximal generators are dropped so the stored facets form an
-    antichain.  An empty generator list yields the empty complex {0} or
-    the void complex according to ``if_empty``.
+    antichain.  An empty generator list yields the empty complex {0}
+    (``void_complex`` gives the void one).
     """
     if n < 1:
         raise ValueError("ambient size must be positive")
     masks = [_as_mask(g, n) for g in generators]
     if not masks:
-        if if_empty == "empty":
-            return empty_complex(n)
-        if if_empty == "void":
-            return void_complex(n)
-        raise ValueError(f"unknown if_empty flag {if_empty!r}")
+        return empty_complex(n)
     return SimplicialComplex(n, antichain_maximal(masks))
 
 

@@ -2,7 +2,8 @@
 
 Each check compares two independently computed answers on one complex
 (a combinatorial criterion against either a second criterion or the
-exact local cohomology oracle).  A sweep runs a family of complexes
+exact local cohomology oracle; an oracle check takes its criterion from
+``classify``'s decision table).  A sweep runs a family of complexes
 through selected checks and reports one row per complex per check;
 any disagreement is a failed run.
 """
@@ -13,13 +14,14 @@ import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 from . import cohomology as co
 from .bits import support
-from .classify import Query, classify
+from .classify import Query, build_ideal, classify, run_oracle
 from .complexes import SimplicialComplex
 from .enumeration import distinct_complexes, sample_complexes, structured_positives
-from .ideals import OrdinaryPower, SymbolicPower, cover_ideal, dual_complex, facet_ideal, sr_ideal
+from .ideals import sr_ideal
 from .matroids import (
     graph_matroid_criterion,
     is_complete_intersection,
@@ -77,83 +79,29 @@ def _chk_duality(c, field, deadline):
     return is_matroid_exchange(c), is_matroid_exchange(c.complement())
 
 
-def _sym_cube(c):
-    return SymbolicPower.of(sr_ideal(c), 3)
-
-
-def _ord_cube(c):
-    return OrdinaryPower(sr_ideal(c), 3)
-
-
-def _chk_sym_cube_cm(c, field, deadline):
-    if c.is_empty_complex or c.dimension() < 2:
-        return None
-    return is_matroid_exchange(c), co.is_cm(_sym_cube(c), field, deadline=deadline)
-
-
-def _chk_sym_cube_s2(c, field, deadline):
-    if c.is_empty_complex or c.dimension() < 2:
-        return None
-    return is_matroid_exchange(c), co.is_s2(_sym_cube(c), field, deadline=deadline)
-
-
-def _chk_ord_cube_cm(c, field, deadline):
-    if c.is_empty_complex or c.dimension() < 1:
-        return None
-    return is_complete_intersection(c), co.is_cm(_ord_cube(c), field, deadline=deadline)
-
-
-def _chk_sym_cube_gcm(c, field, deadline):
-    if c.is_empty_complex or c.dimension() < 2:
-        return None
-    verdict = classify(Query(c, "stanley_reisner", "symbolic", "gCM", 3)).verdict
-    return verdict == "holds", co.is_generalized_cm(_sym_cube(c), field, deadline=deadline)
-
-
-def _chk_ord_cube_gcm(c, field, deadline):
-    if c.is_empty_complex or c.dimension() < 2:
-        return None
-    verdict = classify(Query(c, "stanley_reisner", "ordinary", "gCM", 3)).verdict
-    return verdict == "holds", co.is_generalized_cm(_ord_cube(c), field, deadline=deadline)
-
-
-def _chk_cover_cube_cm(c, field, deadline):
+def _theorem_vs_oracle(kinds, c, field, deadline):
+    """``classify``'s verdict on the cube query of the given (ideal kind,
+    power kind, property) against the oracle; None for the empty complex
+    and wherever ``classify`` answers oracle_only."""
     if c.is_empty_complex:
         return None
-    cube = SymbolicPower.of(cover_ideal(c), 3)
-    return is_matroid_exchange(c), co.is_cm(cube, field, deadline=deadline)
-
-
-def _chk_facet_cube_cm(c, field, deadline):
-    if c.is_empty_complex or facet_ideal(c).contains_variable:
+    q = Query(c, *kinds, 3)
+    verdict = classify(q).verdict
+    if verdict == "oracle_only":
         return None
-    cube = SymbolicPower.of(facet_ideal(c), 3)
-    return is_matroid_exchange(dual_complex(c)), co.is_cm(cube, field, deadline=deadline)
+    return verdict == "holds", run_oracle(q, field, deadline=deadline).result
 
 
-def _routes_agree(cube, field, deadline):
-    """CM and S2 of a cube value against the same checks on its explicit
-    generators."""
+def _routes_agree(power_kind, c, field, deadline):
+    """Cross-check of the two oracle routes: CM and S2 of the cube value
+    (symbolic: closed form from the facets; ordinary: I^3 = I^(3) and the
+    symbolic verdict) against the same checks on its explicit generators."""
+    if c.is_empty_complex:
+        return None
+    cube = build_ideal(Query(c, "stanley_reisner", power_kind, "CM", 3))
     value = [f(cube, field, deadline=deadline) for f in (co.is_cm, co.is_s2)]
     general = [f(cube.ideal(), field, deadline=deadline) for f in (co.is_cm, co.is_s2)]
-    return value == general
-
-
-def _chk_sym_cube_routes(c, field, deadline):
-    """Cross-check of the two oracle routes: CM and S2 of the symbolic cube
-    from the facets (closed form) and from its explicit generators."""
-    if c.is_empty_complex:
-        return None
-    return True, _routes_agree(_sym_cube(c), field, deadline)
-
-
-def _chk_ord_cube_routes(c, field, deadline):
-    """Cross-check of the two oracle routes: CM and S2 of the ordinary cube
-    through I^3 = I^(3) and the symbolic verdict, and from its explicit
-    generators."""
-    if c.is_empty_complex:
-        return None
-    return True, _routes_agree(_ord_cube(c), field, deadline)
+    return True, value == general
 
 
 def _chk_degree_complex_links(c, field, deadline):
@@ -191,15 +139,15 @@ CHECKS = {
     "local-matroid-components": _chk_local_components,
     "ci-local-connected": _chk_ci_local,
     "matroid-complement-duality": _chk_duality,
-    "sym-cube-cm": _chk_sym_cube_cm,
-    "sym-cube-s2": _chk_sym_cube_s2,
-    "ord-cube-cm": _chk_ord_cube_cm,
-    "sym-cube-gcm": _chk_sym_cube_gcm,
-    "ord-cube-gcm": _chk_ord_cube_gcm,
-    "cover-cube-cm": _chk_cover_cube_cm,
-    "facet-cube-cm": _chk_facet_cube_cm,
-    "sym-cube-routes": _chk_sym_cube_routes,
-    "ord-cube-routes": _chk_ord_cube_routes,
+    "sym-cube-cm": partial(_theorem_vs_oracle, ("stanley_reisner", "symbolic", "CM")),
+    "sym-cube-s2": partial(_theorem_vs_oracle, ("stanley_reisner", "symbolic", "S2")),
+    "ord-cube-cm": partial(_theorem_vs_oracle, ("stanley_reisner", "ordinary", "CM")),
+    "sym-cube-gcm": partial(_theorem_vs_oracle, ("stanley_reisner", "symbolic", "gCM")),
+    "ord-cube-gcm": partial(_theorem_vs_oracle, ("stanley_reisner", "ordinary", "gCM")),
+    "cover-cube-cm": partial(_theorem_vs_oracle, ("cover", "symbolic", "CM")),
+    "facet-cube-cm": partial(_theorem_vs_oracle, ("facet", "symbolic", "CM")),
+    "sym-cube-routes": partial(_routes_agree, "symbolic"),
+    "ord-cube-routes": partial(_routes_agree, "ordinary"),
     "degree-complex-links": _chk_degree_complex_links,
     "reisner-cm": _chk_reisner,
 }

@@ -1,5 +1,8 @@
+import time
+
 import pytest
 
+from srpowers import cohomology as co
 from srpowers.classify import (
     Query,
     classify,
@@ -162,6 +165,15 @@ def test_oracle_attachment():
     assert rep.oracle.ran and rep.oracle.result is False
     run = run_oracle(Query(C5, "stanley_reisner", "symbolic", "Buchsbaum", 3))
     assert not run.ran and run.note
+
+
+@pytest.mark.parametrize("call", [run_oracle, verify_against_oracle, classify_with_oracle])
+def test_oracle_past_its_deadline_raises(call, monkeypatch):
+    monkeypatch.setattr(co, "_DIMS", {})
+    monkeypatch.setattr(co, "_VANISHES", {})
+    q = Query(uniform_matroid(6, 3), "stanley_reisner", "symbolic", "CM", 3)
+    with pytest.raises(co.OracleBudgetExceeded):
+        call(q, deadline=time.monotonic() - 1)
 
 
 def test_report_json_shape():

@@ -207,6 +207,33 @@ def test_budget_env_var_default():
     assert "# resume-token:" in proc.stdout
 
 
+def test_oracle_past_the_budget_exits_3():
+    r = run_cli("analyze", "uniform:7:4", "--kind", "sr-symbolic", "--m", "3", "--property", "cm",
+                "--oracle", "--budget-seconds", "1e-9")
+    assert r.returncode == 3
+    assert "budget" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_budget_from_the_environment_is_checked():
+    env = dict(os.environ, PYTHONPATH=str(SRC), SRPL_BUDGET_SECONDS="abc")
+    proc = subprocess.run(
+        [sys.executable, "-m", "srpowers", "analyze", "five-cycle", "--kind", "sr-symbolic",
+         "--m", "3", "--property", "cm"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 64
+    assert "budget" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("value", ["nan", "0", "inf", "-1", "abc"])
+def test_budget_must_be_a_finite_number_above_zero(value, capsys):
+    code = main(["analyze", "five-cycle", "--kind", "sr-symbolic", "--m", "3", "--property", "cm",
+                 "--oracle", "--budget-seconds", value])
+    assert code == 64
+    err = capsys.readouterr().err
+    assert "budget" in err and "Traceback" not in err
+
+
 def test_main_callable_directly(capsys):
     code = main(["analyze", "complete:4", "--kind", "cover", "--m", "3", "--property", "cm"])
     assert code == 0

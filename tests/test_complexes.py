@@ -53,7 +53,6 @@ def test_void_and_empty_are_distinct():
     assert e.vertex_set() == frozenset()
     with pytest.raises(ValueError):
         v.dimension()
-    assert from_facets(4, [], if_empty="void") == v
     assert from_facets(4, []) == e
 
 

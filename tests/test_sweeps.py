@@ -2,7 +2,9 @@ import pytest
 
 from srpowers import cohomology as co
 from srpowers import sweeps
-from srpowers.sweeps import run_sweep
+from srpowers.classify import Query, classify
+from srpowers.enumeration import distinct_complexes
+from srpowers.sweeps import complex_signature, run_sweep
 
 
 def _verdicts(result):
@@ -78,3 +80,34 @@ def test_sampled_sweep_respects_the_dimension_window():
     for row in r.rows:
         facets = row.signature.split(":")[1].split("+")
         assert 1 <= max(len(f) for f in facets) - 1 <= 2
+
+
+# the cube query (ideal kind, power kind, property) each oracle check reads
+CUBE_QUERIES = {
+    "sym-cube-cm": ("stanley_reisner", "symbolic", "CM"),
+    "sym-cube-s2": ("stanley_reisner", "symbolic", "S2"),
+    "ord-cube-cm": ("stanley_reisner", "ordinary", "CM"),
+    "sym-cube-gcm": ("stanley_reisner", "symbolic", "gCM"),
+    "ord-cube-gcm": ("stanley_reisner", "ordinary", "gCM"),
+    "cover-cube-cm": ("cover", "symbolic", "CM"),
+    "facet-cube-cm": ("facet", "symbolic", "CM"),
+}
+
+
+@pytest.mark.parametrize("field", [None, 2])
+def test_oracle_checks_compare_classify_with_the_oracle_on_every_class(field):
+    r = run_sweep(list(CUBE_QUERIES), n_max=5, field=field)
+    assert r.processed == 208  # every class on 1..5 vertices
+    assert r.disagreements == 0
+    expected = {
+        (complex_signature(c), cid)
+        for c in distinct_complexes(5)
+        for cid, kinds in CUBE_QUERIES.items()
+        if classify(Query(c, *kinds, 3)).verdict != "oracle_only"
+    }
+    got = [(row.signature, row.check_id) for row in r.rows]
+    assert len(got) == len(set(got))
+    assert set(got) == expected
+    # the table's theorem for graphs is checked too
+    dims = {max(map(len, sig.split(":")[1].split("+"))) - 1 for sig, cid in got if cid == "sym-cube-cm"}
+    assert 1 in dims
