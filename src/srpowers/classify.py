@@ -286,15 +286,13 @@ def _assert_dual_agreement(c: SimplicialComplex, rep: ClassificationReport) -> N
 
 def build_ideal(q: Query) -> SymbolicPower | OrdinaryPower:
     """The power the query names, as the value the oracle decides:
-    ``SymbolicPower.of(base, m)`` or ``OrdinaryPower(base, m)``, with the
-    base ideal built by ``BASE_IDEALS[q.ideal_kind]``.  Its ``ideal()``
-    gives the explicit generators.  m must be an integer."""
+    ``SymbolicPower`` or ``OrdinaryPower`` of the base ideal built by
+    ``BASE_IDEALS[q.ideal_kind]``.  Its ``ideal()`` gives the explicit
+    generators.  m must be an integer."""
     if q.m == "all":
         raise ValueError('cannot build the power for m="all"')
-    base = BASE_IDEALS[q.ideal_kind](q.complex)
-    if q.power_kind == "ordinary":
-        return OrdinaryPower(base, q.m)
-    return SymbolicPower.of(base, q.m)
+    power = OrdinaryPower if q.power_kind == "ordinary" else SymbolicPower
+    return power.of(BASE_IDEALS[q.ideal_kind](q.complex), q.m)
 
 
 def run_oracle(q: Query, field: int | None = None, *, deadline: float | None = None) -> OracleRun:

@@ -78,7 +78,7 @@ def _validate_field(field) -> None:
 
 
 def _require_proper(ideal) -> None:
-    if not isinstance(ideal, SymbolicPower) and ideal.is_unit:
+    if ideal.is_unit:
         raise ValueError("the unit ideal is not allowed here")
 
 
@@ -447,18 +447,16 @@ Oracle = MonomialIdeal | SymbolicPower | OrdinaryPower  # what the oracle decide
 
 
 def _radical_complex(ideal: Oracle) -> SimplicialComplex:
-    if isinstance(ideal, SymbolicPower):
-        return SimplicialComplex(ideal.n, ideal.facets)
-    if isinstance(ideal, OrdinaryPower):
-        return complex_of_radical(ideal.base)
-    return complex_of_radical(ideal)
+    if isinstance(ideal, MonomialIdeal):
+        return complex_of_radical(ideal)
+    return SimplicialComplex(ideal.n, ideal.facets)
 
 
 def _localize(ideal: Oracle, inverted: int):
     """The ideal with the variables of ``inverted`` inverted, or None for
-    the unit ideal (for a symbolic power: ``inverted`` is no face; for a
-    proper ideal: every variable is inverted)."""
-    if isinstance(ideal, (SymbolicPower, OrdinaryPower)):
+    the unit ideal (``inverted`` is every variable, or for a power no
+    face)."""
+    if not isinstance(ideal, MonomialIdeal):
         return ideal.contract(inverted)
     if inverted == (1 << ideal.n) - 1:
         return None

@@ -285,33 +285,60 @@ def symbolic_power(c: SimplicialComplex, m: int) -> MonomialIdeal:
 
 
 @dataclass(frozen=True)
-class SymbolicPower:
-    """I^(m) for a squarefree ideal I, held as the facets (bitmasks over
+class SquarefreePower:
+    """A power of a squarefree ideal I, held as the facets (bitmasks over
     1..n) of the radical complex of I and the exponent m.
 
-    I^(m) is the intersection of the prime powers P_{V-F}^m over those
-    facets F, so the facets determine it without building generators.
-    The depth oracle reads its degree complexes from them in closed form;
-    ``ideal()`` gives the explicit generators for the general route.
+    Both powers the oracle decides are determined by these facets: I is
+    generated by the minimal nonfaces, and I^(m) is the intersection of
+    the prime powers P_{V-F}^m over the facets F.  ``SymbolicPower`` and
+    ``OrdinaryPower`` are sibling subclasses that differ only in which
+    power ``ideal()`` builds.
     """
 
     n: int
     facets: frozenset[int]
     m: int
 
-    @staticmethod
-    def of(ideal: MonomialIdeal, m: int) -> "SymbolicPower":
-        """The m-th symbolic power of any proper squarefree ideal
-        (Stanley-Reisner, cover or facet ideal alike)."""
+    is_unit = False  # a unit base has no radical complex, so ``of`` refuses it
+
+    @classmethod
+    def of(cls, ideal: MonomialIdeal, m: int) -> "SquarefreePower":
+        """The m-th power of any proper squarefree ideal (Stanley-Reisner,
+        cover or facet ideal alike)."""
         if not ideal.is_squarefree:
-            raise ValueError("symbolic powers are defined here for squarefree input")
+            raise ValueError("powers are held here for squarefree input")
         if not 1 <= m <= MAX_POWER:
             raise ValueError(f"power must lie in 1..{MAX_POWER}")
-        return SymbolicPower(ideal.n, complex_of_radical(ideal).facets, m)
+        return cls(ideal.n, complex_of_radical(ideal).facets, m)
 
     @property
     def is_zero(self) -> bool:
         return (1 << self.n) - 1 in self.facets
+
+    def radical(self) -> MonomialIdeal:
+        """The squarefree ideal, generated by the minimal nonfaces."""
+        return _nonface_ideal(SimplicialComplex(self.n, self.facets))
+
+    def contract(self, face: int) -> "SquarefreePower | None":
+        """Invert the variables of ``face`` (a mask): localization commutes
+        with products and intersections, so this is the same power of the
+        link, with facets F - face for the facets F containing it,
+        relabelled onto the remaining variables in order.  None when the
+        contraction is the unit ideal: ``face`` is no face, or every
+        variable."""
+        full = (1 << self.n) - 1
+        star = [f & ~face for f in self.facets if f & face == face]
+        if not star or face == full:
+            return None
+        kept = full & ~face
+        return type(self)(kept.bit_count(), frozenset(compactify(star, kept)), self.m)
+
+
+class SymbolicPower(SquarefreePower):
+    """I^(m).  The depth oracle reads its degree complexes from the facets
+    in closed form; ``ideal()`` gives the explicit generators for the
+    general route."""
 
     def max_exponents(self) -> tuple[int, ...]:
         """Per-variable maximum exponent over the generators of I^(m): m
@@ -321,10 +348,6 @@ class SymbolicPower:
         for f in self.facets:
             common &= f
         return tuple(0 if common >> i & 1 else self.m for i in range(self.n))
-
-    def radical(self) -> MonomialIdeal:
-        """The squarefree ideal, generated by the minimal nonfaces."""
-        return _nonface_ideal(SimplicialComplex(self.n, self.facets))
 
     def ideal(self) -> MonomialIdeal:
         """The explicit generators of I^(m), by enumerating the box
@@ -355,65 +378,18 @@ class SymbolicPower:
             gens.extend(map(tuple, arr[minimal].tolist()))
         return MonomialIdeal(n, frozenset(gens))
 
-    def contract(self, face: int) -> "SymbolicPower | None":
-        """Invert the variables of ``face`` (a mask): the symbolic power of
-        the link, with facets F - face for the facets F containing it,
-        relabelled onto the remaining variables in order.  None when
-        ``face`` is not a face, where the contraction is the unit ideal."""
-        star = [f & ~face for f in self.facets if f & face == face]
-        if not star:
-            return None
-        kept = ((1 << self.n) - 1) & ~face
-        return SymbolicPower(kept.bit_count(), frozenset(compactify(star, kept)), self.m)
 
-
-@dataclass(frozen=True)
-class OrdinaryPower:
-    """I^m for a squarefree ideal I, held as I and the exponent m.
-
-    The depth oracle decides CM and S2 of S/I^m through I^(m): either
-    property makes S/I^m unmixed, so it holds exactly when I^m = I^(m)
-    and it holds for I^(m).  ``ideal()`` gives the explicit generators
-    for the general route.
-    """
-
-    base: MonomialIdeal
-    m: int
-
-    def __post_init__(self):
-        if not self.base.is_squarefree:
-            raise ValueError("ordinary powers are held here for squarefree input")
-        if not 1 <= self.m <= MAX_POWER:
-            raise ValueError(f"power must lie in 1..{MAX_POWER}")
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def is_zero(self) -> bool:
-        return self.base.is_zero
-
-    @property
-    def is_unit(self) -> bool:
-        return self.base.is_unit
+class OrdinaryPower(SquarefreePower):
+    """I^m.  The depth oracle decides CM and S2 of S/I^m through I^(m):
+    either property makes S/I^m unmixed, so it holds exactly when
+    I^m = I^(m) and it holds for I^(m).  ``ideal()`` gives the explicit
+    generators for the general route."""
 
     def ideal(self) -> MonomialIdeal:
-        return self.base.power(self.m)
+        return self.radical().power(self.m)
 
     def symbolic(self) -> SymbolicPower:
-        return SymbolicPower.of(self.base, self.m)
-
-    def contract(self, face: int) -> "OrdinaryPower | None":
-        """Invert the variables of ``face`` (a mask): localization commutes
-        with products, so this is the ordinary power of the contracted
-        base ideal on the remaining variables in order.  None when the
-        contraction is the unit ideal (``face`` holds a generator, or is
-        every variable)."""
-        if face == (1 << self.n) - 1:
-            return None
-        base = contract(self.base, face).ideal
-        return None if base.is_unit else OrdinaryPower(base, self.m)
+        return SymbolicPower(self.n, self.facets, self.m)
 
 
 def symbolic_power_by_intersection(ideal: MonomialIdeal, m: int) -> MonomialIdeal:

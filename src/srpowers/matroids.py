@@ -25,23 +25,27 @@ def matroid_exchange_witness(c: SimplicialComplex):
     """A failing exchange pair (G, F) as vertex tuples, or None.
 
     Checking faces F one larger than G suffices: a bigger F can be
-    shrunk to |G|+1 inside the downward-closed family.
+    shrunk to |G|+1 inside the downward-closed family.  The vertices x
+    with G + x a face form one mask per G, the union of F - G over the
+    faces F one larger that contain G; a pair fails when F misses it.
     """
     _check_has_faces(c)
     by_size: dict[int, list[int]] = {}
-    for f in c.faces():
+    for f in sorted(c.faces()):
         by_size.setdefault(f.bit_count(), []).append(f)
-    face_set = c.faces()
     for k in sorted(by_size):
-        if k + 1 not in by_size:
+        bigger = by_size.get(k + 1)
+        if not bigger:
             continue
-        for g in sorted(by_size[k]):
-            for f in sorted(by_size[k + 1]):
-                diff = f & ~g
-                if not diff:
-                    continue
-                if not any(g | b in face_set for b in iter_bits(diff)):
-                    return vertices_of(g), vertices_of(f)
+        extends: dict[int, int] = {}
+        for f in bigger:
+            for b in iter_bits(f):
+                extends[f ^ b] = extends.get(f ^ b, 0) | b
+        for g in by_size[k]:
+            ext = extends.get(g, 0)
+            f = next((f for f in bigger if not f & ext), None)
+            if f is not None:
+                return vertices_of(g), vertices_of(f)
     return None
 
 

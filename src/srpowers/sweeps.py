@@ -206,7 +206,7 @@ def _job(args) -> list[tuple] | None:
 
 
 def _family(n_max, dim_min, dim_max, sample, seed):
-    if sample:
+    if sample is not None:
         return sample_complexes(n_max, sample, seed, dim_min=max(dim_min, 0), dim_max=dim_max) + [
             c
             for c in structured_positives()
@@ -234,9 +234,13 @@ def run_sweep(
     time runs out, and ``resume_token`` names it.  The first complex of a
     run is exempt from the budget, so resuming always makes progress.
     """
+    for option, value, least in (("--n-max", n_max, 1), ("--sample", sample, 1),
+                                 ("--parallel", parallel, 1), ("--resume-token", resume, 0)):
+        if value is not None and value < least:
+            raise ValueError(f"{option} must be at least {least}, not {value}")
     if n_max > 7:
         raise ValueError("sweeps are limited to n_max <= 7")
-    if n_max == 7 and not sample:
+    if n_max == 7 and sample is None:
         raise ValueError(
             "an exhaustive sweep at n_max=7 covers about 4.9e8 isomorphism classes; "
             "pass a sample size (--sample)"

@@ -190,6 +190,18 @@ def test_sweep_unreachable_sample_exits_64():
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--n-max", "0"), ("--n-max", "-2"), ("--sample", "0"), ("--sample", "-5"),
+    ("--parallel", "0"), ("--parallel", "-1"), ("--resume-token", "-1"),
+])
+def test_sweep_refuses_bad_sizes(option, value, capsys):
+    code = main(["sweep", "--check", "matroid-pair-criterion", "--n-max", "3", option, value])
+    assert code == 64
+    captured = capsys.readouterr()
+    assert option in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_sweep_unknown_check():
     r = run_cli("sweep", "--check", "no-such-check", "--n-max", "4")
     assert r.returncode == 64

@@ -478,7 +478,7 @@ def test_ordinary_power_route_matches_explicit_route(field):
     for c in distinct_complexes(5):
         if c.is_empty_complex:
             continue
-        cube = OrdinaryPower(sr_ideal(c), 3)
+        cube = OrdinaryPower.of(sr_ideal(c), 3)
         explicit = cube.ideal()
         got = [check(cube, field) for check in checks]
         assert got == [check(explicit, field) for check in checks], (c, field)
@@ -489,12 +489,12 @@ def test_ordinary_power_route_matches_explicit_route(field):
 
 def test_ordinary_power_route_honours_deadline():
     for c in (uniform_matroid(5, 2), cycle(5), uniform_matroid(4, 2)):
-        cube = OrdinaryPower(sr_ideal(c), 3)
+        cube = OrdinaryPower.of(sr_ideal(c), 3)
         for check in (is_cm, is_s2, is_generalized_cm):
             with pytest.raises(OracleBudgetExceeded):
                 check(cube, deadline=time.monotonic() - 1)
-    assert is_cm(OrdinaryPower(sr_ideal(cycle(5)), 3)) is False
-    assert is_cm(OrdinaryPower(sr_ideal(uniform_matroid(4, 2)), 3)) is True
+    assert is_cm(OrdinaryPower.of(sr_ideal(cycle(5)), 3)) is False
+    assert is_cm(OrdinaryPower.of(sr_ideal(uniform_matroid(4, 2)), 3)) is True
 
 
 def test_box_rows_match_the_sorted_product():

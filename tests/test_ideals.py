@@ -229,7 +229,7 @@ def test_ordinary_power_value():
     rng = random.Random(45)
     for c, base in _random_squarefree_bases(rng, 6):
         for m in (1, 2, 3):
-            op = OrdinaryPower(base, m)
+            op = OrdinaryPower.of(base, m)
             assert op.ideal() == base.power(m)
             assert op.symbolic() == SymbolicPower.of(base, m)
             assert (op.n, op.is_zero) == (base.n, base.is_zero)
@@ -243,11 +243,42 @@ def test_ordinary_power_value():
                     assert want is None or want.is_unit
                 else:
                     assert got.ideal() == want and got.m == m
-    assert OrdinaryPower(sr_ideal(cycle(5)), 1).ideal() == sr_ideal(cycle(5))
+    assert OrdinaryPower.of(sr_ideal(cycle(5)), 1).ideal() == sr_ideal(cycle(5))
     with pytest.raises(ValueError):
-        OrdinaryPower(sr_ideal(cycle(5)).power(2), 2)
+        OrdinaryPower.of(sr_ideal(cycle(5)).power(2), 2)
     with pytest.raises(ValueError):
-        OrdinaryPower(sr_ideal(cycle(5)), 0)
+        OrdinaryPower.of(sr_ideal(cycle(5)), 0)
+
+
+def test_ordinary_power_symbolic_reuses_its_facets(monkeypatch):
+    from srpowers import complexes
+
+    powers = [OrdinaryPower.of(base, 3) for _, base in _random_squarefree_bases(random.Random(46), 4)]
+
+    def refuse(*args):
+        raise AssertionError("minimal_transversals called")
+
+    monkeypatch.setattr(ideals, "minimal_transversals", refuse)
+    monkeypatch.setattr(complexes, "minimal_transversals", refuse)
+    for op in powers:
+        assert op.symbolic() == SymbolicPower(op.n, op.facets, op.m)
+
+
+def test_both_powers_contract_to_the_same_link():
+    rng = random.Random(48)
+    for c, base in _random_squarefree_bases(rng, 8):
+        radical = complex_of_radical(base)
+        full = (1 << c.n) - 1
+        for m in (1, 3):
+            sp, op = SymbolicPower.of(base, m), OrdinaryPower.of(base, m)
+            for g in range(1 << c.n):
+                got_s, got_o = sp.contract(g), op.contract(g)
+                if g == full or not radical.has_face(g):
+                    assert got_s is None and got_o is None, (base, g)
+                    continue
+                assert type(got_s) is SymbolicPower and type(got_o) is OrdinaryPower
+                assert (got_s.n, got_s.facets, got_s.m) == (got_o.n, got_o.facets, got_o.m)
+                assert got_s.n == c.n - g.bit_count() and got_s.m == m
 
 
 def test_power_contained_in_symbolic_power():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from srpowers.bits import iter_bits, vertices_of
 from srpowers.complexes import (
     complete_graph,
     cycle,
@@ -43,6 +44,32 @@ def test_exchange_witness_is_real():
     assert w is not None
     g, f = w
     assert len(f) == len(g) + 1
+
+
+def _pairwise_exchange_witness(c):
+    """Reference: test every pair (G, F) with |F| = |G| + 1 in sorted
+    order, looking up each G + x with x in F - G among the faces."""
+    faces = c.faces()
+    by_size = {}
+    for f in faces:
+        by_size.setdefault(f.bit_count(), []).append(f)
+    for k in sorted(by_size):
+        for g in sorted(by_size[k]):
+            for f in sorted(by_size.get(k + 1, ())):
+                if not any(g | b in faces for b in iter_bits(f & ~g)):
+                    return vertices_of(g), vertices_of(f)
+    return None
+
+
+def test_exchange_witness_matches_the_pairwise_loop():
+    family = list(distinct_complexes(5))
+    rng = random.Random(47)
+    for _ in range(300):
+        n = rng.choice((6, 7))
+        facets = [rng.sample(range(1, n + 1), rng.randint(1, n - 2)) for _ in range(rng.randint(1, 6))]
+        family.append(from_facets(n, facets))
+    for c in family:
+        assert matroid_exchange_witness(c) == _pairwise_exchange_witness(c), c
 
 
 def test_pair_criterion_equals_exchange_exhaustively():
