@@ -38,7 +38,6 @@ from .matroids import (
     shared_link_check,
 )
 from .ideals import (
-    Contraction,
     DeskScaleExceeded,
     MonomialIdeal,
     OrdinaryPower,

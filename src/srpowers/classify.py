@@ -39,15 +39,23 @@ from .matroids import (
 from .ideals import (
     OrdinaryPower,
     SymbolicPower,
-    cover_ideal,
+    complex_of_radical,
     dual_complex,
     facet_ideal,
-    sr_ideal,
+    sr_complex,
 )
 from . import cohomology as co
 
-BASE_IDEALS = {"stanley_reisner": sr_ideal, "facet": facet_ideal, "cover": cover_ideal}
-IDEAL_KINDS = tuple(BASE_IDEALS)
+# The radical complex of each kind's ideal, read off the query's complex:
+# the complex itself, the facet complements for the cover ideal (the
+# intersection of the primes P_F over the facets F), and by transversals
+# for the facet ideal.
+RADICAL_COMPLEXES = {
+    "stanley_reisner": sr_complex,
+    "facet": lambda c: complex_of_radical(facet_ideal(c)),
+    "cover": lambda c: c.complement(),
+}
+IDEAL_KINDS = tuple(RADICAL_COMPLEXES)
 POWER_KINDS = ("ordinary", "symbolic")
 PROPERTIES = ("CM", "S2", "gCM", "Buchsbaum", "quasiBuchsbaum")
 ORACLE_DECIDABLE = ("CM", "S2", "gCM")
@@ -286,13 +294,14 @@ def _assert_dual_agreement(c: SimplicialComplex, rep: ClassificationReport) -> N
 
 def build_ideal(q: Query) -> SymbolicPower | OrdinaryPower:
     """The power the query names, as the value the oracle decides:
-    ``SymbolicPower`` or ``OrdinaryPower`` of the base ideal built by
-    ``BASE_IDEALS[q.ideal_kind]``.  Its ``ideal()`` gives the explicit
+    ``SymbolicPower`` or ``OrdinaryPower`` on the facets of the radical
+    complex that ``RADICAL_COMPLEXES[q.ideal_kind]`` reads off the query's
+    complex, with no base ideal built.  Its ``ideal()`` gives the explicit
     generators.  m must be an integer."""
     if q.m == "all":
         raise ValueError('cannot build the power for m="all"')
     power = OrdinaryPower if q.power_kind == "ordinary" else SymbolicPower
-    return power.of(BASE_IDEALS[q.ideal_kind](q.complex), q.m)
+    return power(q.complex.n, RADICAL_COMPLEXES[q.ideal_kind](q.complex).facets, q.m)
 
 
 def run_oracle(q: Query, field: int | None = None, *, deadline: float | None = None) -> OracleRun:

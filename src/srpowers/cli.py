@@ -28,9 +28,9 @@ import sys
 import time
 
 from . import cohomology as co
-from .classify import BASE_IDEALS, Query, classify, classify_with_oracle
+from .classify import Query, classify, classify_with_oracle
 from .fixtures import MalformedInput, parse_complex_spec, parse_input
-from .ideals import DeskScaleExceeded, MonomialIdeal, sr_ideal, symbolic_power_ideal
+from .ideals import DeskScaleExceeded, MonomialIdeal, cover_ideal, facet_ideal, sr_ideal, symbolic_power_ideal
 from .linalg import parse_field
 from .sweeps import CSV_HEADER, run_sweep
 
@@ -44,7 +44,7 @@ KIND_MAP = {
     "cover": ("cover", "symbolic"),
 }
 
-IDEAL_NAMES = {"sr": "stanley_reisner", "facet": "facet", "cover": "cover"}
+IDEALS = {"sr": sr_ideal, "facet": facet_ideal, "cover": cover_ideal}
 
 PROPERTY_MAP = {
     "cm": "CM",
@@ -104,7 +104,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_power(args) -> int:
     obj = parse_input(args.input)
-    base = obj if isinstance(obj, MonomialIdeal) else BASE_IDEALS[IDEAL_NAMES[args.ideal]](obj)
+    base = obj if isinstance(obj, MonomialIdeal) else IDEALS[args.ideal](obj)
     if base.contains_variable:
         print("note: the ideal contains a variable", file=sys.stderr)
     if args.kind == "ordinary":
@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("input")
     pp.add_argument("--m", type=int, required=True)
     pp.add_argument("--kind", required=True, choices=("ordinary", "symbolic"))
-    pp.add_argument("--ideal", default="sr", choices=tuple(IDEAL_NAMES),
+    pp.add_argument("--ideal", default="sr", choices=tuple(IDEALS),
                     help="how to read a complex input as an ideal")
     pp.set_defaults(fn=_cmd_power)
 

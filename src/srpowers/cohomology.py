@@ -454,14 +454,8 @@ def _radical_complex(ideal: Oracle) -> SimplicialComplex:
 
 def _localize(ideal: Oracle, inverted: int):
     """The ideal with the variables of ``inverted`` inverted, or None for
-    the unit ideal (``inverted`` is every variable, or for a power no
-    face)."""
-    if not isinstance(ideal, MonomialIdeal):
-        return ideal.contract(inverted)
-    if inverted == (1 << ideal.n) - 1:
-        return None
-    j = contract(ideal, inverted).ideal
-    return None if j.is_unit else j
+    the unit ideal."""
+    return contract(ideal, inverted) if isinstance(ideal, MonomialIdeal) else ideal.contract(inverted)
 
 
 def quotient_dimension(ideal: Oracle) -> int:

@@ -100,10 +100,6 @@ class MonomialIdeal:
         return (0,) * self.n in self.gens
 
     @property
-    def is_proper(self) -> bool:
-        return not self.is_unit
-
-    @property
     def is_squarefree(self) -> bool:
         return all(e <= 1 for g in self.gens for e in g)
 
@@ -197,8 +193,8 @@ def principal(n: int, exponents) -> MonomialIdeal:
 # -- Stanley-Reisner translation ------------------------------------------------
 
 
-def sr_ideal(c: SimplicialComplex) -> MonomialIdeal:
-    """Squarefree ideal generated by the minimal nonfaces of the complex.
+def sr_complex(c: SimplicialComplex) -> SimplicialComplex:
+    """The radical complex of ``sr_ideal(c)``, which is c itself.
 
     Every singleton must be a face, otherwise a variable would be a
     generator and the translation is not defined.
@@ -208,7 +204,13 @@ def sr_ideal(c: SimplicialComplex) -> MonomialIdeal:
     if c.vertex_mask != (1 << c.n) - 1:
         missing = sorted(set(range(1, c.n + 1)) - set(vertices_of(c.vertex_mask)))
         raise ValueError(f"vertices {missing} lie in no facet; their variables would be generators")
-    return _nonface_ideal(c)
+    return c
+
+
+def sr_ideal(c: SimplicialComplex) -> MonomialIdeal:
+    """Squarefree ideal generated by the minimal nonfaces of the complex
+    (refused as by ``sr_complex``)."""
+    return _nonface_ideal(sr_complex(c))
 
 
 def _nonface_ideal(c: SimplicialComplex) -> MonomialIdeal:
@@ -300,7 +302,11 @@ class SquarefreePower:
     facets: frozenset[int]
     m: int
 
-    is_unit = False  # a unit base has no radical complex, so ``of`` refuses it
+    is_unit = False  # the unit ideal has no radical complex to hold
+
+    def __post_init__(self):
+        if not 1 <= self.m <= MAX_POWER:
+            raise ValueError(f"power must lie in 1..{MAX_POWER}")
 
     @classmethod
     def of(cls, ideal: MonomialIdeal, m: int) -> "SquarefreePower":
@@ -308,8 +314,6 @@ class SquarefreePower:
         cover or facet ideal alike)."""
         if not ideal.is_squarefree:
             raise ValueError("powers are held here for squarefree input")
-        if not 1 <= m <= MAX_POWER:
-            raise ValueError(f"power must lie in 1..{MAX_POWER}")
         return cls(ideal.n, complex_of_radical(ideal).facets, m)
 
     @property
@@ -417,28 +421,17 @@ def symbolic_power_by_intersection(ideal: MonomialIdeal, m: int) -> MonomialIdea
 # -- localization ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Contraction:
-    """Result of inverting variables: the contracted ideal in the remaining
-    variables plus the record of which original variables survived."""
-
-    ideal: MonomialIdeal
-    kept: tuple[int, ...]  # original 1-based labels, in order
-
-    def old_to_new(self) -> dict[int, int]:
-        return {old: new + 1 for new, old in enumerate(self.kept)}
-
-
-def contract(ideal: MonomialIdeal, inverted) -> Contraction:
+def contract(ideal: MonomialIdeal, inverted) -> MonomialIdeal | None:
     """I S[x_i^{-1} : i in G] intersected with the ring in the other
-    variables: delete the G coordinates and re-minimalize."""
+    variables, in order: delete the G coordinates and re-minimalize.  None
+    when that is the unit ideal: G is every variable, or holds the support
+    of a generator."""
     g = mask_of(inverted, ideal.n) if not isinstance(inverted, int) else inverted
-    kept = tuple(v for v in range(1, ideal.n + 1) if not g >> (v - 1) & 1)
-    new_n = len(kept)
-    if new_n == 0:
-        raise ValueError("cannot invert every variable")
-    gens = [tuple(gen[v - 1] for v in kept) for gen in ideal.gens]
-    return Contraction(MonomialIdeal(new_n, minimalize(gens, new_n)), kept)
+    kept = [i for i in range(ideal.n) if not g >> i & 1]
+    gens = [tuple(gen[i] for i in kept) for gen in ideal.gens]
+    if not kept or (0,) * len(kept) in gens:
+        return None
+    return MonomialIdeal(len(kept), minimalize(gens, len(kept)))
 
 
 def localized_membership(exponents, ideal: MonomialIdeal, inverted) -> bool:
@@ -455,14 +448,6 @@ def localized_membership(exponents, ideal: MonomialIdeal, inverted) -> bool:
 # -- polynomial extension identity ----------------------------------------------------
 
 
-def adjoin_variable(ideal: MonomialIdeal) -> MonomialIdeal:
-    """(I, y) in n+1 variables, y the new last variable."""
-    n = ideal.n
-    gens = [g + (0,) for g in ideal.gens]
-    gens.append((0,) * n + (1,))
-    return MonomialIdeal(n + 1, minimalize(gens, n + 1))
-
-
 def extension_decomposition_check(ideal: MonomialIdeal, m: int, kind: str) -> bool:
     """Power of (I, y) decomposes as the sum of I-powers times y-powers.
 
@@ -477,7 +462,8 @@ def extension_decomposition_check(ideal: MonomialIdeal, m: int, kind: str) -> bo
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("need a proper nonzero ideal")
     n = ideal.n
-    ext = adjoin_variable(ideal)
+    y = (0,) * n + (1,)  # the new last variable
+    ext = MonomialIdeal(n + 1, minimalize([g + (0,) for g in ideal.gens] + [y], n + 1))
     if kind == "ordinary":
         lhs = ext.power(m)
         layers = [ideal.power(k) for k in range(1, m + 1)]

@@ -1,8 +1,10 @@
+import re
 import time
 
 import pytest
 
 from srpowers import cohomology as co
+from srpowers import ideals
 from srpowers.classify import (
     Query,
     classify,
@@ -264,3 +266,58 @@ def test_facet_structural_routes_match_oracle_on_small_pure_complexes():
             oracle = is_cm(symbolic_power_ideal(facet_ideal(c), 3))
             assert (verdict == "holds") == oracle, c
     assert count > 40
+
+
+_BASES = {"stanley_reisner": ideals.sr_ideal, "facet": ideals.facet_ideal, "cover": ideals.cover_ideal}
+_KINDS = (
+    ("stanley_reisner", "symbolic"),
+    ("stanley_reisner", "ordinary"),
+    ("facet", "symbolic"),
+    ("cover", "symbolic"),
+)
+
+
+def _power_of_base(q):
+    """The power as ``.of`` builds it from the query's base ideal."""
+    base = _BASES[q.ideal_kind](q.complex)
+    power = ideals.OrdinaryPower if q.power_kind == "ordinary" else ideals.SymbolicPower
+    return power.of(base, q.m)
+
+
+def test_build_ideal_reads_the_power_off_the_complex(monkeypatch):
+    # the radical complex read off the query's complex gives the same
+    # power as going through the base ideal, on every class on <= 5
+    # vertices and on those classes with one more vertex in no facet
+    from srpowers import complexes
+    from srpowers.classify import build_ideal
+    from srpowers.enumeration import distinct_complexes
+
+    family = list(distinct_complexes(5))
+    family += [embed(c, c.n + 1) for c in family if c.n < 5]
+    built = {}
+    for c in family:
+        for kinds in _KINDS:
+            for m in (1, 3):
+                q = Query(c, *kinds, "CM", m)
+                try:
+                    want = _power_of_base(q)
+                except ValueError as exc:
+                    assert kinds[0] == "stanley_reisner" and "lie in no facet" in str(exc), (q, exc)
+                    with pytest.raises(ValueError, match=re.escape(str(exc))):
+                        build_ideal(q)
+                    continue
+                got = build_ideal(q)
+                assert type(got) is type(want), q
+                assert (got.n, got.facets, got.m) == (want.n, want.facets, want.m), q
+                built[q] = got
+    assert len(built) > 1000
+
+    def refuse(*args):
+        raise AssertionError("minimal_transversals called")
+
+    # the Stanley-Reisner and cover powers need no transversal at all
+    monkeypatch.setattr(ideals, "minimal_transversals", refuse)
+    monkeypatch.setattr(complexes, "minimal_transversals", refuse)
+    for q, power in built.items():
+        if q.ideal_kind != "facet":
+            assert build_ideal(q) == power, q

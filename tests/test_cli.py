@@ -100,6 +100,22 @@ def test_malformed_json_exits_65(tmp_path, capsys):
     assert main(["analyze", '{"n": 3}', "--kind", "cover", "--m", "3", "--property", "cm"]) == 65
 
 
+def test_oracle_refuses_a_vertex_in_no_facet(capsys):
+    # the Stanley-Reisner ideal would hold the variable x4; the theorem
+    # needs no ideal, the oracle does
+    args = ["analyze", '{"n":4,"facets":[[1,2],[2,3]]}', "--kind", "sr-symbolic", "--m", "3",
+            "--property", "cm"]
+    assert main(args + ["--oracle"]) == 64
+    assert "vertices [4] lie in no facet" in capsys.readouterr().err
+    assert main(args) == 0
+
+
+def test_oracle_refuses_a_power_past_16(capsys):
+    args = ["analyze", "uniform:5:2", "--kind", "cover", "--m", "17", "--property", "cm", "--oracle"]
+    assert main(args) == 64
+    assert "power must lie in 1..16" in capsys.readouterr().err
+
+
 def test_power_and_depth_pipeline():
     r = run_cli("power", "example-4-10", "--m", "2", "--kind", "symbolic")
     assert r.returncode == 0

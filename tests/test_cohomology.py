@@ -355,8 +355,8 @@ def _naive_nonvanishing(I):
 def _naive_s2(I):
     full = (1 << I.n) - 1
     for w in range(1, full + 1):
-        J = contract(I, full & ~w).ideal
-        if J.is_unit or J.is_zero:
+        J = contract(I, full & ~w)
+        if J is None or J.is_zero:
             continue
         rep = depth_dim(J)
         if rep.depth < min(2, rep.dim):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from srpowers.bits import compactify, mask_of, support, vertices_of
 from srpowers.complexes import (
     complete_graph,
     cycle,
@@ -20,7 +21,6 @@ from srpowers.ideals import (
     MonomialIdeal,
     OrdinaryPower,
     SymbolicPower,
-    adjoin_variable,
     complex_of_radical,
     contract,
     cover_ideal,
@@ -208,9 +208,9 @@ def test_symbolic_power_contraction_is_the_link():
         explicit = sp.ideal()
         for g in range((1 << c.n) - 1):
             got = sp.contract(g)
-            want = contract(explicit, g).ideal
+            want = contract(explicit, g)
             if got is None:
-                assert want.is_unit
+                assert want is None
             else:
                 assert got.ideal() == want
 
@@ -238,7 +238,7 @@ def test_ordinary_power_value():
             explicit = op.ideal()
             for g in range(1 << c.n):
                 got = op.contract(g)
-                want = None if g == (1 << c.n) - 1 else contract(explicit, g).ideal
+                want = contract(explicit, g)
                 if got is None:
                     assert want is None or want.is_unit
                 else:
@@ -382,10 +382,26 @@ def test_minimal_primes():
 def test_contract_examples():
     I = sr_ideal(EX410)
     con = contract(I, [5])
-    assert con.ideal.sorted_gens() == ((0, 1, 0, 0), (1, 0, 0, 0))
-    assert con.kept == (1, 2, 3, 4)
-    assert con.old_to_new() == {1: 1, 2: 2, 3: 3, 4: 4}
-    assert contract(I, []).ideal == I
+    assert con.sorted_gens() == ((0, 1, 0, 0), (1, 0, 0, 0))
+    kept = 0b11111 & ~mask_of([5], 5)  # the variables left after inverting x5
+    assert con.n == kept.bit_count()
+    assert compactify([1 << (v - 1) for v in vertices_of(kept)], kept) == (1, 2, 4, 8)  # x_v stays x_v
+    assert contract(I, []) == I
+
+
+def test_contract_to_the_unit_ideal_is_none():
+    I = sr_ideal(EX410)
+    # every variable inverted
+    assert contract(I, [1, 2, 3, 4, 5]) is None
+    assert contract(I, 0b11111) is None
+    assert contract(MonomialIdeal.zero(3), [1, 2, 3]) is None
+    # an inverted set that holds a generator's support
+    for gen in I.gens:
+        g = support(gen)
+        assert contract(I, g) is None
+        assert contract(I, [v for v in range(1, 6) if g >> (v - 1) & 1]) is None
+    assert contract(principal(3, (2, 0, 1)), [1, 3]) is None
+    assert contract(principal(3, (2, 0, 1)), [1]) == principal(2, (0, 1))
 
 
 def test_contract_matches_link_structure():
@@ -399,25 +415,24 @@ def test_contract_matches_link_structure():
         I = sr_ideal(c)
         if I.is_zero:
             continue
+        full = (1 << n) - 1
         for v in range(1, n + 1):
             con = contract(I, [v])
-            if con.ideal.is_unit:
+            if con is None:
                 continue
-            rad = complex_of_radical(con.ideal)
+            rad = complex_of_radical(con)
             link = c.link({v})
-            relabeled = frozenset(
-                sum(1 << (con.old_to_new()[w] - 1) for w in f) if f else 0
-                for f in (set(t) for t in link.facet_sets())
-            )
+            relabeled = frozenset(compactify(link.facets, full & ~mask_of([v], n)))
             assert rad.facets == relabeled
 
 
 def test_contract_composition():
     I = sr_ideal(EX410)
     one = contract(I, [5])
-    two = contract(one.ideal, [one.old_to_new()[4]])
+    (four,) = compactify([mask_of([4], 5)], 0b11111 & ~mask_of([5], 5))  # 4 after dropping 5
+    two = contract(one, four)
     direct = contract(I, [4, 5])
-    assert two.ideal == direct.ideal
+    assert two == direct
 
 
 def test_localized_membership():
@@ -436,9 +451,25 @@ def test_extension_decomposition_spec_cases():
     assert extension_decomposition_check(sr_ideal(complete_graph(4)), 3, "ordinary")
 
 
-def test_adjoin_variable():
-    ext = adjoin_variable(principal(2, (1, 1)))
-    assert ext.sorted_gens() == ((0, 0, 1), (1, 1, 0))
+def test_adjoin_variable(monkeypatch):
+    # the check raises (I, y) to the power first; a wrong (I, y) fails it
+    I = principal(2, (1, 1))
+    power = MonomialIdeal.power
+    seen = []
+
+    def spy(self, m):
+        seen.append(self)
+        return power(self, m)
+
+    monkeypatch.setattr(MonomialIdeal, "power", spy)
+    assert extension_decomposition_check(I, 2, "ordinary")
+    assert seen[0].sorted_gens() == ((0, 0, 1), (1, 1, 0))
+
+    def without_y(self, m):
+        return power(MonomialIdeal(self.n, self.gens - {(0, 0, 1)}) if self.n == 3 else self, m)
+
+    monkeypatch.setattr(MonomialIdeal, "power", without_y)
+    assert not extension_decomposition_check(I, 2, "ordinary")
 
 
 def test_power_guard():
@@ -513,7 +544,6 @@ def test_bad_exponents_are_refused():
 def test_unit_and_zero_flags():
     assert MonomialIdeal.unit(3).is_unit
     assert MonomialIdeal.zero(3).is_zero
-    assert not MonomialIdeal.unit(3).is_proper
     assert maximal_ideal(3).contains_variable
 
 
