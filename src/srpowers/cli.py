@@ -124,18 +124,19 @@ def _cmd_depth(args) -> int:
 
 
 def _parse_dim_filter(text: str) -> tuple[int, int | None]:
+    """(dim_min, dim_max) from "d", ">=d" or "<=d" with d an integer."""
     t = text.strip()
-    if t.startswith(">="):
-        return int(t[2:]), None
-    if t.startswith("<="):
-        return -1, int(t[2:])
-    return int(t), int(t)
+    op = t[:2] if t[:2] in (">=", "<=") else ""
+    try:
+        d = int(t[len(op):])
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f'dimension filter must be "d", ">=d" or "<=d" with d an integer, not {text!r}')
+    return {">=": (d, None), "<=": (-1, d), "": (d, d)}[op]
 
 
 def _cmd_sweep(args) -> int:
-    dim_min, dim_max = (-1, None)
-    if args.dim_filter:
-        dim_min, dim_max = _parse_dim_filter(args.dim_filter)
+    dim_min, dim_max = args.dim_filter
     result = run_sweep(
         args.check.split(","),
         n_max=args.n_max,
@@ -193,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("sweep", help="run equivalence checks over small complexes")
     ps.add_argument("--check", required=True, help="comma-separated check ids")
     ps.add_argument("--n-max", type=int, default=5)
-    ps.add_argument("--dim-filter", default=None, help='e.g. "1", ">=2", "<=2"')
+    ps.add_argument("--dim-filter", type=_parse_dim_filter, default=(-1, None),
+                    help='e.g. "1", ">=2", "<=2"')
     ps.add_argument("--sample", type=int, default=None,
                     help="use a fixed pseudorandom family of this size instead of enumeration")
     ps.add_argument("--seed", type=int, default=20120711)

@@ -7,15 +7,19 @@ The a-graded component of the i-th local cohomology of S/I has dimension
 equal to the reduced cohomology of the degree complex in degree
 i - |G_a| - 1, so depth and Cohen-Macaulayness reduce to a finite scan:
 
-* replacing any negative coordinate by -1 leaves the degree complex
-  unchanged, and
+* the degree complex of I at a is that of the localization I_G, which
+  inverts the variables of G = G_a, at a with the G coordinates dropped
+  (Takayama; the paper's Lemma 1.3 takes the same step), and it is void
+  unless G is a face of the radical complex, and
 * a coordinate at or above the largest generator exponent makes that
   vertex a cone apex of the degree complex, killing all reduced
   cohomology,
 
-hence only a_i in {-1, ..., rho_i - 1} matters, with rho_i the maximal
-exponent of x_i over the generators.  For squarefree ideals this box is
-{-1,0}^n and the scan reproduces the classical link-by-link criterion.
+hence the scan reads only the nonnegative box {0..rho_i - 1}^n, with
+rho_i the maximal exponent of x_i over the generators, of I_G for each
+face G, one walk over the faces serving depth, CM, S2 and gCM.  For
+squarefree ideals each box is the single degree 0 and the walk is the
+classical link-by-link criterion.
 
 One scan serves every input; only the reader of the degree complexes
 depends on its type.  For a ``MonomialIdeal`` the reader takes the
@@ -253,7 +257,7 @@ _MEMO_LIMIT = 1 << 16
 
 # The oracle's two memo tables, shared by both readers.
 _DIMS: dict = {}  # (compact facets of a degree complex, field) -> dims from index -1
-_VANISHES: dict = {}  # (canonical ideal, cap, field) -> none below min(cap, dim)
+_VANISHES: dict = {}  # (canonical ideal, field) -> CM; ("box", ideal, below, field) -> box vanishes
 
 
 def _memoized(table: dict, key, compute):
@@ -288,126 +292,102 @@ _BOX_LIMIT = 1 << 22  # points of a degree box at desk scale
 _EXPONENT_LIMIT = (1 << 15) - 1  # box rows and generators are held as int16
 
 
-def _box_rows(rho: tuple[int, ...], below: int) -> np.ndarray:
-    """The degree box {-1..rho_i - 1}^n as int16 rows with fewer than
-    ``below`` negative coordinates, sorted by (negative count,
-    lexicographic order)."""
+def _check_box(rho: tuple[int, ...]) -> None:
+    """Refuse an ideal whose degree box {-1..rho_i - 1}^n is past desk
+    scale, or whose exponents int16 cannot hold."""
     if max(rho, default=0) > _EXPONENT_LIMIT:
         raise DeskScaleExceeded(f"the exponent {max(rho)} is over the desk-scale limit of {_EXPONENT_LIMIT}")
     size = math.prod(r + 1 for r in rho)
     if size > _BOX_LIMIT:
-        raise DeskScaleExceeded(
-            f"the degree box has {size} points, over the desk-scale limit of {_BOX_LIMIT}"
-        )
-    rows = np.indices([r + 1 for r in rho], dtype=np.int16).reshape(len(rho), -1).T - 1
-    negc = (rows < 0).sum(axis=1)
-    keep = negc < below
-    # np.indices enumerates in lexicographic order; a stable sort keeps it
-    return rows[keep][np.argsort(negc[keep], kind="stable")]
+        raise DeskScaleExceeded(f"the degree box has {size} points, over the desk-scale limit of {_BOX_LIMIT}")
+
+
+def _box_rows(rho: tuple[int, ...]) -> np.ndarray:
+    """The nonnegative degree box {0..rho_i - 1}^n as int16 rows in
+    lexicographic order, once ``_check_box`` passes."""
+    _check_box(rho)
+    return np.indices(rho, dtype=np.int16).reshape(len(rho), math.prod(rho)).T
 
 
 def _generator_reader(ideal: MonomialIdeal):
     """Degree complexes from the generators (after Takayama).  ``rows``
-    yields, per block of box rows, (row, |G_a|, key, is {0}) for the rows
-    whose degree complex is neither void nor a cone.  The key is the
-    minimal nonfaces relabelled onto 0..k-1, so it names the complex up
-    to renaming; ``facets`` turns it into facets by minimal transversals."""
+    yields, per block of box rows, (row, key) for the rows whose degree
+    complex is neither void nor a cone, in row order.  The key is the
+    minimal nonfaces, which name the complex; ``facets`` turns them into
+    facets by minimal transversals."""
     n = ideal.n
     full = (1 << n) - 1
     U = np.array(sorted(ideal.gens), dtype=np.int16)
-    pow2 = np.array([1 << j for j in range(n)], dtype=np.int64)
 
     def rows(A):
         masks = np.zeros((len(A), len(U)), dtype=np.int64)
         for j in range(n):
             masks |= (U[:, j][None, :] > A[:, j][:, None]).astype(np.int64) << j
-        negs = ((A < 0).astype(np.int64) @ pow2).tolist()
         for b, row in enumerate(masks.tolist()):
-            neg = negs[b]
-            ds = {mm & ~neg for mm in set(row)}
+            ds = set(row)
             if 0 in ds:
                 continue  # some generator divides x^a here: void
             dmin = antichain_minimal(ds)
-            ground = full & ~neg
             covered = 0
             for d in dmin:
                 covered |= d
-            if ground & ~covered:
-                continue  # cone apex, all reduced cohomology vanishes
-            # every vertex a nonface: the complex {0}
-            point = all(d & (d - 1) == 0 for d in dmin)
-            yield b, neg.bit_count(), compactify(sorted(dmin), ground), point
+            if covered == full:  # else a cone apex: all reduced cohomology vanishes
+                yield b, tuple(sorted(dmin))
 
     def facets(dmin: tuple[int, ...]) -> tuple[int, ...]:
-        ground = 0
-        for d in dmin:
-            ground |= d
-        return tuple(sorted(ground ^ t for t in minimal_transversals(dmin, ground)))
+        return tuple(sorted(full ^ t for t in minimal_transversals(dmin, full)))
 
     return rows, facets
 
 
 def _select_facets(A: np.ndarray, out: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The closed form on a block of box rows A, given the facet
-    complements as 0/1 rows ``out``: which facets each row selects, and
-    the indices of the rows whose degree complex is neither void nor a
-    cone."""
-    neg = A < 0
-    sel = (np.maximum(A, 0) @ out.T < m) & (neg @ out.T == 0)
-    apex = ((sel @ out == 0) & ~neg).any(axis=1)
+    """The closed form on a block of nonnegative box rows A, given the
+    facet complements as 0/1 rows ``out``: which facets each row selects,
+    and the indices of the rows whose degree complex is neither void nor
+    a cone."""
+    sel = A @ out.T < m
+    apex = (sel @ out == 0).any(axis=1)
     return sel, np.flatnonzero(sel.any(axis=1) & ~apex)
 
 
 def _closed_form_reader(sp: SymbolicPower):
     """Degree complexes of I^(m) in closed form (Minh-Trung; see
-    ``degree_complex``): the complex at a depends on a only through G_a
-    and the selected facets.  ``rows`` yields, per block, (row, |G_a|,
-    facets, is {0}) for one row of each such pair whose complex is
-    neither void nor a cone, in the order of the pairs; the facets are
-    the key."""
-    n = sp.n
+    ``degree_complex``): the complex at a depends on a only through the
+    selected facets.  ``rows`` yields, per block, (row, facets) for one
+    row of each selection whose complex is neither void nor a cone, in
+    the order of the selections; the facets are the key."""
     facets = sorted(sp.facets)
-    out = 1 - np.array([indicator(f, n) for f in facets], dtype=np.int32)
-    pow2 = np.array([1 << i for i in range(n)], dtype=np.int64)
+    out = 1 - np.array([indicator(f, sp.n) for f in facets], dtype=np.int32)
 
     def rows(A):
-        neg = A < 0
         sel, live = _select_facets(A, out, sp.m)
         if not len(live):
             return
-        keys = np.hstack([np.packbits(neg[live], axis=1), np.packbits(sel[live], axis=1)])
-        _, first = np.unique(keys, axis=0, return_index=True)
+        _, first = np.unique(np.packbits(sel[live], axis=1), axis=0, return_index=True)
         for u in first.tolist():
             b = int(live[u])
-            g = int(neg[b] @ pow2)
-            link = tuple(facets[j] & ~g for j in np.flatnonzero(sel[b]).tolist())
-            yield b, g.bit_count(), link, link == (0,)
+            yield b, tuple(facets[j] for j in np.flatnonzero(sel[b]).tolist())
 
     return rows, lambda link: link
 
 
-def _scan(
-    ideal: MonomialIdeal | SymbolicPower,
-    below: int,
-    field,
-    *,
-    first_only: bool,
-    deadline: float | None = None,
-) -> list[Witness]:
-    """Witnesses for nonvanishing local cohomology in indices < below.
+def _scan(ideal: MonomialIdeal | SymbolicPower, below: int, field, *,
+          first_only: bool, deadline: float | None = None) -> list[Witness]:
+    """Witnesses for nonvanishing local cohomology in indices < below at
+    the nonnegative degrees; ``_localizations`` reaches the others.
 
     One loop serves both routes; only the reader of the degree complexes
-    depends on the type of ``ideal``.  The box is read in blocks sorted
-    by (negative-coordinate count, lexicographic order), and a row whose
-    (|G_a|, degree complex) pair came up before is skipped, since it
-    gives the same indices.  Of each degree complex only the cohomology
-    in indices up to jmax, the last that lands below ``below``, is
-    computed.  Full mode keeps the first witness per index; first-only
-    mode returns at the first hit.
+    depends on the type of ``ideal``.  The box is read in blocks in
+    lexicographic order, and a row whose degree complex came up before is
+    skipped, since it gives the same indices.  At a nonnegative degree,
+    index j of the complex gives cohomological index i = j + 1, so only
+    the cohomology in indices up to below - 2 is computed.  Full mode
+    keeps the first witness per index; first-only mode returns at the
+    first hit.
     """
     if below <= 0:
         return []
-    rows = _box_rows(ideal.max_exponents(), below)  # refuses what int16 cannot hold
+    rows = _box_rows(ideal.max_exponents())  # refuses what int16 cannot hold
     reader = _closed_form_reader if isinstance(ideal, SymbolicPower) else _generator_reader
     read, facets_of = reader(ideal)
     seen: set = set()
@@ -415,21 +395,13 @@ def _scan(
     for start in range(0, len(rows), _CHUNK):
         _check_deadline(deadline)
         A = rows[start : start + _CHUNK]
-        for b, negc, key, point in read(A):
-            if (negc, key) in seen:
+        for b, key in read(A):
+            if key in seen:
                 continue
-            seen.add((negc, key))
-            jmax = below - negc - 2  # index j of the complex gives i = j + negc + 1
-            if point:  # the complex {0}: reduced cohomology in degree -1
-                hits = [(-1, 1)]
-            elif jmax < 0:
-                continue
-            else:
-                dims = _dims_of_facets(facets_of(key), field, jmax)
-                hits = [(j, dims[j + 1]) for j in range(min(jmax, len(dims) - 2) + 1) if dims[j + 1]]
-            for j, cdim in hits:
-                i = j + negc + 1
-                if i not in found:
+            seen.add(key)
+            dims = _dims_of_facets(facets_of(key), field, below - 2)
+            for i, cdim in enumerate(dims[:below]):  # dims start at index -1
+                if cdim and i not in found:
                     found[i] = Witness(i, tuple(A[b].tolist()), cdim)
                     if first_only:
                         return [found[i]]
@@ -452,10 +424,19 @@ def _radical_complex(ideal: Oracle) -> SimplicialComplex:
     return SimplicialComplex(ideal.n, ideal.facets)
 
 
-def _localize(ideal: Oracle, inverted: int):
-    """The ideal with the variables of ``inverted`` inverted, or None for
-    the unit ideal."""
-    return contract(ideal, inverted) if isinstance(ideal, MonomialIdeal) else ideal.contract(inverted)
+def _localizations(ideal: Oracle, below: int):
+    """(G, I_G, below - |G|) over the faces G of the radical complex with
+    |G| < below, largest first (I_G inverts the variables of G).  At the
+    degrees with negative support G, S/I has local cohomology below
+    ``below`` exactly where I_G has it below below - |G| in its
+    nonnegative box."""
+    faces = sorted((g for g in _radical_complex(ideal).faces() if g.bit_count() < below),
+                   key=lambda g: (-g.bit_count(), g))
+    for g in faces:
+        local = ideal
+        if g:
+            local = contract(ideal, g) if isinstance(ideal, MonomialIdeal) else ideal.contract(g)
+        yield g, local, below - g.bit_count()
 
 
 def quotient_dimension(ideal: Oracle) -> int:
@@ -468,14 +449,25 @@ def quotient_dimension(ideal: Oracle) -> int:
 
 def depth_dim(ideal: MonomialIdeal, field: int | None = None, *, deadline: float | None = None) -> DepthReport:
     """Depth and dimension of S/I with one witness per nonvanishing
-    cohomological index below the dimension."""
+    cohomological index below the dimension: of the degrees in
+    {-1..rho_i - 1}^n, the one with the fewest negative coordinates, then
+    the lexicographically first.  Each localization's box gives its
+    first witness per index, with -1 written back at G."""
     _validate_field(field)
     _require_proper(ideal)
     n = ideal.n
     if ideal.is_zero:
         return DepthReport(n, n, True, field, ())
+    _check_box(ideal.max_exponents())
     dim_q = quotient_dimension(ideal)
-    witnesses = _scan(ideal, dim_q, field, first_only=False, deadline=deadline)
+    found: dict[int, list[Witness]] = {}
+    for g, local, below in _localizations(ideal, dim_q):
+        for w in _scan(local, below, field, first_only=False, deadline=deadline):
+            rest = iter(w.a)
+            a = tuple(-1 if g >> i & 1 else next(rest) for i in range(n))
+            i = w.index + g.bit_count()
+            found.setdefault(i, []).append(Witness(i, a, w.cohomology_dim))
+    witnesses = [min(ws, key=lambda w: (w.a.count(-1), w.a)) for _, ws in sorted(found.items())]
     depth = min((w.index for w in witnesses), default=dim_q)
     return DepthReport(depth, dim_q, depth == dim_q, field, tuple(witnesses))
 
@@ -495,21 +487,36 @@ def _canonical_ideal_key(ideal: MonomialIdeal | SymbolicPower):
     return tag + (ideal.n, tuple(sorted(tuple(g[i] for i in order) for g in gens)))
 
 
-def _vanishes_below(ideal: MonomialIdeal | SymbolicPower, cap: int, field, deadline) -> bool:
-    """No local cohomology of S/I in an index below min(cap, dim S/I).
-    CM asks this with cap n, S2 with cap 2, so the two share one memo."""
+def _box_vanishes(ideal: MonomialIdeal | SymbolicPower, below: int, field, deadline) -> bool:
+    """No local cohomology of S/I in an index below ``below`` at a
+    nonnegative degree, behind a ``_VANISHES`` entry tagged "box"."""
+    _check_deadline(deadline)
+    if below <= 0:
+        return True  # nothing below index 0, and no entry for it
     return _memoized(
         _VANISHES,
-        (_canonical_ideal_key(ideal), cap, field),
-        lambda: not _scan(ideal, min(cap, quotient_dimension(ideal)), field,
-                          first_only=True, deadline=deadline),
+        ("box", _canonical_ideal_key(ideal), below, field),
+        lambda: not _scan(ideal, below, field, first_only=True, deadline=deadline),
     )
 
 
-def _symbolic_if_equal(power: OrdinaryPower, deadline) -> SymbolicPower | None:
-    """I^(m) when I^m = I^(m) (equal minimal generators), else None."""
-    sym = power.symbolic()
-    equal = power.ideal().gens == sym.ideal().gens
+def _vanishes_below(ideal: MonomialIdeal | SymbolicPower, field, deadline) -> bool:
+    """No local cohomology of S/I below its dimension: none in the box of
+    any localization.  One entry per ideal up to renaming sits over the
+    box entries of its localizations, which isomorphic links share."""
+    _check_box(ideal.max_exponents())
+    return _memoized(_VANISHES, (_canonical_ideal_key(ideal), field),
+                     lambda: all(_box_vanishes(local, below, field, deadline) for _, local, below
+                                 in _localizations(ideal, quotient_dimension(ideal))))
+
+
+def _scanned(ideal: Oracle, deadline) -> MonomialIdeal | SymbolicPower | None:
+    """What CM and S2 are read from: for an ordinary power I^(m) when
+    I^m = I^(m) (equal minimal generators), else None, as neither holds."""
+    if not isinstance(ideal, OrdinaryPower):
+        return ideal
+    sym = ideal.symbolic()
+    equal = ideal.ideal().gens == sym.ideal().gens
     _check_deadline(deadline)
     return sym if equal else None
 
@@ -522,11 +529,8 @@ def is_cm(ideal: Oracle, field: int | None = None, *,
     _require_proper(ideal)
     if ideal.is_zero:
         return True
-    if isinstance(ideal, OrdinaryPower):
-        ideal = _symbolic_if_equal(ideal, deadline)
-        if ideal is None:
-            return False
-    return _vanishes_below(ideal, ideal.n, field, deadline)
+    ideal = _scanned(ideal, deadline)
+    return ideal is not None and _vanishes_below(ideal, field, deadline)
 
 
 def is_equidimensional(ideal: Oracle) -> bool:
@@ -542,23 +546,21 @@ def is_s2(ideal: Oracle, field: int | None = None, *,
     """Serre condition S2: every monomial-prime localization has depth at
     least min(2, its dimension).  Monomial primes suffice because the
     failure locus of a monomial quotient is itself monomial-graded.  An
-    ordinary power is decided through I^(m)."""
+    ordinary power is decided through I^(m).  Through ``_localizations``
+    this asks each I_G for no cohomology below min(2, dim I_G) in its
+    box; the conditions at index 0 on I_(G+v) it leaves out fail only for
+    a facet G + v with dim I_G >= 2, where the link of G (the degree
+    complex of I_G at 0) is disconnected, so S2 fails at G anyway."""
     _validate_field(field)
     _require_proper(ideal)
     if ideal.is_zero:
         return True
-    if isinstance(ideal, OrdinaryPower):
-        ideal = _symbolic_if_equal(ideal, deadline)
-        if ideal is None:
-            return False
-    full = (1 << ideal.n) - 1
-    for wmask in range(1, full + 1):
-        j = _localize(ideal, full & ~wmask)
-        if j is None or j.is_zero:
-            continue
-        if not _vanishes_below(j, 2, field, deadline):
-            return False
-    return True
+    ideal = _scanned(ideal, deadline)
+    if ideal is None:
+        return False
+    _check_box(ideal.max_exponents())
+    return all(_box_vanishes(local, min(2, quotient_dimension(local)), field, deadline)
+               for _, local, _ in _localizations(ideal, ideal.n + 1))
 
 
 def is_generalized_cm(ideal: Oracle, field: int | None = None, *,
@@ -571,13 +573,8 @@ def is_generalized_cm(ideal: Oracle, field: int | None = None, *,
         return True
     if not is_equidimensional(ideal):
         return False
-    for i in range(ideal.n):
-        j = _localize(ideal, 1 << i)
-        if j is None or j.is_zero:
-            continue
-        if not is_cm(j, field, deadline=deadline):
-            return False
-    return True
+    return all(is_cm(local, field, deadline=deadline)
+               for g, local, _ in _localizations(ideal, 2) if g)
 
 
 def reisner_is_cm(c: SimplicialComplex, field: int | None = None) -> bool:

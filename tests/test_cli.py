@@ -185,8 +185,9 @@ def test_sweep_dim_filter_and_parallel_determinism():
 
 
 def test_sweep_budget_resume_token():
+    # a budget no family fits; the first complex is exempt, so the token moves
     r = run_cli("sweep", "--check", "sym-cube-cm", "--n-max", "5", "--dim-filter", ">=2",
-                "--budget-seconds", "0.05")
+                "--budget-seconds", "1e-6")
     assert r.returncode == 3
     assert "# resume-token:" in r.stdout
     token = int(r.stdout.rsplit("# resume-token:", 1)[1].strip())
@@ -209,6 +210,7 @@ def test_sweep_unreachable_sample_exits_64():
 @pytest.mark.parametrize("option, value", [
     ("--n-max", "0"), ("--n-max", "-2"), ("--sample", "0"), ("--sample", "-5"),
     ("--parallel", "0"), ("--parallel", "-1"), ("--resume-token", "-1"),
+    ("--dim-filter", "abc"), ("--dim-filter", ">=x"), ("--dim-filter", "2.5"),
 ])
 def test_sweep_refuses_bad_sizes(option, value, capsys):
     code = main(["sweep", "--check", "matroid-pair-criterion", "--n-max", "3", option, value])
@@ -229,7 +231,7 @@ def test_budget_env_var_default():
          "--n-max", "5", "--dim-filter", ">=2"],
         capture_output=True,
         text=True,
-        env={"SRPL_BUDGET_SECONDS": "0.05", "PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC)},
+        env={"SRPL_BUDGET_SECONDS": "1e-6", "PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC)},
     )
     assert proc.returncode == 3
     assert "# resume-token:" in proc.stdout

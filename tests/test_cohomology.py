@@ -35,12 +35,14 @@ from srpowers.cohomology import (
     reisner_is_cm,
 )
 from srpowers.fixtures import named_complex
+from srpowers.linalg import field_name
 from srpowers.enumeration import distinct_complexes
 from srpowers.ideals import (
     MonomialIdeal,
     OrdinaryPower,
     SymbolicPower,
     DeskScaleExceeded,
+    complex_of_radical,
     contract,
     cover_ideal,
     facet_ideal,
@@ -334,32 +336,41 @@ def test_field_validation():
         is_cm(sr_ideal(cycle(5)), 1)
 
 
-def _naive_nonvanishing(I):
-    """Reference scan with no pruning: every degree in the box, the
-    public degree-complex construction, full cohomology."""
-    rho = I.max_exponents()
-    dim = quotient_dimension(I)
-    hit = set()
-    for a in itertools.product(*(range(-1, r) for r in rho)):
+def _full_box(I):
+    """(a, negative count, degree complex) over the full box
+    {-1..rho_i - 1}^n by (negative count, lexicographic order), through
+    the public degree-complex construction; void complexes left out."""
+    box = sorted(itertools.product(*(range(-1, r) for r in I.max_exponents())),
+                 key=lambda a: (sum(x < 0 for x in a), a))
+    out = []
+    for a in box:
         da = degree_complex(I, a)
-        if da.is_void:
-            continue
-        dims = reduced_cohomology_dims(da)
-        negc = sum(1 for x in a if x < 0)
-        for j, d in enumerate(dims, start=-1):
-            if d and j + negc + 1 < dim:
-                hit.add(j + negc + 1)
-    return hit
+        if not da.is_void:
+            out.append((a, sum(1 for x in a if x < 0), da))
+    return out
 
 
-def _naive_s2(I):
+def _naive_nonvanishing(I, field=None, box=_full_box, dims=reduced_cohomology_dims):
+    """Reference scan with no pruning: every degree of the full box, full
+    cohomology.  The first witness per index below the dimension, as
+    JSON, by index."""
+    dim = quotient_dimension(I)
+    first = {}
+    for a, negc, da in box(I):
+        for j, d in enumerate(dims(da, field), start=-1):
+            i = j + negc + 1
+            if d and i < dim and i not in first:
+                first[i] = {"i": i, "a": list(a), "cohomology_dim": d}
+    return dict(sorted(first.items()))
+
+
+def _naive_s2(I, field=None, naive=_naive_nonvanishing):
     full = (1 << I.n) - 1
     for w in range(1, full + 1):
         J = contract(I, full & ~w)
         if J is None or J.is_zero:
             continue
-        rep = depth_dim(J)
-        if rep.depth < min(2, rep.dim):
+        if any(i < min(2, quotient_dimension(J)) for i in naive(J, field)):
             return False
     return True
 
@@ -378,7 +389,7 @@ def test_optimized_scan_matches_unpruned_reference():
         checked += 1
         rep = depth_dim(I)
         naive = _naive_nonvanishing(I)
-        assert {w.index for w in rep.witnesses} == naive
+        assert rep.to_json()["witnesses"] == list(naive.values())
         assert rep.depth == (min(naive) if naive else rep.dim)
         assert is_s2(I) == _naive_s2(I)
     for _ in range(15):
@@ -389,9 +400,67 @@ def test_optimized_scan_matches_unpruned_reference():
         J = I.power(rng.choice((1, 2)))
         checked += 1
         rep = depth_dim(J)
-        assert {w.index for w in rep.witnesses} == _naive_nonvanishing(J)
+        assert rep.to_json()["witnesses"] == list(_naive_nonvanishing(J).values())
         assert is_s2(J) == _naive_s2(J)
     assert checked >= 25
+
+
+def test_localization_walk_matches_the_full_box_reference():
+    """Every class on <= 4 vertices and a seeded sample on 5: the depth
+    reports and CM, S2 and gCM verdicts read through localizations equal
+    those of the unpruned full-box reference."""
+    memo = {}
+
+    def cached(key, compute):
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
+
+    def naive(J, field):
+        box = lambda I: cached(I, lambda: _full_box(I))  # noqa: E731
+        dims = lambda da, f: cached((da, f), lambda: reduced_cohomology_dims(da, f))  # noqa: E731
+        return cached((J, field), lambda: _naive_nonvanishing(J, field, box, dims))
+
+    def naive_cm(J, field):
+        return not naive(J, field)
+
+    def naive_gcm(J, field):
+        if not complex_of_radical(J).is_pure():
+            return False
+        local = (contract(J, 1 << i) for i in range(J.n))
+        return all(naive_cm(L, field) for L in local if L is not None and not L.is_zero)
+
+    classes = [c for c in distinct_complexes(5) if not c.is_empty_complex]
+    five = [c for c in classes if c.n == 5]
+    family = [c for c in classes if c.n <= 4] + random.Random(41).sample(five, 8)
+    kinds = set()
+    checked = 0
+    for c in family:
+        for kind in (sr_ideal, cover_ideal, facet_ideal):
+            try:
+                base = kind(c)
+            except ValueError:
+                continue
+            if base.is_zero or base.is_unit:
+                continue
+            kinds.add(kind.__name__)
+            for m in (1, 2, 3):
+                for power in (SymbolicPower.of(base, m), OrdinaryPower.of(base, m)):
+                    J = power.ideal()
+                    for field in (None, 2):
+                        want = list(naive(J, field).values())
+                        dim = quotient_dimension(J)
+                        depth = want[0]["i"] if want else dim
+                        assert depth_dim(J, field).to_json() == {
+                            "depth": depth, "dim": dim, "is_cm": depth == dim,
+                            "field": field_name(field), "witnesses": want,
+                        }, (c, kind, m, field)
+                        got = [check(power, field) for check in (is_cm, is_s2, is_generalized_cm)]
+                        ref = [naive_cm(J, field), _naive_s2(J, field, naive), naive_gcm(J, field)]
+                        assert got == ref, (c, kind, type(power), m, field)
+                        checked += 1
+    assert kinds == {"sr_ideal", "cover_ideal", "facet_ideal"}
+    assert checked > 1000
 
 
 def test_qb_identity_over_random_family():
@@ -428,6 +497,12 @@ def test_closed_form_degree_complex_matches_explicit_symbolic_power():
     assert kinds == {"sr_ideal", "cover_ideal", "facet_ideal"}
 
 
+def _lifted(local, g, n):
+    """A complex of a localization at g, relabelled back onto 1..n minus g."""
+    kept = [i for i in range(n) if not g >> i & 1]
+    return frozenset(sum(1 << kept[k] for k in range(len(kept)) if f >> k & 1) for f in local.facets)
+
+
 def test_scan_selection_matches_closed_form_degree_complexes():
     rng = random.Random(17)
     for _, base in _squarefree_bases(rng, 12):
@@ -435,18 +510,25 @@ def test_scan_selection_matches_closed_form_degree_complexes():
             sp = SymbolicPower.of(base, m)
             facets = sorted(sp.facets)
             out = np.array([[1 - (f >> i & 1) for i in range(sp.n)] for f in facets])
-            rows = _box_rows((m,) * sp.n, sp.n + 1)
+            rows = _box_rows((m,) * sp.n)
             sel, live = _select_facets(rows, out, m)
             for b, a in enumerate(rows.tolist()):
-                g = sum(1 << i for i, x in enumerate(a) if x < 0)
                 want = degree_complex(sp, a)
                 if b in live:
-                    got = {facets[j] & ~g for j in np.flatnonzero(sel[b])}
-                    assert got == want.facets, (base, m, a)
+                    assert {facets[j] for j in np.flatnonzero(sel[b])} == want.facets, (base, m, a)
                 else:
-                    apex = any(all(f >> i & 1 for f in want.facets)
-                               for i in range(sp.n) if not g >> i & 1)
+                    apex = any(all(f >> i & 1 for f in want.facets) for i in range(sp.n))
                     assert want.is_void or apex, (base, m, a)
+            # a negative support G: the degree complex of the localization at G
+            for a in itertools.product(range(-1, m), repeat=sp.n):
+                g = sum(1 << i for i, x in enumerate(a) if x < 0)
+                want = degree_complex(sp, a)
+                local = sp.contract(g)
+                if local is None:
+                    assert want.is_void or g == (1 << sp.n) - 1, (base, m, a)
+                    continue
+                rest = tuple(x for x in a if x >= 0)
+                assert _lifted(degree_complex(local, rest), g, sp.n) == want.facets, (base, m, a)
 
 
 def test_symbolic_power_route_matches_explicit_route():
@@ -498,22 +580,27 @@ def test_ordinary_power_route_honours_deadline():
 
 
 def test_box_rows_match_the_sorted_product():
-    for rho, below in [((2, 0, 3), 2), ((1, 1, 1, 1), 5), ((3, 2), 1), ((2, 2, 2), 0)]:
-        ref = sorted(
-            (a for a in itertools.product(*(range(-1, r) for r in rho))
-             if sum(x < 0 for x in a) < below),
-            key=lambda a: (sum(x < 0 for x in a), a),
-        )
-        assert [tuple(r) for r in _box_rows(rho, below).tolist()] == ref
+    # the nonnegative box, in lexicographic order
+    for rho in [(2, 0, 3), (1, 1, 1, 1), (3, 2), (2, 2, 2), (4,)]:
+        ref = list(itertools.product(*(range(r) for r in rho)))
+        assert [tuple(r) for r in _box_rows(rho).tolist()] == ref
     with pytest.raises(ValueError):
-        _box_rows((1,) * 23, 5)
+        _box_rows((1,) * 23)
 
 
 def test_box_guard_is_a_desk_scale_error():
     with pytest.raises(DeskScaleExceeded) as info:
-        _box_rows((4,) * 12, 13)
+        _box_rows((4,) * 12)
     assert not isinstance(info.value, OracleBudgetExceeded)
     assert "244140625" in str(info.value) and str(1 << 22) in str(info.value)
+    # the guard counts the full box of the ideal asked about, before any
+    # localization is built (this radical complex has 4 095 faces)
+    ideal = MonomialIdeal.from_generators(12, [(4,) * 12])
+    for check in (depth_dim, is_cm, is_s2):
+        start = time.monotonic()
+        with pytest.raises(DeskScaleExceeded, match="244140625"):
+            check(ideal)
+        assert time.monotonic() - start < 1
 
 
 def test_degree_box_exponents_stay_within_int16():
@@ -524,8 +611,8 @@ def test_degree_box_exponents_stay_within_int16():
     with pytest.raises(DeskScaleExceeded, match="40000.*32767"):
         depth_dim(MonomialIdeal.from_generators(2, [(40000, 1), (0, 2)]))
     with pytest.raises(DeskScaleExceeded, match="32768"):
-        _box_rows((1, 32768), 2)
-    assert _box_rows((32767,), 1)[-1].tolist() == [32766]
+        _box_rows((1, 32768))
+    assert _box_rows((32767,))[-1].tolist() == [32766]
 
 
 def test_one_scan_gives_both_readers_the_same_witness_indices():
