@@ -16,6 +16,13 @@ m >= 3 the answers are purely combinatorial and independent of m:
 * cover ideals behave exactly like the Stanley-Reisner ideal of the
   complex itself: the test is again the matroid exchange axiom.
 
+Each verdict is a rule and its witness: the criterion holds exactly when
+its witness function (a failing exchange pair, two meeting minimal
+nonfaces, a bad component) finds none.  Two criteria have a second route
+kept as a cross-check: the facet criteria in dimensions one and two
+against the dual complex being a matroid, and the cover criterion on a
+graph against its 4-cycle form.  A disagreement raises ``RuntimeError``.
+
 Queries outside the stated hypotheses (m <= 2, low dimension for some
 properties) are answered "oracle_only" and may be settled by the exact
 local cohomology oracle where the property is oracle-decidable.
@@ -31,8 +38,8 @@ from .matroids import (
     ci_witness,
     graph_matroid_criterion,
     is_complete_intersection,
-    is_disjoint_union_of_uniform,
     is_matroid_exchange,
+    is_uniform,
     matroid_components,
     matroid_exchange_witness,
 )
@@ -124,45 +131,57 @@ def _oracle_only(reason: str) -> ClassificationReport:
     return ClassificationReport("oracle_only", None, reason)
 
 
-def _matroid_report(c: SimplicialComplex, rule: str, caveats=()) -> ClassificationReport:
+def _report(rule: str, witness: str | None, caveats=()) -> ClassificationReport:
+    """The verdict of ``rule``: it holds exactly when there is no witness."""
+    verdict = "holds" if witness is None else "fails"
+    return ClassificationReport(verdict, rule, witness, tuple(caveats))
+
+
+NO_BUCHSBAUM_ORACLE = ("no algebraic Buchsbaum oracle; theory verdict only",)
+
+# The facet criteria with a structural form, by dimension of a pure complex:
+# the rule and what each connected component must be.
+FACET_RULES = {
+    1: ("facet-cm-disjoint-complete-graphs", "a complete graph"),
+    2: ("facet-cm-disjoint-2-uniform", "a 2-uniform matroid"),
+}
+
+
+def _not_matroid(c: SimplicialComplex) -> str | None:
     w = matroid_exchange_witness(c)
-    if w is None:
-        return ClassificationReport("holds", rule, None, tuple(caveats))
-    return ClassificationReport(
-        "fails", rule, f"exchange fails for faces {w[0]} and {w[1]}", tuple(caveats)
-    )
+    return None if w is None else f"exchange fails for faces {w[0]} and {w[1]}"
 
 
-def _ci_report(c: SimplicialComplex, rule: str) -> ClassificationReport:
+def _not_ci(c: SimplicialComplex) -> str | None:
     w = ci_witness(c)
-    if w is None:
-        return ClassificationReport("holds", rule, None)
-    return ClassificationReport(
-        "fails", rule, f"minimal nonfaces {w[0]} and {w[1]} share a vertex"
-    )
+    return None if w is None else f"minimal nonfaces {w[0]} and {w[1]} share a vertex"
 
 
-def _component_report(c: SimplicialComplex, rule: str, component_ok, describe: str) -> ClassificationReport:
-    comps = c.connected_components()
+def _bad_component(c: SimplicialComplex, ok, describe: str) -> str | None:
+    """Why ``c`` is not a pure union of components passing ``ok``, or None."""
     if not c.is_pure():
         sizes = sorted({f.bit_count() - 1 for f in c.facets})
-        return ClassificationReport("fails", rule, f"not pure: facet dimensions {sizes}")
-    for comp in comps:
-        if not component_ok(comp):
+        return f"not pure: facet dimensions {sizes}"
+    for comp in c.connected_components():
+        if not ok(comp):
             verts = tuple(sorted(comp.vertex_set()))
-            return ClassificationReport("fails", rule, f"component on {verts} is not {describe}")
-    return ClassificationReport("holds", rule, None)
+            return f"component on {verts} is not {describe}"
+    return None
 
 
 def _is_path_or_cycle(comp: SimplicialComplex) -> bool:
-    if comp.dimension() != 1 or not comp.is_pure():
-        return False
-    degree: dict[int, int] = {}
-    for f in comp.facets:
-        for v in range(1, comp.n + 1):
-            if f >> (v - 1) & 1:
-                degree[v] = degree.get(v, 0) + 1
-    return all(d <= 2 for d in degree.values())
+    """A connected graph is a path or a cycle when no vertex has degree above 2."""
+    return all(sum(f >> (v - 1) & 1 for f in comp.facets) <= 2 for v in comp.vertex_set())
+
+
+def _cross_checked(c: SimplicialComplex, witness: str | None, holds: bool,
+                   route: str) -> str | None:
+    """``witness``, checked against a second route to the same theorem that
+    is kept as a cross-check: that route must say ``holds`` exactly when
+    there is no witness."""
+    if holds != (witness is None):
+        raise RuntimeError(f"the {route} disagrees with the criterion on {c!r}")
+    return witness
 
 
 def classify(q: Query) -> ClassificationReport:
@@ -172,124 +191,78 @@ def classify(q: Query) -> ClassificationReport:
     if not q.large_m:
         return _oracle_only(f"no combinatorial criterion at m={q.m}; use the oracle")
 
-    if q.ideal_kind == "stanley_reisner":
-        if q.power_kind == "symbolic":
-            if q.property == "CM":
-                if dim >= 1:
-                    return _matroid_report(c, "symbolic-cm-matroid")
+    if q.ideal_kind == "stanley_reisner" and q.power_kind == "symbolic":
+        if q.property == "CM":
+            if dim >= 1:
+                return _report("symbolic-cm-matroid", _not_matroid(c))
+            return _oracle_only("dimension 0 outside the stated hypotheses")
+        if q.property == "S2":
+            if dim >= 2:
+                return _report("symbolic-s2-matroid", _not_matroid(c))
+            return _oracle_only("S2 for dimension <= 1 is not routed to a criterion")
+        if q.property == "gCM":
+            if dim >= 2:
+                # matroid_components fails an impure complex, so the
+                # components of a success share one dimension
+                return _report("symbolic-gcm-disjoint-matroids", matroid_components(c).reason)
+            return _oracle_only("dimension <= 1 outside the stated hypotheses")
+        if dim >= 2:  # Buchsbaum and quasi-Buchsbaum
+            return _report("symbolic-buchsbaum-matroid", _not_matroid(c), NO_BUCHSBAUM_ORACLE)
+        return _oracle_only("graph Buchsbaum behavior at m=3 differs; not decided here")
+
+    if q.ideal_kind == "stanley_reisner":  # ordinary powers
+        if q.property in ("CM", "S2"):
+            if dim >= 1:
+                rule = ("ordinary-cm-complete-intersection" if q.property == "CM"
+                        else "ordinary-s2-complete-intersection")
+                return _report(rule, _not_ci(c))
+            return _oracle_only("dimension 0 outside the stated hypotheses")
+        if q.property == "gCM":
+            if dim >= 2:  # purity first: every component has dimension dim
+                witness = _bad_component(
+                    c, is_complete_intersection, "a complete intersection of full dimension"
+                )
+                return _report("ordinary-gcm-disjoint-ci", witness)
+            if dim == 0:
                 return _oracle_only("dimension 0 outside the stated hypotheses")
-            if q.property == "S2":
-                if dim >= 2:
-                    return _matroid_report(c, "symbolic-s2-matroid")
-                return _oracle_only("S2 for dimension <= 1 is not routed to a criterion")
-            if q.property in ("Buchsbaum", "quasiBuchsbaum"):
-                if dim >= 2:
-                    return _matroid_report(
-                        c, "symbolic-buchsbaum-matroid",
-                        caveats=("no algebraic Buchsbaum oracle; theory verdict only",),
-                    )
-                return _oracle_only("graph Buchsbaum behavior at m=3 differs; not decided here")
-            if q.property == "gCM":
-                if dim >= 2:
-                    # matroid_components fails an impure complex, so the
-                    # components of a success share one dimension
-                    split = matroid_components(c)
-                    return ClassificationReport(
-                        "holds" if split.ok else "fails", "symbolic-gcm-disjoint-matroids", split.reason
-                    )
-                return _oracle_only("dimension <= 1 outside the stated hypotheses")
-        else:  # ordinary powers
-            if q.property in ("CM", "S2"):
-                if dim >= 1:
-                    rule = "ordinary-cm-complete-intersection" if q.property == "CM" else "ordinary-s2-complete-intersection"
-                    return _ci_report(c, rule)
-                return _oracle_only("dimension 0 outside the stated hypotheses")
-            if q.property in ("Buchsbaum", "quasiBuchsbaum"):
-                if dim >= 2:
-                    rep = _ci_report(c, "ordinary-buchsbaum-complete-intersection")
-                    return ClassificationReport(
-                        rep.verdict, rep.rule, rep.witness,
-                        ("no algebraic Buchsbaum oracle; theory verdict only",),
-                    )
-                if dim == 1 and (q.m == "all" or q.m >= 4):
-                    rep = _ci_report(c, "ordinary-buchsbaum-graph-m4")
-                    return ClassificationReport(
-                        rep.verdict, rep.rule, rep.witness,
-                        ("no algebraic Buchsbaum oracle; theory verdict only",),
-                    )
-                return _oracle_only("graph Buchsbaum behavior at m=3 is outside scope")
-            if q.property == "gCM":
-                if dim == 1:
-                    if not c.is_pure():
-                        return _oracle_only("isolated vertices: not a graph, no criterion")
-                    return _component_report(
-                        c, "ordinary-gcm-paths-cycles", _is_path_or_cycle, "a path or cycle"
-                    )
-                if dim >= 2:  # purity first: every component has dimension dim
-                    return _component_report(
-                        c,
-                        "ordinary-gcm-disjoint-ci",
-                        is_complete_intersection,
-                        "a complete intersection of full dimension",
-                    )
-                return _oracle_only("dimension 0 outside the stated hypotheses")
+            if not c.is_pure():
+                return _oracle_only("isolated vertices: not a graph, no criterion")
+            witness = _bad_component(c, _is_path_or_cycle, "a path or cycle")
+            return _report("ordinary-gcm-paths-cycles", witness)
+        if dim >= 2:  # Buchsbaum and quasi-Buchsbaum
+            rule = "ordinary-buchsbaum-complete-intersection"
+            return _report(rule, _not_ci(c), NO_BUCHSBAUM_ORACLE)
+        if dim == 1 and (q.m == "all" or q.m >= 4):
+            return _report("ordinary-buchsbaum-graph-m4", _not_ci(c), NO_BUCHSBAUM_ORACLE)
+        return _oracle_only("graph Buchsbaum behavior at m=3 is outside scope")
 
     if q.ideal_kind == "facet":
         if q.property != "CM":
             return _oracle_only("facet-ideal criteria cover Cohen-Macaulayness only")
         if facet_ideal(c).contains_variable:
             return _oracle_only("a singleton facet blocks the dual-complex translation")
-        if dim == 1 and c.is_pure():
-            rep = _component_report(
-                c,
-                "facet-cm-disjoint-complete-graphs",
-                lambda comp: is_disjoint_union_of_uniform(comp, 1),
-                "a complete graph",
-            )
-            _assert_dual_agreement(c, rep)
-            return rep
-        if dim == 2 and c.is_pure():
-            rep = _component_report(
-                c,
-                "facet-cm-disjoint-2-uniform",
-                lambda comp: is_disjoint_union_of_uniform(comp, 2),
-                "a 2-uniform matroid",
-            )
-            _assert_dual_agreement(c, rep)
-            return rep
-        return _matroid_report(
-            dual_complex(c),
+        if dim in FACET_RULES and c.is_pure():
+            rule, describe = FACET_RULES[dim]
+            witness = _bad_component(c, lambda comp: is_uniform(comp, dim), describe)
+            dual_holds = is_matroid_exchange(dual_complex(c))
+            return _report(rule, _cross_checked(c, witness, dual_holds, "dual matroid check"))
+        return _report(
             "facet-cm-dual-matroid",
-            caveats=(
-                "decided via the dual complex; no facet-side structure criterion "
-                "in this dimension",
-            ),
+            _not_matroid(dual_complex(c)),
+            ("decided via the dual complex; no facet-side structure criterion in this dimension",),
         )
 
-    if q.ideal_kind == "cover":
-        if q.property != "CM":
-            return _oracle_only("cover-ideal criteria cover Cohen-Macaulayness only")
-        rep = _matroid_report(c, "cover-cm-matroid")
-        if dim == 1 and c.is_pure():
-            four = graph_matroid_criterion(c)
-            assert four == (rep.verdict == "holds")
-            rep = ClassificationReport(
-                rep.verdict, rep.rule, rep.witness,
-                rep.caveats + ("graph form: every pair of disjoint edges lies in a 4-cycle",),
-            )
-        return rep
-
-    raise AssertionError("unreachable")
-
-
-def _assert_dual_agreement(c: SimplicialComplex, rep: ClassificationReport) -> None:
-    """The structural verdict and the dual-complex matroid check are two
-    routes to one theorem; they must agree."""
-    dual_ok = is_matroid_exchange(dual_complex(c))
-    if dual_ok != (rep.verdict == "holds"):
-        raise RuntimeError(
-            f"structural facet criterion disagrees with the dual matroid check on {c!r}"
-        )
+    if q.property != "CM":  # cover ideals
+        return _oracle_only("cover-ideal criteria cover Cohen-Macaulayness only")
+    witness = _not_matroid(c)
+    if dim != 1 or not c.is_pure():
+        return _report("cover-cm-matroid", witness)
+    four = graph_matroid_criterion(c)
+    return _report(
+        "cover-cm-matroid",
+        _cross_checked(c, witness, four, "4-cycle graph form"),
+        ("graph form: every pair of disjoint edges lies in a 4-cycle",),
+    )
 
 
 def build_ideal(q: Query) -> SymbolicPower | OrdinaryPower:

@@ -261,41 +261,35 @@ def join_shifted(parts: list[SimplicialComplex]) -> SimplicialComplex:
 # -- named constructions ----------------------------------------------------
 
 
-def cycle(k: int, n: int | None = None) -> SimplicialComplex:
+def cycle(k: int) -> SimplicialComplex:
     """The k-cycle graph on vertices 1..k (k >= 3)."""
     if k < 3:
         raise ValueError("a cycle needs at least 3 vertices")
-    n = n or k
-    edges = [(i, i % k + 1) for i in range(1, k + 1)]
-    return from_facets(n, edges)
+    return from_facets(k, [(i, i % k + 1) for i in range(1, k + 1)])
 
 
-def path(k: int, n: int | None = None) -> SimplicialComplex:
+def path(k: int) -> SimplicialComplex:
     """The path graph on vertices 1..k (k >= 2)."""
     if k < 2:
         raise ValueError("a path needs at least 2 vertices")
-    n = n or k
-    return from_facets(n, [(i, i + 1) for i in range(1, k)])
+    return from_facets(k, [(i, i + 1) for i in range(1, k)])
 
 
-def complete_graph(k: int, n: int | None = None) -> SimplicialComplex:
+def complete_graph(k: int) -> SimplicialComplex:
     if k < 2:
         raise ValueError("a complete graph needs at least 2 vertices")
-    n = n or k
-    return from_facets(n, itertools.combinations(range(1, k + 1), 2))
+    return from_facets(k, itertools.combinations(range(1, k + 1), 2))
 
 
-def simplex(k: int, n: int | None = None) -> SimplicialComplex:
+def simplex(k: int) -> SimplicialComplex:
     """The full simplex on vertices 1..k."""
     if k < 1:
         raise ValueError("a simplex needs at least one vertex")
-    n = n or k
-    return from_facets(n, [range(1, k + 1)])
+    return from_facets(k, [range(1, k + 1)])
 
 
-def uniform_matroid(n_vertices: int, r: int, n: int | None = None) -> SimplicialComplex:
+def uniform_matroid(n_vertices: int, r: int) -> SimplicialComplex:
     """Facets are all (r+1)-subsets of {1..n_vertices}; dimension r."""
     if not 0 <= r < n_vertices:
         raise ValueError("uniform matroid needs 0 <= r < n")
-    n = n or n_vertices
-    return from_facets(n, itertools.combinations(range(1, n_vertices + 1), r + 1))
+    return from_facets(n_vertices, itertools.combinations(range(1, n_vertices + 1), r + 1))

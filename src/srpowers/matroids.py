@@ -11,8 +11,9 @@ actually covered by facets; isolated ambient vertices are ignored.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
-from .bits import iter_bits, mask_of, vertices_of
+from .bits import iter_bits, vertices_of
 from .complexes import SimplicialComplex
 
 
@@ -90,14 +91,16 @@ def graph_matroid_criterion(c: SimplicialComplex) -> bool:
     return True
 
 
-def is_locally_matroid(c: SimplicialComplex) -> bool:
-    """Every vertex link passes the exchange check."""
+def _every_vertex_link(c: SimplicialComplex, test) -> bool:
     _check_has_faces(c)
     if c.is_empty_complex or c.dimension() < 1:
         raise ValueError("locality tests need dimension >= 1")
-    return all(
-        is_matroid_exchange(c.link(1 << (v - 1))) for v in sorted(c.vertex_set())
-    )
+    return all(test(c.link(1 << (v - 1))) for v in sorted(c.vertex_set()))
+
+
+def is_locally_matroid(c: SimplicialComplex) -> bool:
+    """Every vertex link passes the exchange check."""
+    return _every_vertex_link(c, is_matroid_exchange)
 
 
 def ci_witness(c: SimplicialComplex):
@@ -124,13 +127,8 @@ def is_complete_intersection(c: SimplicialComplex) -> bool:
 
 
 def is_locally_ci(c: SimplicialComplex) -> bool:
-    _check_has_faces(c)
-    if c.is_empty_complex or c.dimension() < 1:
-        raise ValueError("locality tests need dimension >= 1")
-    return all(
-        is_complete_intersection(c.link(1 << (v - 1)))
-        for v in sorted(c.vertex_set())
-    )
+    """Every vertex link is a complete intersection."""
+    return _every_vertex_link(c, is_complete_intersection)
 
 
 @dataclass(frozen=True)
@@ -162,20 +160,14 @@ def matroid_components(c: SimplicialComplex) -> ComponentSplit:
 
 
 def is_uniform(c: SimplicialComplex, r: int) -> bool:
-    """Facets are exactly all (r+1)-subsets of the covered vertex set."""
+    """Facets are exactly all (r+1)-subsets of the covered vertex set:
+    distinct (r+1)-subsets of k vertices are all of them when there are
+    C(k, r+1)."""
     _check_has_faces(c)
     if c.is_empty_complex:
         return False
-    k = c.vertex_mask.bit_count()
-    expected = _all_subsets_of_size(c.vertex_mask, r + 1)
-    return c.facets == expected and r + 1 <= k
-
-
-def _all_subsets_of_size(vm: int, size: int) -> frozenset[int]:
-    import itertools
-
-    verts = vertices_of(vm)
-    return frozenset(mask_of(s) for s in itertools.combinations(verts, size))
+    size, k = r + 1, c.vertex_mask.bit_count()
+    return all(f.bit_count() == size for f in c.facets) and len(c.facets) == comb(k, size)
 
 
 def is_disjoint_union_of_uniform(c: SimplicialComplex, r: int) -> bool:

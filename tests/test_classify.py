@@ -1,3 +1,4 @@
+import importlib
 import re
 import time
 
@@ -321,3 +322,141 @@ def test_build_ideal_reads_the_power_off_the_complex(monkeypatch):
     for q, power in built.items():
         if q.ideal_kind != "facet":
             assert build_ideal(q) == power, q
+
+
+BOWTIE = from_facets(5, [(1, 2, 3), (3, 4, 5)])
+EDGE_AND_POINT = from_facets(3, [(1, 2), (3,)])
+STAR = from_facets(4, [(1, 2), (1, 3), (1, 4)])
+NO_BUCHSBAUM = ["no algebraic Buchsbaum oracle; theory verdict only"]
+VIA_DUAL = ["decided via the dual complex; no facet-side structure criterion in this dimension"]
+GRAPH_FORM = ["graph form: every pair of disjoint edges lies in a 4-cycle"]
+
+# (query fields) -> (verdict, theorem, witness, caveats), as ``analyze`` prints them
+PINNED_REPORTS = [
+    # one "holds" and one "fails" per theorem id, more where the witness
+    # takes another form
+    ((uniform_matroid(4, 1), "stanley_reisner", "symbolic", "CM", 3),
+     ("holds", "symbolic-cm-matroid", None, [])),
+    ((C5, "stanley_reisner", "symbolic", "CM", 3),
+     ("fails", "symbolic-cm-matroid", "exchange fails for faces (1,) and (3, 4)", [])),
+    ((uniform_matroid(5, 2), "stanley_reisner", "symbolic", "S2", 4),
+     ("holds", "symbolic-s2-matroid", None, [])),
+    ((BOWTIE, "stanley_reisner", "symbolic", "S2", 3),
+     ("fails", "symbolic-s2-matroid", "exchange fails for faces (1,) and (4, 5)", [])),
+    ((uniform_matroid(4, 2), "stanley_reisner", "symbolic", "Buchsbaum", "all"),
+     ("holds", "symbolic-buchsbaum-matroid", None, NO_BUCHSBAUM)),
+    ((BOWTIE, "stanley_reisner", "symbolic", "quasiBuchsbaum", 3),
+     ("fails", "symbolic-buchsbaum-matroid", "exchange fails for faces (1,) and (4, 5)", NO_BUCHSBAUM)),
+    ((disjoint_union(embed(simplex(3), 6), embed(simplex(3), 6, 3)), "stanley_reisner", "symbolic", "gCM", 3),
+     ("holds", "symbolic-gcm-disjoint-matroids", None, [])),
+    ((BOWTIE, "stanley_reisner", "symbolic", "gCM", 3),
+     ("fails", "symbolic-gcm-disjoint-matroids", "component fails exchange", [])),
+    ((disjoint_union(embed(simplex(3), 7), embed(simplex(4), 7, 3)), "stanley_reisner", "symbolic", "gCM", 3),
+     ("fails", "symbolic-gcm-disjoint-matroids", "complex is not pure", [])),
+    ((cycle(4), "stanley_reisner", "ordinary", "CM", 3),
+     ("holds", "ordinary-cm-complete-intersection", None, [])),
+    ((C5, "stanley_reisner", "ordinary", "CM", 3),
+     ("fails", "ordinary-cm-complete-intersection", "minimal nonfaces (1, 3) and (1, 4) share a vertex", [])),
+    ((cycle(4), "stanley_reisner", "ordinary", "S2", 3),
+     ("holds", "ordinary-s2-complete-intersection", None, [])),
+    ((path(4), "stanley_reisner", "ordinary", "S2", 3),
+     ("fails", "ordinary-s2-complete-intersection", "minimal nonfaces (1, 3) and (1, 4) share a vertex", [])),
+    ((uniform_matroid(4, 2), "stanley_reisner", "ordinary", "Buchsbaum", 3),
+     ("holds", "ordinary-buchsbaum-complete-intersection", None, NO_BUCHSBAUM)),
+    ((BOWTIE, "stanley_reisner", "ordinary", "quasiBuchsbaum", "all"),
+     ("fails", "ordinary-buchsbaum-complete-intersection", "minimal nonfaces (1, 4) and (2, 4) share a vertex", NO_BUCHSBAUM)),
+    ((cycle(4), "stanley_reisner", "ordinary", "Buchsbaum", 4),
+     ("holds", "ordinary-buchsbaum-graph-m4", None, NO_BUCHSBAUM)),
+    ((C5, "stanley_reisner", "ordinary", "quasiBuchsbaum", "all"),
+     ("fails", "ordinary-buchsbaum-graph-m4", "minimal nonfaces (1, 3) and (1, 4) share a vertex", NO_BUCHSBAUM)),
+    ((disjoint_union(embed(path(3), 8), embed(cycle(4), 8, 3)), "stanley_reisner", "ordinary", "gCM", 3),
+     ("holds", "ordinary-gcm-paths-cycles", None, [])),
+    ((STAR, "stanley_reisner", "ordinary", "gCM", 3),
+     ("fails", "ordinary-gcm-paths-cycles", "component on (1, 2, 3, 4) is not a path or cycle", [])),
+    ((disjoint_union(embed(simplex(3), 6), embed(simplex(3), 6, 3)), "stanley_reisner", "ordinary", "gCM", 3),
+     ("holds", "ordinary-gcm-disjoint-ci", None, [])),
+    ((BOWTIE, "stanley_reisner", "ordinary", "gCM", 3),
+     ("fails", "ordinary-gcm-disjoint-ci", "component on (1, 2, 3, 4, 5) is not a complete intersection of full dimension", [])),
+    ((disjoint_union(embed(simplex(3), 7), embed(simplex(4), 7, 3)), "stanley_reisner", "ordinary", "gCM", 3),
+     ("fails", "ordinary-gcm-disjoint-ci", "not pure: facet dimensions [2, 3]", [])),
+    ((disjoint_union(embed(complete_graph(3), 7), embed(complete_graph(4), 7, 3)), "facet", "symbolic", "CM", 3),
+     ("holds", "facet-cm-disjoint-complete-graphs", None, [])),
+    ((path(4), "facet", "symbolic", "CM", 3),
+     ("fails", "facet-cm-disjoint-complete-graphs", "component on (1, 2, 3, 4) is not a complete graph", [])),
+    ((uniform_matroid(5, 2), "facet", "symbolic", "CM", 3),
+     ("holds", "facet-cm-disjoint-2-uniform", None, [])),
+    ((BOWTIE, "facet", "symbolic", "CM", 3),
+     ("fails", "facet-cm-disjoint-2-uniform", "component on (1, 2, 3, 4, 5) is not a 2-uniform matroid", [])),
+    ((E54, "facet", "symbolic", "CM", "all"),
+     ("holds", "facet-cm-dual-matroid", None, VIA_DUAL)),
+    ((from_facets(4, [(2, 4), (1, 3, 4)]), "facet", "symbolic", "CM", 3),
+     ("fails", "facet-cm-dual-matroid", "exchange fails for faces (1, 4) and (1, 2, 3)", VIA_DUAL)),
+    ((complete_graph(4), "cover", "symbolic", "CM", 3),
+     ("holds", "cover-cm-matroid", None, GRAPH_FORM)),
+    ((uniform_matroid(6, 2), "cover", "symbolic", "CM", 5),
+     ("holds", "cover-cm-matroid", None, [])),
+    ((C5, "cover", "symbolic", "CM", 3),
+     ("fails", "cover-cm-matroid", "exchange fails for faces (1,) and (3, 4)", GRAPH_FORM)),
+    ((BOWTIE, "cover", "symbolic", "CM", 3),
+     ("fails", "cover-cm-matroid", "exchange fails for faces (1,) and (4, 5)", [])),
+    # one per reason a query is left to the oracle
+    ((C5, "stanley_reisner", "symbolic", "CM", 2),
+     ("oracle_only", None, "no combinatorial criterion at m=2; use the oracle", [])),
+    ((from_facets(3, [(1,), (2,), (3,)]), "stanley_reisner", "symbolic", "CM", 3),
+     ("oracle_only", None, "dimension 0 outside the stated hypotheses", [])),
+    ((C5, "stanley_reisner", "symbolic", "S2", 3),
+     ("oracle_only", None, "S2 for dimension <= 1 is not routed to a criterion", [])),
+    ((C5, "stanley_reisner", "symbolic", "Buchsbaum", 3),
+     ("oracle_only", None, "graph Buchsbaum behavior at m=3 differs; not decided here", [])),
+    ((C5, "stanley_reisner", "symbolic", "gCM", 3),
+     ("oracle_only", None, "dimension <= 1 outside the stated hypotheses", [])),
+    ((C5, "stanley_reisner", "ordinary", "Buchsbaum", 3),
+     ("oracle_only", None, "graph Buchsbaum behavior at m=3 is outside scope", [])),
+    ((EDGE_AND_POINT, "stanley_reisner", "ordinary", "gCM", 3),
+     ("oracle_only", None, "isolated vertices: not a graph, no criterion", [])),
+    ((C5, "facet", "symbolic", "S2", 3),
+     ("oracle_only", None, "facet-ideal criteria cover Cohen-Macaulayness only", [])),
+    ((EDGE_AND_POINT, "facet", "symbolic", "CM", 3),
+     ("oracle_only", None, "a singleton facet blocks the dual-complex translation", [])),
+    ((C5, "cover", "symbolic", "gCM", 3),
+     ("oracle_only", None, "cover-ideal criteria cover Cohen-Macaulayness only", [])),
+]
+
+
+@pytest.mark.parametrize("fields, expected", PINNED_REPORTS)
+def test_report_text_is_pinned(fields, expected):
+    verdict, theorem, witness, caveats = expected
+    assert classify(Query(*fields)).to_json() == {
+        "verdict": verdict, "theorem": theorem, "witness": witness,
+        "caveats": caveats, "oracle": None,
+    }
+
+
+def test_pinned_reports_reach_every_theorem_and_reason():
+    rules = {(e[1], e[0]) for _, e in PINNED_REPORTS if e[0] != "oracle_only"}
+    reasons = {e[2] for _, e in PINNED_REPORTS if e[0] == "oracle_only"}
+    assert len(rules) == 28 and len(reasons) == 10
+
+
+def test_a_wrong_dual_matroid_check_raises(monkeypatch):
+    # the facet criteria in dimensions 1 and 2 are cross-checked against
+    # the dual complex being a matroid
+    cl = importlib.import_module("srpowers.classify")
+
+    right = cl.is_matroid_exchange
+    monkeypatch.setattr(cl, "is_matroid_exchange", lambda c: not right(c))
+    for c in (complete_graph(4), uniform_matroid(5, 2)):
+        with pytest.raises(RuntimeError, match="dual matroid check"):
+            classify(Query(c, "facet", "symbolic", "CM", 3))
+
+
+def test_a_wrong_graph_form_raises(monkeypatch):
+    # the cover criterion on a graph is cross-checked against the 4-cycle
+    # form, also under ``python -O``
+    cl = importlib.import_module("srpowers.classify")
+
+    right = cl.graph_matroid_criterion
+    monkeypatch.setattr(cl, "graph_matroid_criterion", lambda c: not right(c))
+    for c in (C5, complete_graph(4)):
+        with pytest.raises(RuntimeError, match="4-cycle graph form"):
+            classify(Query(c, "cover", "symbolic", "CM", 3))
