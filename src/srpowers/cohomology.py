@@ -38,6 +38,12 @@ symbolic verdict; scanning the explicit I^m instead is the cross-check
 (sweep ``ord-cube-routes``).
 
 All linear algebra is exact (rationals by default, or a prime field).
+Over Q the coboundaries are ranked over F_2 first, one int per row: by
+universal coefficients dim H^j(K; Q) <= dim H^j(K; F_2), so a complex
+with no F_2 cohomology in the indices asked has none over Q, and only the
+others are ranked again over Q on signed rows.  Over F_2 the bitset rank
+is the answer; an odd prime ranks the signed rows directly, since F_2
+says nothing about F_p.
 """
 
 from __future__ import annotations
@@ -45,6 +51,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations
+from operator import or_
 
 import numpy as np
 
@@ -68,7 +77,7 @@ from .ideals import (
     sr_ideal,
     symbolic_power,
 )
-from .linalg import field_name, rank, require_prime
+from .linalg import field_name, rank, rank_f2, require_prime
 
 
 class OracleBudgetExceeded(RuntimeError):
@@ -89,56 +98,78 @@ def _require_proper(ideal) -> None:
 # -- reduced (co)homology -----------------------------------------------------
 
 
-def _faces_by_size(facets, cap: float = math.inf) -> dict[int, list[int]]:
-    """The faces of the given facets by size, each list sorted; sizes past
-    ``cap`` are left out before the sort."""
+def _faces_by_size(facets) -> dict[int, list[int]]:
+    """The faces of the given facets by size, each list sorted."""
     faces: set[int] = set()
     for f in facets:
         faces.update(submasks(f))
     by_size: dict[int, list[int]] = {}
     for s in faces:
-        size = s.bit_count()
-        if size <= cap:
-            by_size.setdefault(size, []).append(s)
+        by_size.setdefault(s.bit_count(), []).append(s)
     for v in by_size.values():
         v.sort()
     return by_size
 
 
-def _coboundary_ranks(by_size: dict[int, list[int]], field, through: int) -> dict[int, int]:
-    """rank of delta^j: C^j -> C^(j+1) for j = -1..through, sign fixed by
-    sorted vertex order."""
-    ranks: dict[int, int] = {}
-    for j in range(-1, through + 1):
-        rows_idx = by_size.get(j + 2, [])
-        cols_idx = by_size.get(j + 1, [])
-        if not rows_idx or not cols_idx:
-            ranks[j] = 0
-            continue
-        col_pos = {m: i for i, m in enumerate(cols_idx)}
-        mat = []
-        for r in rows_idx:
-            row = [0] * len(cols_idx)
-            for idx, b in enumerate(iter_bits(r)):
-                row[col_pos[r ^ b]] = -1 if idx % 2 else 1
-            mat.append(row)
-        ranks[j] = rank(mat, field)
-    return ranks
+def _coboundaries(facets, through: int) -> dict[int, tuple[int, list[list[int]]]]:
+    """delta^j: C^j -> C^(j+1) for j = -1..through as (number of columns,
+    rows).  A row is a face of size j + 2, given by the column bits of the
+    faces it drops a vertex to, in vertex order.  The faces are found top
+    down, each size from the rows above it, and number their columns as
+    they are found."""
+    vertices = list(iter_bits(reduce(or_, facets)))
+    level: set[int] = set()  # the faces of the size the rows have
+    for f in facets:
+        if f.bit_count() >= through + 2:
+            level.update(map(sum, combinations([b for b in vertices if f & b], through + 2)))
+    out = {}
+    for j in range(through, -2, -1):
+        cols: dict[int, int] = {}
+        rows = []
+        for r in level:
+            row = []
+            for b in vertices:
+                if r & b:
+                    col = cols.get(r ^ b)
+                    if col is None:
+                        col = cols[r ^ b] = 1 << len(cols)
+                    row.append(col)
+            rows.append(row)
+        for f in facets:
+            if f.bit_count() == j + 1:  # a facet is no row's column
+                cols[f] = 1 << len(cols)
+        out[j] = (len(cols), rows)
+        level = cols
+    return out
+
+
+def _signed(ncols: int, row: list[int]) -> list[int]:
+    """A coboundary row as dense integers, sign fixed by vertex order."""
+    out = [0] * ncols
+    for idx, col in enumerate(row):
+        out[col.bit_length() - 1] = -1 if idx % 2 else 1
+    return out
 
 
 def _cohomology_dims_of_facets(facets, field, through: int) -> tuple[int, ...]:
     """Reduced cohomology dimensions, indices -1..min(through, dim), for a
-    nonvoid complex given by facet masks (labels are irrelevant)."""
+    nonvoid complex given by facet masks (labels are irrelevant).  Over Q
+    the F_2 ranks come first, as a certificate of vanishing (see above)."""
     if set(facets) == {0}:
         return (1,)
     through = min(through, max(f.bit_count() for f in facets) - 1)
-    by_size = _faces_by_size(facets, through + 2)  # delta^through reads faces of size through + 2
-    ranks = _coboundary_ranks(by_size, field, through)
-    out = []
-    for j in range(-1, through + 1):
-        cj = len(by_size.get(j + 1, [])) if j >= 0 else 1
-        out.append(cj - ranks[j] - ranks.get(j - 1, 0))
-    return tuple(out)
+    coboundaries = _coboundaries(facets, through)
+
+    def dims(rank_of) -> tuple[int, ...]:
+        ranks = {j: rank_of(ncols, rows) if rows else 0 for j, (ncols, rows) in coboundaries.items()}
+        return tuple((coboundaries[j][0] if j >= 0 else 1) - ranks[j] - ranks.get(j - 1, 0)
+                     for j in range(-1, through + 1))
+
+    if field is None or field == 2:
+        out = dims(lambda _, rows: rank_f2([sum(row) for row in rows]))
+        if field == 2 or not any(out):
+            return out
+    return dims(lambda ncols, rows: rank([_signed(ncols, row) for row in rows], field))
 
 
 def reduced_cohomology_dims(c: SimplicialComplex, field: int | None = None) -> tuple[int, ...]:

@@ -101,6 +101,60 @@ def test_homology_matches_cohomology_dims():
             assert reduced_homology_dims(c, field) == reduced_cohomology_dims(c, field)
 
 
+def _mod3_moore_space():
+    """A disk whose boundary 9-gon wraps three times around the triangle
+    1-2-3: the mod-3 Moore space, with 3-torsion in H_1 and nothing else."""
+    rim = [1, 2, 3] * 3
+    triangles = []
+    for i in range(9):
+        inner, nxt = 4 + i, 4 + (i + 1) % 9
+        triangles += [(rim[i], rim[(i + 1) % 9], inner), (rim[(i + 1) % 9], inner, nxt), (inner, nxt, 13)]
+    return from_facets(13, triangles)
+
+
+def _counting(monkeypatch, name):
+    """Replace ``cohomology.<name>`` by a wrapper that counts its calls."""
+    calls = []
+    inner = getattr(cohomology, name)
+    monkeypatch.setattr(cohomology, name, lambda *args: calls.append(args) or inner(*args))
+    return calls
+
+
+def test_f2_certificate_is_sound():
+    # dim H^j(K; Q) <= dim H^j(K; F_2), and the answer over Q is the one
+    # the independent boundary-matrix route gives
+    rng = random.Random(14)
+    family = [RP2, _mod3_moore_space(), cycle(5), simplex(3)]
+    family += [random_complex(rng, n_max=7, with_singletons=rng.random() < 0.5) for _ in range(150)]
+    for c in family:
+        over_q, over_f2 = reduced_cohomology_dims(c), reduced_cohomology_dims(c, 2)
+        assert len(over_q) == len(over_f2)
+        assert all(q <= f for q, f in zip(over_q, over_f2)), (c, over_q, over_f2)
+        assert over_q == reduced_homology_dims(c), c
+
+
+def test_rational_rank_runs_only_where_f2_sees_cohomology(monkeypatch):
+    calls = _counting(monkeypatch, "rank")
+    assert reduced_cohomology_dims(RP2) == (0, 0, 0, 0)  # F_2 sees (0, 0, 1, 1)
+    assert len(calls) >= 1
+    calls.clear()
+    assert reduced_cohomology_dims(simplex(4)) == (0,) * 5  # dims -1..3
+    assert reduced_cohomology_dims(cycle(6), 2) == (0, 0, 1)
+    assert reduced_cohomology_dims(RP2, 2) == (0, 0, 1, 1)
+    assert calls == []
+
+
+def test_odd_primes_never_use_the_f2_certificate(monkeypatch):
+    # F_2 and Q see nothing on the mod-3 Moore space; F_3 sees H^1 and H^2
+    moore = _mod3_moore_space()
+    calls = _counting(monkeypatch, "rank_f2")
+    assert reduced_cohomology_dims(moore, 3) == (0, 0, 1, 1)
+    assert reduced_homology_dims(moore, 3) == (0, 0, 1, 1)
+    assert calls == []
+    assert reduced_cohomology_dims(moore) == reduced_cohomology_dims(moore, 2) == (0, 0, 0, 0)
+    assert len(calls) > 0
+
+
 def test_degree_complex_at_zero_is_radical_complex():
     rng = random.Random(7)
     for _ in range(20):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from srpowers import linalg
-from srpowers.linalg import rank
+from srpowers.linalg import rank, rank_f2
 
 FIELDS = [None, 2, 3, 7]
 
@@ -64,6 +64,28 @@ def test_rank_edge_shapes(field):
     assert rank([[0, 0, 0], [0, 0, 0]], field) == 0
     for m in ([[0, 2, -1, 3]], [[0], [3], [-2]], [[3, 2, 0]], [[2], [-1]], [[1, 1], [1, 1]]):
         assert rank(m, field) == reference_rank(m, field), m
+
+
+def _packed(rows):
+    """0/1 rows as ints, bit j the entry in column j."""
+    return [sum(e << j for j, e in enumerate(r)) for r in rows]
+
+
+def test_rank_f2_matches_reference_on_random_matrices():
+    rng = random.Random(2)
+    for _ in range(400):
+        m = _random_matrix(rng, [1])
+        assert rank_f2(_packed(m)) == reference_rank(m, 2), m
+        twice = m + m[: rng.randint(0, len(m))]  # duplicate rows add nothing
+        assert rank_f2(_packed(twice)) == reference_rank(m, 2), twice
+
+
+def test_rank_f2_edge_shapes():
+    assert rank_f2([]) == 0
+    assert rank_f2([0, 0, 0]) == 0
+    assert rank_f2([0b101, 0, 0b101, 0b101]) == 1
+    assert rank_f2([0b11, 0b110, 0b101]) == 2  # the third is the sum of the others
+    assert rank_f2([1 << 70, 1 << 70 | 1, 1]) == 2  # wider than a machine word
 
 
 def test_rank_reduces_mod_p_and_needs_a_prime():

@@ -63,3 +63,38 @@ def test_traced_queries_record_their_spans():
                  "cohomology.is_cm", "cohomology.is_s2", "cohomology.is_generalized_cm"):
         assert raw.get(f"calls:{name}", 0) >= 1, name
     assert raw["count:cohomology.oracle_calls"] == 3
+
+
+TRACED_DEPTH = """
+import json, sys
+sys.path[:0] = sys.argv[1:]
+import importlib, spans
+tracer = spans.Tracer()
+spans.install(tracer)
+cohomology = importlib.import_module("srpowers.cohomology")
+complexes = importlib.import_module("srpowers.complexes")
+ideals = importlib.import_module("srpowers.ideals")
+cube = ideals.SymbolicPower.of(ideals.sr_ideal(complexes.cycle(6)), 3).ideal()
+report = cohomology.depth_dim(cube)
+print(json.dumps([report.depth, report.dim, tracer.raw()]))
+"""
+
+
+def test_traced_rational_fallback_hands_rank_dense_rows():
+    # the 6-cycle's degree complexes have cohomology over F_2, so the depth
+    # scan ranks them over Q too; the tracer's hook on ``linalg.rank``
+    # reads the width of the first row, which only a dense row has
+    import json
+    import subprocess
+    import sys
+
+    root = SPANS.parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_DEPTH, str(SPANS.parent), str(root / "src")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0 and "not traced" not in proc.stderr, proc.stderr
+    depth, dim, raw = json.loads(proc.stdout)
+    assert (depth, dim) == (1, 2)
+    assert raw.get("calls:linalg.rank", 0) >= 1
+    assert raw.get("count:linalg.rank.cells", 0) >= 1
