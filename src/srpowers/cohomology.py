@@ -44,6 +44,18 @@ with no F_2 cohomology in the indices asked has none over Q, and only the
 others are ranked again over Q on signed rows.  Over F_2 the bitset rank
 is the answer; an odd prime ranks the signed rows directly, since F_2
 says nothing about F_p.
+
+The F_2 rows of a complex on at most ``_TABLE_VERTICES`` = 12 vertices
+(its facets compacted onto the vertices they use) are read off two tables
+indexed by a face mask s: the face set is one int, the OR of the submask
+closures ``_DOWN[f]`` over the facets, and the row of a face r is
+``_BOUNDARY[r]``, bit s set for each face s of r one vertex smaller.  The
+columns are face masks, so nothing is numbered.  The tables grow by
+doubling on first need and stop at the ceiling, where each is about 1 MB;
+past it the rows come from ``_coboundaries``, the top-down incidence that
+also gives the signed rows over Q and odd primes.  ``reduced_homology_dims``
+assembles its own signed boundary matrices and reads neither: it is the
+independent side of the Reisner cross-check (``reisner_is_cm``).
 """
 
 from __future__ import annotations
@@ -151,6 +163,53 @@ def _signed(ncols: int, row: list[int]) -> list[int]:
     return out
 
 
+# The F_2 row tables (see above), indexed by a face mask s: _DOWN[s] has
+# bit t set for every t <= s, _BOUNDARY[s] bit s ^ b for every vertex b
+# of s.  Both hold only the empty face until a complex needs more.
+_TABLE_VERTICES = 12
+_DOWN = [1]
+_BOUNDARY = [0]
+
+
+def _grow_tables(vertices: int) -> None:
+    """Extend both tables to every face on ``vertices`` vertices, doubling
+    them: for s < t = 2^i, _DOWN[s | t] = _DOWN[s] | _DOWN[s] << t and
+    _BOUNDARY[s | t] = _BOUNDARY[s] << t | 1 << s."""
+    while len(_DOWN) < 1 << vertices:
+        t = len(_DOWN)
+        _DOWN.extend([d | d << t for d in _DOWN])
+    while len(_BOUNDARY) < 1 << vertices:
+        t = len(_BOUNDARY)
+        _BOUNDARY.extend([r << t | 1 << s for s, r in enumerate(_BOUNDARY)])
+
+
+def _f2_coboundaries(facets, through: int) -> dict[int, tuple[int, list[int]]]:
+    """delta^j over F_2 for j = -1..through as (number of columns, rows)
+    on at most ``_TABLE_VERTICES`` vertices.  The faces are one int, bit s
+    the face s; the row of a face r is ``_BOUNDARY[r]``, whose columns are
+    face masks."""
+    _grow_tables(reduce(or_, facets).bit_length())
+    faces = 0
+    for f in facets:
+        faces |= _DOWN[f]
+    top = through + 2  # the size of the top rows
+    by_size: list[list[int]] = [[] for _ in range(top + 1)]
+    for s, bit in enumerate(bin(faces)[:1:-1]):
+        if bit == "1":
+            size = s.bit_count()
+            if size <= top:
+                by_size[size].append(s)
+    return {j: (len(by_size[j + 1]), [_BOUNDARY[r] for r in by_size[j + 2]]) for j in range(-1, through + 1)}
+
+
+def _dims(coboundaries: dict, rank_of) -> tuple[int, ...]:
+    """Reduced cohomology dimensions from delta^j for j = -1..through
+    given as (number of columns, rows), ``rank_of(ncols, rows)`` ranking
+    each nonempty one."""
+    ranks = {j: rank_of(ncols, rows) if rows else 0 for j, (ncols, rows) in coboundaries.items()}
+    return tuple(coboundaries[j][0] - ranks[j] - ranks.get(j - 1, 0) for j in range(-1, len(coboundaries) - 1))
+
+
 def _cohomology_dims_of_facets(facets, field, through: int) -> tuple[int, ...]:
     """Reduced cohomology dimensions, indices -1..min(through, dim), for a
     nonvoid complex given by facet masks (labels are irrelevant).  Over Q
@@ -158,18 +217,22 @@ def _cohomology_dims_of_facets(facets, field, through: int) -> tuple[int, ...]:
     if set(facets) == {0}:
         return (1,)
     through = min(through, max(f.bit_count() for f in facets) - 1)
-    coboundaries = _coboundaries(facets, through)
-
-    def dims(rank_of) -> tuple[int, ...]:
-        ranks = {j: rank_of(ncols, rows) if rows else 0 for j, (ncols, rows) in coboundaries.items()}
-        return tuple((coboundaries[j][0] if j >= 0 else 1) - ranks[j] - ranks.get(j - 1, 0)
-                     for j in range(-1, through + 1))
-
+    coboundaries = None
     if field is None or field == 2:
-        out = dims(lambda _, rows: rank_f2([sum(row) for row in rows]))
+        if reduce(or_, facets) >> _TABLE_VERTICES:
+            coboundaries = _coboundaries(facets, through)
+            out = _dims(coboundaries, lambda _, rows: rank_f2([sum(row) for row in rows]))
+        else:
+            out = _dims(_f2_coboundaries(facets, through), lambda _, rows: rank_f2(rows))
         if field == 2 or not any(out):
             return out
-    return dims(lambda ncols, rows: rank([_signed(ncols, row) for row in rows], field))
+    coboundaries = coboundaries or _coboundaries(facets, through)
+    return _dims(coboundaries, lambda ncols, rows: rank([_signed(ncols, row) for row in rows], field))
+
+
+def _compact(facets) -> tuple[int, ...]:
+    """The facets relabelled onto the vertices they use, sorted."""
+    return tuple(sorted(compactify(facets, reduce(or_, facets))))
 
 
 def reduced_cohomology_dims(c: SimplicialComplex, field: int | None = None) -> tuple[int, ...]:
@@ -178,7 +241,7 @@ def reduced_cohomology_dims(c: SimplicialComplex, field: int | None = None) -> t
     _validate_field(field)
     if c.is_void:
         return ()
-    return _cohomology_dims_of_facets(tuple(sorted(c.facets)), field, c.dimension())
+    return _cohomology_dims_of_facets(_compact(c.facets), field, c.dimension())
 
 
 def reduced_homology_dims(c: SimplicialComplex, field: int | None = None) -> tuple[int, ...]:
@@ -307,10 +370,7 @@ def _dims_of_facets(facets: tuple[int, ...], field, jmax: int) -> tuple[int, ...
     """Reduced cohomology dimensions in indices -1..min(jmax, dim) at
     least.  One ``_DIMS`` entry per complex and field: a lookup that needs
     more indices than the entry holds recomputes it through ``jmax``."""
-    union = 0
-    for f in facets:
-        union |= f
-    key = tuple(sorted(compactify(facets, union)))
+    key = _compact(facets)
     need = min(jmax, max(f.bit_count() for f in key) - 1)
     held = _DIMS.get((key, field))
     if held is not None and len(held) - 2 < need:

@@ -11,10 +11,14 @@ method for simplicial homology; Dumas, Heckenbach, Saunders and Welker,
 elimination on Python ints, the one dense rank here.
 
 Over F_2 a matrix also fits in one Python int per row, bit j the entry in
-column j, and ``rank_f2`` eliminates by XOR on leading bits.  The depth
-oracle ranks every coboundary this way first: over F_2 as the answer,
-over Q as a certificate of vanishing (see ``cohomology``).  ``rank`` sees
-only the rest, still as dense rows, whose width the bench tracer reads.
+column j, and ``rank_f2`` eliminates by XOR on leading bits.  The columns
+need not be numbered densely: on complexes of at most 12 vertices the
+depth oracle's coboundary rows put the entry of a face at the bit of its
+face mask, so a row on k vertices is up to 2^k bits wide with few bits
+set; past 12 vertices the columns are numbered.  The oracle ranks
+every coboundary this way first: over F_2 as the answer, over Q as a
+certificate of vanishing (see ``cohomology``).  ``rank`` sees only the
+rest, still as dense rows, whose width the bench tracer reads.
 """
 
 from __future__ import annotations

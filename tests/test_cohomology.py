@@ -1,6 +1,9 @@
 import itertools
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,6 +156,40 @@ def test_odd_primes_never_use_the_f2_certificate(monkeypatch):
     assert calls == []
     assert reduced_cohomology_dims(moore) == reduced_cohomology_dims(moore, 2) == (0, 0, 0, 0)
     assert len(calls) > 0
+
+
+def test_face_mask_tables_stop_at_the_ceiling(monkeypatch):
+    # F_2 rows come from the face-mask tables on at most 12 vertices, counted
+    # after compacting onto the vertices used, not in the ambient n;
+    # cycle(14) and the 13-vertex mod-3 Moore space are past the ceiling and
+    # build their rows by _coboundaries, once per call also over Q
+    calls = _counting(monkeypatch, "_coboundaries")
+    far_triangle = embed(cycle(3), 16, 13)  # on vertices 14-16
+    assert reduced_cohomology_dims(far_triangle, 2) == reduced_homology_dims(far_triangle, 2) == (0, 0, 1)
+    assert calls == []
+    assert reduced_cohomology_dims(far_triangle) == reduced_homology_dims(far_triangle) == (0, 0, 1)
+    assert len(calls) == 1  # the Q fallback
+    for c in (cycle(14), _mod3_moore_space()):
+        for field in (None, 2):
+            calls.clear()
+            assert reduced_cohomology_dims(c, field) == reduced_homology_dims(c, field)
+            assert len(calls) == 1, (c, field)
+    assert len(cohomology._DOWN) <= 1 << 12
+    assert len(cohomology._BOUNDARY) <= 1 << 12
+
+
+def test_face_mask_tables_grow_on_first_need():
+    # importing builds only the empty face; one query on a 7-vertex complex
+    # grows both tables to its 2^7 faces
+    script = ("import srpowers.cohomology as c, srpowers.complexes as k; "
+              "print(len(c._DOWN), len(c._BOUNDARY)); "
+              "c.reduced_cohomology_dims(k.uniform_matroid(7, 3)); "
+              "print(len(c._DOWN), len(c._BOUNDARY))")
+    src = Path(cohomology.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={"PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "1", "128", "128"]
 
 
 def test_degree_complex_at_zero_is_radical_complex():
