@@ -32,10 +32,11 @@ building I^(m); scanning its explicit ideal instead is the cross-check
 An ``OrdinaryPower`` I^m is not scanned.  CM and S2 each make S/I^m
 unmixed (S1), and the unmixed part of I^m is I^(m), so S/I^m has either
 property exactly when I^m = I^(m) and S/I^(m) has it.  This is general
-ring theory, not the paper's criterion.  Equality is tested first,
-because building both generator sets costs much less than a cold
-symbolic verdict; scanning the explicit I^m instead is the cross-check
-(sweep ``ord-cube-routes``).
+ring theory, not the paper's criterion.  Equality is tested first, as
+membership of both powers on the box {0..m}^n that holds all their
+minimal generators (``OrdinaryPower.equals_symbolic``), which builds no
+generator and costs much less than a cold symbolic verdict; scanning the
+explicit I^m instead is the cross-check (sweep ``ord-cube-routes``).
 
 All linear algebra is exact (rationals by default, or a prime field).
 Over Q the coboundaries are ranked over F_2 first, one int per row: by
@@ -603,13 +604,12 @@ def _vanishes_below(ideal: MonomialIdeal | SymbolicPower, field, deadline) -> bo
 
 def _scanned(ideal: Oracle, deadline) -> MonomialIdeal | SymbolicPower | None:
     """What CM and S2 are read from: for an ordinary power I^(m) when
-    I^m = I^(m) (equal minimal generators), else None, as neither holds."""
+    I^m = I^(m) (equal membership on the box {0..m}^n, with no generator
+    built), else None, as neither holds."""
     if not isinstance(ideal, OrdinaryPower):
         return ideal
-    sym = ideal.symbolic()
-    equal = ideal.ideal().gens == sym.ideal().gens
-    _check_deadline(deadline)
-    return sym if equal else None
+    equal = ideal.equals_symbolic(lambda: _check_deadline(deadline))
+    return ideal.symbolic() if equal else None
 
 
 def is_cm(ideal: Oracle, field: int | None = None, *,

@@ -7,7 +7,8 @@ simplicial complexes; ordinary powers go through products, symbolic
 powers through a box enumeration over {0..m}^n constrained by the
 minimal primes (minimal generators of an intersection of m-th prime
 powers have all exponents at most m, since lowering an exponent above m
-preserves every constraint).
+preserves every constraint).  The same box holds every minimal generator
+of I^m for squarefree I, so I^m = I^(m) is decided by membership on it.
 """
 
 from __future__ import annotations
@@ -286,6 +287,15 @@ def symbolic_power(c: SimplicialComplex, m: int) -> MonomialIdeal:
     return symbolic_power_ideal(sr_ideal(c), m)
 
 
+def _check_exponent_box(n: int, m: int) -> None:
+    """Refuse the exponent box {0..m}^n past 1 << 24 points."""
+    if (m + 1) ** n > 1 << 24:
+        raise DeskScaleExceeded(
+            f"the exponent box {{0..{m}}}^{n} has {(m + 1) ** n} points, "
+            f"over the desk-scale limit of {1 << 24}"
+        )
+
+
 @dataclass(frozen=True)
 class SquarefreePower:
     """A power of a squarefree ideal I, held as the facets (bitmasks over
@@ -363,11 +373,7 @@ class SymbolicPower(SquarefreePower):
         n, m = self.n, self.m
         if self.is_zero:
             return MonomialIdeal.zero(n)
-        if (m + 1) ** n > 1 << 24:
-            raise DeskScaleExceeded(
-                f"the exponent box {{0..{m}}}^{n} has {(m + 1) ** n} points, "
-                f"over the desk-scale limit of {1 << 24}"
-            )
+        _check_exponent_box(n, m)
         pmat = 1 - np.array([indicator(f, n) for f in self.facets], dtype=np.int32)
         k = n  # trailing coordinates per block, so a block has at most 1 << 14 rows
         while (m + 1) ** k > 1 << 14:
@@ -386,11 +392,42 @@ class SymbolicPower(SquarefreePower):
 class OrdinaryPower(SquarefreePower):
     """I^m.  The depth oracle decides CM and S2 of S/I^m through I^(m):
     either property makes S/I^m unmixed, so it holds exactly when
-    I^m = I^(m) and it holds for I^(m).  ``ideal()`` gives the explicit
+    I^m = I^(m) and it holds for I^(m), and ``equals_symbolic()`` tests
+    the equality without generators.  ``ideal()`` gives the explicit
     generators for the general route."""
 
     def ideal(self) -> MonomialIdeal:
         return self.radical().power(self.m)
+
+    def equals_symbolic(self, between_rounds=lambda: None) -> bool:
+        """I^m = I^(m), read as membership on the box B = {0..m}^n with no
+        generator built.  The minimal generators of both powers lie in B
+        (those of I^m are sums of m squarefree ones), so the ideals are
+        equal exactly when their members in B are.  I^(m) on B is the AND
+        over the facets F of [sum_{i not in F} a_i >= m]; I^m on B is S
+        after m rounds, each the OR over the minimal nonfaces u of the
+        previous round shifted by u.  ``between_rounds`` runs after each
+        round (a deadline check)."""
+        n, m = self.n, self.m
+        if self.is_zero:
+            return True
+        _check_exponent_box(n, m)
+        # the open grid of axis i; inside the box limit n * m <= 90, so uint8 sums are exact
+        axes = [np.arange(m + 1, dtype=np.uint8).reshape((-1,) + (1,) * (n - 1 - i)) for i in range(n)]
+        symbolic = np.ones((m + 1,) * n, dtype=bool)
+        for f in self.facets:
+            symbolic &= sum((axes[i] for i in range(n) if not f >> i & 1), np.uint8(0)) >= m
+        shifts = [(tuple(slice(1, None) if u >> i & 1 else slice(None) for i in range(n)),
+                   tuple(slice(None, -1) if u >> i & 1 else slice(None) for i in range(n)))
+                  for u in SimplicialComplex(n, self.facets).minimal_nonface_masks()]
+        ordinary = np.ones_like(symbolic)  # I^0 = S
+        for _ in range(m):
+            grown = np.zeros_like(ordinary)
+            for to, back in shifts:
+                grown[to] |= ordinary[back]
+            ordinary = grown
+            between_rounds()
+        return bool(np.array_equal(ordinary, symbolic))
 
     def symbolic(self) -> SymbolicPower:
         return SymbolicPower(self.n, self.facets, self.m)

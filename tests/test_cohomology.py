@@ -660,6 +660,24 @@ def test_ordinary_power_route_matches_explicit_route(field):
     assert classes > 150 and 0 < equal < classes
 
 
+def test_ordinary_power_route_builds_no_generators(monkeypatch):
+    checks = (is_cm, is_s2, is_generalized_cm)
+    cubes = [OrdinaryPower.of(sr_ideal(c), 3)
+             for c in (cycle(4), cycle(5), uniform_matroid(4, 2), uniform_matroid(5, 2), EX410)]
+    want = [[check(cube.ideal()) for check in checks] for cube in cubes]
+    assert [True, True, True] in want and [False, False, False] in want
+
+    def refuse(*args):
+        raise AssertionError("explicit generators built")
+
+    monkeypatch.setattr(SymbolicPower, "ideal", refuse)
+    monkeypatch.setattr(OrdinaryPower, "ideal", refuse)
+    monkeypatch.setattr(MonomialIdeal, "power", refuse)
+    monkeypatch.setattr(cohomology, "_DIMS", {})
+    monkeypatch.setattr(cohomology, "_VANISHES", {})
+    assert [[check(cube) for check in checks] for cube in cubes] == want
+
+
 def test_ordinary_power_route_honours_deadline():
     for c in (uniform_matroid(5, 2), cycle(5), uniform_matroid(4, 2)):
         cube = OrdinaryPower.of(sr_ideal(c), 3)

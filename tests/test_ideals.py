@@ -12,7 +12,8 @@ from srpowers.complexes import (
     simplex,
     uniform_matroid,
 )
-from srpowers.fixtures import named_complex
+from srpowers.enumeration import distinct_complexes, sample_complexes
+from srpowers.fixtures import named_complex, parse_complex_spec
 from srpowers.cohomology import OracleBudgetExceeded
 from srpowers import ideals
 from srpowers.ideals import (
@@ -279,6 +280,59 @@ def test_both_powers_contract_to_the_same_link():
                 assert type(got_s) is SymbolicPower and type(got_o) is OrdinaryPower
                 assert (got_s.n, got_s.facets, got_s.m) == (got_o.n, got_o.facets, got_o.m)
                 assert got_s.n == c.n - g.bit_count() and got_s.m == m
+
+
+def _equal_by_generators(op):
+    return op.ideal() == op.symbolic().ideal()
+
+
+def test_ordinary_power_equals_symbolic_on_small_classes():
+    # every class on <= 5 vertices, through its Stanley-Reisner and cover ideals
+    checked = equal = 0
+    for c in distinct_complexes(5):
+        if c.is_empty_complex or c.vertex_mask != (1 << c.n) - 1:
+            continue
+        for base in (sr_ideal(c), cover_ideal(c)):
+            for m in (1, 2, 3, 4):
+                op = OrdinaryPower.of(base, m)
+                want = _equal_by_generators(op)
+                assert op.equals_symbolic() is want, (c, base, m)
+                checked += 1
+                equal += want
+    assert checked > 1000 and 0 < equal < checked
+
+
+def test_ordinary_power_equals_symbolic_on_larger_cubes():
+    complexes = sample_complexes(6, 30, seed=17)
+    complexes += [parse_complex_spec(s) for s in ("uniform:7:3", "uniform:7:4", "uniform:8:3", "cycle:6")]
+    answers = []
+    for c in complexes:
+        op = OrdinaryPower.of(sr_ideal(c), 3)
+        answers.append(op.equals_symbolic())
+        assert answers[-1] is _equal_by_generators(op), c
+    assert answers[-4:] == [False, False, False, False] and any(answers)
+
+
+def test_ordinary_power_equality_runs_its_check_between_rounds():
+    calls = []
+    op = OrdinaryPower.of(sr_ideal(cycle(5)), 3)
+    assert op.equals_symbolic(lambda: calls.append(1)) is False
+    assert len(calls) == 3
+    zero = OrdinaryPower(3, frozenset({0b111}), 2)
+    assert zero.equals_symbolic(lambda: calls.append(1)) is True and len(calls) == 3
+
+
+def test_ordinary_power_equality_box_guard(monkeypatch):
+    # refused with the message of the explicit symbolic builder, before numpy is touched
+    base = MonomialIdeal.from_generators(13, [(1, 1) + (0,) * 11])
+    op = OrdinaryPower.of(base, 3)
+    with pytest.raises(DeskScaleExceeded) as want:
+        op.symbolic().ideal()
+    monkeypatch.setattr(ideals, "np", None)
+    with pytest.raises(DeskScaleExceeded) as got:
+        op.equals_symbolic()
+    assert str(got.value) == str(want.value)
+    assert "67108864" in str(got.value) and str(1 << 24) in str(got.value)
 
 
 def test_power_contained_in_symbolic_power():
