@@ -53,10 +53,12 @@ closures ``_DOWN[f]`` over the facets, and the row of a face r is
 ``_BOUNDARY[r]``, bit s set for each face s of r one vertex smaller.  The
 columns are face masks, so nothing is numbered.  The tables grow by
 doubling on first need and stop at the ceiling, where each is about 1 MB;
-past it the rows come from ``_coboundaries``, the top-down incidence that
-also gives the signed rows over Q and odd primes.  ``reduced_homology_dims``
-assembles its own signed boundary matrices and reads neither: it is the
-independent side of the Reisner cross-check (``reisner_is_cm``).
+past it the rows come from ``_coboundaries``, which numbers its columns
+straight from one listing of the faces by size (``_faces_by_size``, capped
+at the size of the top rows) and also gives the signed rows over Q and
+odd primes.  ``reduced_homology_dims`` assembles its own signed boundary
+matrices from that listing: it is the independent side of the Reisner
+cross-check (``reisner_is_cm``).
 """
 
 from __future__ import annotations
@@ -111,48 +113,36 @@ def _require_proper(ideal) -> None:
 # -- reduced (co)homology -----------------------------------------------------
 
 
-def _faces_by_size(facets) -> dict[int, list[int]]:
-    """The faces of the given facets by size, each list sorted."""
+def _faces_by_size(facets, top: int) -> dict[int, list[int]]:
+    """The faces of the given facets with at most ``top`` vertices, by
+    size, each list sorted.  A facet within the cap gives its submasks, a
+    larger one its ``combinations`` of each size up to the cap, so a
+    small cap stays small however large the facets are."""
     faces: set[int] = set()
     for f in facets:
-        faces.update(submasks(f))
+        if f.bit_count() <= top:
+            faces.update(submasks(f))
+        else:
+            vertices = list(iter_bits(f))
+            for size in range(top + 1):
+                faces.update(map(sum, combinations(vertices, size)))
     by_size: dict[int, list[int]] = {}
-    for s in faces:
+    for s in sorted(faces):
         by_size.setdefault(s.bit_count(), []).append(s)
-    for v in by_size.values():
-        v.sort()
     return by_size
 
 
 def _coboundaries(facets, through: int) -> dict[int, tuple[int, list[list[int]]]]:
     """delta^j: C^j -> C^(j+1) for j = -1..through as (number of columns,
-    rows).  A row is a face of size j + 2, given by the column bits of the
-    faces it drops a vertex to, in vertex order.  The faces are found top
-    down, each size from the rows above it, and number their columns as
-    they are found."""
-    vertices = list(iter_bits(reduce(or_, facets)))
-    level: set[int] = set()  # the faces of the size the rows have
-    for f in facets:
-        if f.bit_count() >= through + 2:
-            level.update(map(sum, combinations([b for b in vertices if f & b], through + 2)))
+    rows), from one listing of the faces of at most through + 2 vertices.
+    A row is a face of size j + 2, given by the column bits of the faces
+    it drops a vertex to, in vertex order; the faces of size j + 1 number
+    the columns in the order listed."""
+    by_size = _faces_by_size(facets, through + 2)
     out = {}
-    for j in range(through, -2, -1):
-        cols: dict[int, int] = {}
-        rows = []
-        for r in level:
-            row = []
-            for b in vertices:
-                if r & b:
-                    col = cols.get(r ^ b)
-                    if col is None:
-                        col = cols[r ^ b] = 1 << len(cols)
-                    row.append(col)
-            rows.append(row)
-        for f in facets:
-            if f.bit_count() == j + 1:  # a facet is no row's column
-                cols[f] = 1 << len(cols)
-        out[j] = (len(cols), rows)
-        level = cols
+    for j in range(-1, through + 1):
+        cols = {s: 1 << i for i, s in enumerate(by_size.get(j + 1, ()))}
+        out[j] = (len(cols), [[cols[r ^ b] for b in iter_bits(r)] for r in by_size.get(j + 2, ())])
     return out
 
 
@@ -251,28 +241,18 @@ def reduced_homology_dims(c: SimplicialComplex, field: int | None = None) -> tup
     _validate_field(field)
     if c.is_void:
         return ()
-    if c.is_empty_complex:
-        return (1,)
-    by_size = _faces_by_size(sorted(c.facets))
-    top = max(by_size) - 1
+    top = c.dimension()
+    by_size = _faces_by_size(c.facets, top + 1)  # every size 0..top + 1 has faces
     ranks: dict[int, int] = {}
     for j in range(0, top + 1):
-        cols_idx = by_size.get(j + 1, [])
-        rows_idx = by_size.get(j, [])
-        if not cols_idx or not rows_idx:
-            ranks[j] = 0
-            continue
+        cols_idx, rows_idx = by_size[j + 1], by_size[j]
         row_pos = {m: i for i, m in enumerate(rows_idx)}
         mat = [[0] * len(cols_idx) for _ in rows_idx]
         for col, f in enumerate(cols_idx):
             for idx, b in enumerate(iter_bits(f)):
                 mat[row_pos[f ^ b]][col] = -1 if idx % 2 else 1
         ranks[j] = rank(mat, field)
-    out = []
-    for j in range(-1, top + 1):
-        cj = len(by_size.get(j + 1, [])) if j >= 0 else 1
-        out.append(cj - ranks.get(j, 0) - ranks.get(j + 1, 0))
-    return tuple(out)
+    return tuple(len(by_size[j + 1]) - ranks.get(j, 0) - ranks.get(j + 1, 0) for j in range(-1, top + 1))
 
 
 # -- degree complexes ----------------------------------------------------------

@@ -102,8 +102,11 @@ def parse_input(text: str) -> SimplicialComplex | MonomialIdeal:
     elif text.startswith("{"):
         data = json.loads(text)
     elif os.path.exists(text):
-        with open(text) as fh:
-            data = json.load(fh)
+        try:
+            with open(text) as fh:
+                data = json.load(fh)
+        except OSError as exc:  # a directory, or no permission to read
+            raise ValueError(f"cannot read {text!r}: {exc.strerror}") from None
     else:
         raise ValueError(f"cannot interpret input {text!r}")
     if not isinstance(data, dict) or type(data.get("n")) is not int or data["n"] < 1:

@@ -277,6 +277,8 @@ def symbolic_power_ideal(ideal: MonomialIdeal, m: int) -> MonomialIdeal:
     powers of its minimal primes, by ``SymbolicPower.ideal``."""
     if not ideal.is_squarefree:
         raise ValueError("symbolic powers are defined here for squarefree input")
+    if not 1 <= m <= MAX_POWER:
+        raise ValueError(f"power must lie in 1..{MAX_POWER}")
     if ideal.is_unit or ideal.is_zero:
         return ideal
     return SymbolicPower.of(ideal, m).ideal()

@@ -1,14 +1,16 @@
 """Exact matrix rank over the rationals or a prime field.
 
-One sparse elimination serves Q and every F_p.  Rows are kept as dicts
-and reduced against pivot rows whose pivot entry is a unit: +-1 over Q,
-any nonzero entry over F_p.  Clearing a column with a unit pivot is a
-unimodular row operation on integer rows, so nothing is rounded and no
-entry becomes a fraction.  Coboundary matrices are sparse with +-1
-entries, so unit pivots usually find the whole rank (the standard exact
-method for simplicial homology; Dumas, Heckenbach, Saunders and Welker,
-2003).  Over Q, rows left with no entry +-1 go to fraction-free (Bareiss)
-elimination on Python ints, the one dense rank here.
+One sparse elimination serves Q and every F_p, in one pass.  Rows are
+kept as dicts, and a row becomes a pivot row at a unit entry where it has
+one: +-1 over Q, any nonzero entry over F_p.  Clearing a column with a
+unit pivot is a unimodular row operation on integer rows, so nothing is
+rounded and no entry becomes a fraction.  Coboundary matrices are sparse
+with +-1 entries, so unit pivots usually find the whole rank (the
+standard exact method for simplicial homology; Dumas, Heckenbach,
+Saunders and Welker, 2003).  Over Q a row with no entry +-1 pivots at its
+first entry with a ``fractions.Fraction`` inverse, and rows reduced
+against it may hold fractions from then on: still exact, but slow on a
+dense matrix with no +-1 anywhere, which no caller builds.
 
 Over F_2 a matrix also fits in one Python int per row, bit j the entry in
 column j, and ``rank_f2`` eliminates by XOR on leading bits.  The columns
@@ -24,36 +26,6 @@ rest, still as dense rows, whose width the bench tracer reads.
 from __future__ import annotations
 
 from math import isqrt
-
-
-def rank_rational(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix over Q, one-step Bareiss elimination."""
-    if not rows or not rows[0]:
-        return 0
-    m = [list(r) for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, nrows):
-            if m[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        p = m[rank][col]
-        for i in range(rank + 1, nrows):
-            f = m[i][col]
-            row_i, row_r = m[i], m[rank]
-            for j in range(col, ncols):
-                row_i[j] = (row_i[j] * p - f * row_r[j]) // prev
-        prev = p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
 
 
 def rank_f2(rows: list[int]) -> int:
@@ -81,13 +53,12 @@ def require_prime(p) -> int:
 
 def rank(rows: list[list[int]], field: int | None = None) -> int:
     """Rank over Q (field None) or F_p (field a prime) of a dense integer
-    matrix.
+    matrix, in one pass.
 
     Rows are reduced shortest first against the pivot rows found so far,
     in the order they were found, so each pivot row is zero in the pivot
-    columns before its own.  A reduced row with a unit entry becomes a
-    pivot row there; the others are reduced again once new pivots appear.
-    Over Q, Bareiss ranks the rows no pass gives a unit."""
+    columns before its own.  A row left nonzero becomes a pivot row at a
+    unit entry if it has one, else (over Q) at its first entry."""
     if field is None:
         live = [row for row in ({j: e for j, e in enumerate(r) if e} for r in rows) if row]
     else:
@@ -95,38 +66,33 @@ def rank(rows: list[list[int]], field: int | None = None) -> int:
         live = [row for row in ({j: e % field for j, e in enumerate(r) if e % field} for r in rows) if row]
     live.sort(key=len)
     pivots: dict[int, tuple[dict[int, int], int]] = {}  # column -> (row, inverse of its entry)
-    while live:
-        left = []
-        for row in live:
-            for col, (prow, inv) in pivots.items():
-                f = row.get(col)
-                if f:
-                    f *= inv
-                    for j, e in prow.items():
-                        v = row.get(j, 0) - f * e
-                        if field is not None:
-                            v %= field
-                        if v:
-                            row[j] = v
-                        else:
-                            del row[j]
-                    if not row:
-                        break
-            if not row:
-                continue
-            for j, e in row.items():
-                if field is not None or e == 1 or e == -1:
-                    pivots[j] = (row, e if field is None else pow(e, -1, field))  # over Q, 1/e = e
+    for row in live:
+        for col, (prow, inv) in pivots.items():
+            f = row.get(col)
+            if f:
+                f *= inv
+                for j, e in prow.items():
+                    v = row.get(j, 0) - f * e
+                    if field is not None:
+                        v %= field
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+                if not row:
                     break
-            else:
-                left.append(row)
-        if len(left) == len(live):
-            break
-        live = left
-    if not live:
-        return len(pivots)
-    cols = sorted({j for row in live for j in row})
-    return len(pivots) + rank_rational([[row.get(j, 0) for j in cols] for row in live])
+        if not row:
+            continue
+        for col, e in row.items():
+            if field is not None or e == 1 or e == -1:
+                pivots[col] = (row, e if field is None else pow(e, -1, field))  # over Q, 1/e = e
+                break
+        else:  # over Q, no entry +-1
+            from fractions import Fraction  # deferred: few ranks need it, and importing it costs memory at start
+
+            col, e = next(iter(row.items()))
+            pivots[col] = (row, 1 / Fraction(e))
+    return len(pivots)
 
 
 def parse_field(text: str) -> int | None:

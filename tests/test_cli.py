@@ -116,6 +116,25 @@ def test_oracle_refuses_a_power_past_16(capsys):
     assert "power must lie in 1..16" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["ordinary", "symbolic"])
+@pytest.mark.parametrize("m", ["0", "17"])
+@pytest.mark.parametrize("ideal", ['{"n":2,"gens":[]}', '{"n":2,"gens":[[0,0]]}'])  # zero, unit
+def test_power_out_of_range_exits_64_for_zero_and_unit_ideals(kind, m, ideal, capsys):
+    assert main(["power", ideal, "--m", m, "--kind", kind]) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: power must lie in 1..16\n"
+
+
+@pytest.mark.parametrize("command", [["analyze", "--kind", "cover", "--m", "3", "--property", "cm"], ["depth"]])
+def test_unreadable_input_path_exits_64(command, tmp_path, capsys):
+    # a path that exists but cannot be read as a file
+    assert main([command[0], str(tmp_path), *command[1:]]) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and str(tmp_path) in err
+
+
 def test_power_and_depth_pipeline():
     r = run_cli("power", "example-4-10", "--m", "2", "--kind", "symbolic")
     assert r.returncode == 0

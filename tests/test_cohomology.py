@@ -178,6 +178,23 @@ def test_face_mask_tables_stop_at_the_ceiling(monkeypatch):
     assert len(cohomology._BOUNDARY) <= 1 << 12
 
 
+def test_capped_face_listing_past_the_ceiling():
+    # past 12 vertices _coboundaries lists only the faces of at most t + 2
+    # vertices, and the indices -1..t it gives are those of the full answer
+    for c in (cycle(14), _mod3_moore_space()):
+        facets = tuple(c.facets)
+        for field in (None, 2, 3):
+            full = reduced_cohomology_dims(c, field)
+            for t in range(-1, c.dimension() + 1):
+                assert cohomology._cohomology_dims_of_facets(facets, field, t) == full[: t + 2], (c, field, t)
+    # a 14-sphere on 16 vertices: the faces of at most 3 vertices show nothing
+    sphere = tuple(uniform_matroid(16, 14).facets)
+    assert max(cohomology._faces_by_size(sphere, 3)) == 3
+    for field in (None, 3):
+        for t in (0, 1):
+            assert cohomology._cohomology_dims_of_facets(sphere, field, t) == (0,) * (t + 2), (field, t)
+
+
 def test_face_mask_tables_grow_on_first_need():
     # importing builds only the empty face; one query on a 7-vertex complex
     # grows both tables to its 2^7 faces
