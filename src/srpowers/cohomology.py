@@ -46,19 +46,21 @@ others are ranked again over Q on signed rows.  Over F_2 the bitset rank
 is the answer; an odd prime ranks the signed rows directly, since F_2
 says nothing about F_p.
 
-The F_2 rows of a complex on at most ``_TABLE_VERTICES`` = 12 vertices
-(its facets compacted onto the vertices they use) are read off two tables
-indexed by a face mask s: the face set is one int, the OR of the submask
-closures ``_DOWN[f]`` over the facets, and the row of a face r is
-``_BOUNDARY[r]``, bit s set for each face s of r one vertex smaller.  The
-columns are face masks, so nothing is numbered.  The tables grow by
-doubling on first need and stop at the ceiling, where each is about 1 MB;
-past it the rows come from ``_coboundaries``, which numbers its columns
-straight from one listing of the faces by size (``_faces_by_size``, capped
-at the size of the top rows) and also gives the signed rows over Q and
-odd primes.  ``reduced_homology_dims`` assembles its own signed boundary
-matrices from that listing: it is the independent side of the Reisner
-cross-check (``reisner_is_cm``).
+Every coboundary is read off one listing of the faces by size
+(``_faces_by_size``, capped at the size of the top rows): delta^j has a
+row for each face r of size j + 2, with its entries at the faces r ^ b,
+b a vertex of r.  On a complex of at most ``_TABLE_VERTICES`` = 12
+vertices (its facets compacted onto the vertices they use) the face set
+is one int, the OR of the submask closures ``_DOWN[f]`` over the facets,
+and the F_2 row of r is ``_BOUNDARY[r]``, bit s set for each face s of r
+one vertex smaller, so the columns are face masks and nothing is
+numbered.  The tables grow by doubling on first need and stop at the
+ceiling, where each is about 1 MB; past it the faces are listed from the
+facets and the F_2 rows number their columns.  The signed rows, over Q
+and odd primes, are dicts {r ^ b: +-1} keyed by face mask, the sign set
+by the place of b in r.  ``reduced_homology_dims`` assembles its own
+signed boundary matrices column by column from the same listing: it is
+the independent side of the Reisner cross-check (``reisner_is_cm``).
 """
 
 from __future__ import annotations
@@ -113,47 +115,6 @@ def _require_proper(ideal) -> None:
 # -- reduced (co)homology -----------------------------------------------------
 
 
-def _faces_by_size(facets, top: int) -> dict[int, list[int]]:
-    """The faces of the given facets with at most ``top`` vertices, by
-    size, each list sorted.  A facet within the cap gives its submasks, a
-    larger one its ``combinations`` of each size up to the cap, so a
-    small cap stays small however large the facets are."""
-    faces: set[int] = set()
-    for f in facets:
-        if f.bit_count() <= top:
-            faces.update(submasks(f))
-        else:
-            vertices = list(iter_bits(f))
-            for size in range(top + 1):
-                faces.update(map(sum, combinations(vertices, size)))
-    by_size: dict[int, list[int]] = {}
-    for s in sorted(faces):
-        by_size.setdefault(s.bit_count(), []).append(s)
-    return by_size
-
-
-def _coboundaries(facets, through: int) -> dict[int, tuple[int, list[list[int]]]]:
-    """delta^j: C^j -> C^(j+1) for j = -1..through as (number of columns,
-    rows), from one listing of the faces of at most through + 2 vertices.
-    A row is a face of size j + 2, given by the column bits of the faces
-    it drops a vertex to, in vertex order; the faces of size j + 1 number
-    the columns in the order listed."""
-    by_size = _faces_by_size(facets, through + 2)
-    out = {}
-    for j in range(-1, through + 1):
-        cols = {s: 1 << i for i, s in enumerate(by_size.get(j + 1, ()))}
-        out[j] = (len(cols), [[cols[r ^ b] for b in iter_bits(r)] for r in by_size.get(j + 2, ())])
-    return out
-
-
-def _signed(ncols: int, row: list[int]) -> list[int]:
-    """A coboundary row as dense integers, sign fixed by vertex order."""
-    out = [0] * ncols
-    for idx, col in enumerate(row):
-        out[col.bit_length() - 1] = -1 if idx % 2 else 1
-    return out
-
-
 # The F_2 row tables (see above), indexed by a face mask s: _DOWN[s] has
 # bit t set for every t <= s, _BOUNDARY[s] bit s ^ b for every vertex b
 # of s.  Both hold only the empty face until a complex needs more.
@@ -174,31 +135,45 @@ def _grow_tables(vertices: int) -> None:
         _BOUNDARY.extend([r << t | 1 << s for s, r in enumerate(_BOUNDARY)])
 
 
-def _f2_coboundaries(facets, through: int) -> dict[int, tuple[int, list[int]]]:
-    """delta^j over F_2 for j = -1..through as (number of columns, rows)
-    on at most ``_TABLE_VERTICES`` vertices.  The faces are one int, bit s
-    the face s; the row of a face r is ``_BOUNDARY[r]``, whose columns are
-    face masks."""
-    _grow_tables(reduce(or_, facets).bit_length())
-    faces = 0
-    for f in facets:
-        faces |= _DOWN[f]
-    top = through + 2  # the size of the top rows
+def _faces_by_size(facets, top: int) -> list[list[int]]:
+    """The faces of the given facets with at most ``top`` vertices, by
+    size 0..top, each list sorted.  On at most ``_TABLE_VERTICES``
+    vertices the face set is one int, the OR of ``_DOWN[f]`` over the
+    facets.  Past them a facet within the cap gives its submasks, a
+    larger one its ``combinations`` of each size up to the cap, so a
+    small cap stays small however large the facets are."""
+    used = reduce(or_, facets)
+    if used >> _TABLE_VERTICES:
+        found: set[int] = set()
+        for f in facets:
+            if f.bit_count() <= top:
+                found.update(submasks(f))
+            else:
+                vertices = list(iter_bits(f))
+                for size in range(top + 1):
+                    found.update(map(sum, combinations(vertices, size)))
+        faces = sorted(found)
+    else:
+        _grow_tables(used.bit_length())
+        closure = 0
+        for f in facets:
+            closure |= _DOWN[f]
+        faces = [s for s, bit in enumerate(bin(closure)[:1:-1]) if bit == "1"]
     by_size: list[list[int]] = [[] for _ in range(top + 1)]
-    for s, bit in enumerate(bin(faces)[:1:-1]):
-        if bit == "1":
-            size = s.bit_count()
-            if size <= top:
-                by_size[size].append(s)
-    return {j: (len(by_size[j + 1]), [_BOUNDARY[r] for r in by_size[j + 2]]) for j in range(-1, through + 1)}
+    for s in faces:
+        size = s.bit_count()
+        if size <= top:
+            by_size[size].append(s)
+    return by_size
 
 
-def _dims(coboundaries: dict, rank_of) -> tuple[int, ...]:
-    """Reduced cohomology dimensions from delta^j for j = -1..through
-    given as (number of columns, rows), ``rank_of(ncols, rows)`` ranking
-    each nonempty one."""
-    ranks = {j: rank_of(ncols, rows) if rows else 0 for j, (ncols, rows) in coboundaries.items()}
-    return tuple(coboundaries[j][0] - ranks[j] - ranks.get(j - 1, 0) for j in range(-1, len(coboundaries) - 1))
+def _dims(by_size: list[list[int]], rank_of) -> tuple[int, ...]:
+    """Reduced cohomology dimensions in indices -1..len(by_size) - 3 from
+    the faces by size: delta^j has a row for each face of size j + 2 and
+    a column for each of size j + 1, and ``rank_of(faces)`` ranks the
+    rows of the given faces."""
+    ranks = [0] + [rank_of(faces) if faces else 0 for faces in by_size[1:]]  # ranks[j + 2]: delta^j
+    return tuple(len(by_size[j + 1]) - ranks[j + 1] - ranks[j + 2] for j in range(-1, len(by_size) - 2))
 
 
 def _cohomology_dims_of_facets(facets, field, through: int) -> tuple[int, ...]:
@@ -208,17 +183,17 @@ def _cohomology_dims_of_facets(facets, field, through: int) -> tuple[int, ...]:
     if set(facets) == {0}:
         return (1,)
     through = min(through, max(f.bit_count() for f in facets) - 1)
-    coboundaries = None
+    by_size = _faces_by_size(facets, through + 2)
     if field is None or field == 2:
         if reduce(or_, facets) >> _TABLE_VERTICES:
-            coboundaries = _coboundaries(facets, through)
-            out = _dims(coboundaries, lambda _, rows: rank_f2([sum(row) for row in rows]))
+            col = {s: 1 << i for faces in by_size for i, s in enumerate(faces)}
+            out = _dims(by_size, lambda faces: rank_f2([sum(col[r ^ b] for b in iter_bits(r)) for r in faces]))
         else:
-            out = _dims(_f2_coboundaries(facets, through), lambda _, rows: rank_f2(rows))
+            out = _dims(by_size, lambda faces: rank_f2([_BOUNDARY[r] for r in faces]))
         if field == 2 or not any(out):
             return out
-    coboundaries = coboundaries or _coboundaries(facets, through)
-    return _dims(coboundaries, lambda ncols, rows: rank([_signed(ncols, row) for row in rows], field))
+    return _dims(by_size, lambda faces: rank(
+        [{r ^ b: -1 if i % 2 else 1 for i, b in enumerate(iter_bits(r))} for r in faces], field))
 
 
 def _compact(facets) -> tuple[int, ...]:
@@ -245,13 +220,11 @@ def reduced_homology_dims(c: SimplicialComplex, field: int | None = None) -> tup
     by_size = _faces_by_size(c.facets, top + 1)  # every size 0..top + 1 has faces
     ranks: dict[int, int] = {}
     for j in range(0, top + 1):
-        cols_idx, rows_idx = by_size[j + 1], by_size[j]
-        row_pos = {m: i for i, m in enumerate(rows_idx)}
-        mat = [[0] * len(cols_idx) for _ in rows_idx]
-        for col, f in enumerate(cols_idx):
-            for idx, b in enumerate(iter_bits(f)):
-                mat[row_pos[f ^ b]][col] = -1 if idx % 2 else 1
-        ranks[j] = rank(mat, field)
+        rows: dict[int, dict[int, int]] = {}  # a face of size j -> its row, keyed by faces of size j + 1
+        for f in by_size[j + 1]:
+            for i, b in enumerate(iter_bits(f)):
+                rows.setdefault(f ^ b, {})[f] = -1 if i % 2 else 1
+        ranks[j] = rank(list(rows.values()), field)
     return tuple(len(by_size[j + 1]) - ranks.get(j, 0) - ranks.get(j + 1, 0) for j in range(-1, top + 1))
 
 

@@ -26,6 +26,12 @@ from .complexes import SimplicialComplex
 MAX_POWER = 16  # desk scale guard
 
 
+def _check_power(m) -> None:
+    """Refuse an exponent that is not an int in 1..MAX_POWER (a bool is not an int here)."""
+    if type(m) is not int or not 1 <= m <= MAX_POWER:
+        raise ValueError(f"power must lie in 1..{MAX_POWER}")
+
+
 class DeskScaleExceeded(ValueError):
     """Input past desk scale: too large a box or too large an exponent.
 
@@ -155,8 +161,7 @@ class MonomialIdeal:
         return self._pairwise(other, operator.add)
 
     def power(self, m: int) -> "MonomialIdeal":
-        if not 1 <= m <= MAX_POWER:
-            raise ValueError(f"power must lie in 1..{MAX_POWER}")
+        _check_power(m)
         out = self
         for _ in range(m - 1):
             out = out.multiply(self)
@@ -275,10 +280,9 @@ def dual_complex(c: SimplicialComplex) -> SimplicialComplex:
 def symbolic_power_ideal(ideal: MonomialIdeal, m: int) -> MonomialIdeal:
     """m-th symbolic power of a squarefree ideal: intersection of the m-th
     powers of its minimal primes, by ``SymbolicPower.ideal``."""
+    _check_power(m)
     if not ideal.is_squarefree:
         raise ValueError("symbolic powers are defined here for squarefree input")
-    if not 1 <= m <= MAX_POWER:
-        raise ValueError(f"power must lie in 1..{MAX_POWER}")
     if ideal.is_unit or ideal.is_zero:
         return ideal
     return SymbolicPower.of(ideal, m).ideal()
@@ -317,8 +321,7 @@ class SquarefreePower:
     is_unit = False  # the unit ideal has no radical complex to hold
 
     def __post_init__(self):
-        if not 1 <= self.m <= MAX_POWER:
-            raise ValueError(f"power must lie in 1..{MAX_POWER}")
+        _check_power(self.m)
 
     @classmethod
     def of(cls, ideal: MonomialIdeal, m: int) -> "SquarefreePower":
@@ -438,10 +441,9 @@ class OrdinaryPower(SquarefreePower):
 def symbolic_power_by_intersection(ideal: MonomialIdeal, m: int) -> MonomialIdeal:
     """Independent route: iterated generator-level intersection of the
     prime powers.  Slow; kept as a cross-check oracle."""
+    _check_power(m)
     if not ideal.is_squarefree:
         raise ValueError("symbolic powers are defined here for squarefree input")
-    if not 1 <= m <= MAX_POWER:
-        raise ValueError(f"power must lie in 1..{MAX_POWER}")
     n = ideal.n
     full = (1 << n) - 1
     result: MonomialIdeal | None = None

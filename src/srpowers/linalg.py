@@ -13,14 +13,11 @@ against it may hold fractions from then on: still exact, but slow on a
 dense matrix with no +-1 anywhere, which no caller builds.
 
 Over F_2 a matrix also fits in one Python int per row, bit j the entry in
-column j, and ``rank_f2`` eliminates by XOR on leading bits.  The columns
-need not be numbered densely: on complexes of at most 12 vertices the
-depth oracle's coboundary rows put the entry of a face at the bit of its
-face mask, so a row on k vertices is up to 2^k bits wide with few bits
-set; past 12 vertices the columns are numbered.  The oracle ranks
-every coboundary this way first: over F_2 as the answer, over Q as a
-certificate of vanishing (see ``cohomology``).  ``rank`` sees only the
-rest, still as dense rows, whose width the bench tracer reads.
+column j, and ``rank_f2`` eliminates by XOR on leading bits.  The depth
+oracle ranks every coboundary this way first: over F_2 as the answer,
+over Q as a certificate of vanishing (see ``cohomology``).  ``rank``
+sees only the rest, as sparse rows {column: entry} whose columns are
+face masks.
 """
 
 from __future__ import annotations
@@ -51,19 +48,20 @@ def require_prime(p) -> int:
     return p
 
 
-def rank(rows: list[list[int]], field: int | None = None) -> int:
-    """Rank over Q (field None) or F_p (field a prime) of a dense integer
-    matrix, in one pass.
+def rank(rows: list[dict[int, int]], field: int | None = None) -> int:
+    """Rank over Q (field None) or F_p (field a prime) of an integer
+    matrix given as sparse rows {column: entry}, in one pass.  Zero
+    entries (mod p) are dropped.
 
     Rows are reduced shortest first against the pivot rows found so far,
     in the order they were found, so each pivot row is zero in the pivot
     columns before its own.  A row left nonzero becomes a pivot row at a
     unit entry if it has one, else (over Q) at its first entry."""
     if field is None:
-        live = [row for row in ({j: e for j, e in enumerate(r) if e} for r in rows) if row]
+        live = [row for row in ({j: e for j, e in r.items() if e} for r in rows) if row]
     else:
         require_prime(field)
-        live = [row for row in ({j: e % field for j, e in enumerate(r) if e % field} for r in rows) if row]
+        live = [row for row in ({j: e % field for j, e in r.items() if e % field} for r in rows) if row]
     live.sort(key=len)
     pivots: dict[int, tuple[dict[int, int], int]] = {}  # column -> (row, inverse of its entry)
     for row in live:

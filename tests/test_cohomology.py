@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from srpowers.complexes import (
+    SimplicialComplex,
     cycle,
     disjoint_union,
     embed,
@@ -160,26 +161,38 @@ def test_odd_primes_never_use_the_f2_certificate(monkeypatch):
 
 def test_face_mask_tables_stop_at_the_ceiling(monkeypatch):
     # F_2 rows come from the face-mask tables on at most 12 vertices, counted
-    # after compacting onto the vertices used, not in the ambient n;
-    # cycle(14) and the 13-vertex mod-3 Moore space are past the ceiling and
-    # build their rows by _coboundaries, once per call also over Q
-    calls = _counting(monkeypatch, "_coboundaries")
+    # after compacting onto the vertices used, not in the ambient n; past
+    # the ceiling they are numbered bitsets, still ranked by rank_f2, and
+    # only the Q fallback and odd primes reach rank
+    f2_calls = _counting(monkeypatch, "rank_f2")
+    calls = _counting(monkeypatch, "rank")
     far_triangle = embed(cycle(3), 16, 13)  # on vertices 14-16
-    assert reduced_cohomology_dims(far_triangle, 2) == reduced_homology_dims(far_triangle, 2) == (0, 0, 1)
-    assert calls == []
-    assert reduced_cohomology_dims(far_triangle) == reduced_homology_dims(far_triangle) == (0, 0, 1)
-    assert len(calls) == 1  # the Q fallback
+    assert reduced_cohomology_dims(far_triangle, 2) == (0, 0, 1)
+    assert len(f2_calls) >= 1 and calls == []
+    assert reduced_homology_dims(far_triangle, 2) == (0, 0, 1)
+    calls.clear()
+    assert reduced_cohomology_dims(far_triangle) == (0, 0, 1)
+    assert len(calls) >= 1  # the Q fallback
+    assert reduced_homology_dims(far_triangle) == (0, 0, 1)
     for c in (cycle(14), _mod3_moore_space()):
         for field in (None, 2):
             calls.clear()
-            assert reduced_cohomology_dims(c, field) == reduced_homology_dims(c, field)
-            assert len(calls) == 1, (c, field)
+            dims = reduced_cohomology_dims(c, field)
+            assert field is None or calls == [], c
+            assert dims == reduced_homology_dims(c, field), (c, field)
+    # a cone on 14 vertices: F_2 sees nothing, so only F_3 needs signed rows
+    cone = SimplicialComplex(14, frozenset(f | 1 << 13 for f in uniform_matroid(13, 3).facets))
+    for field in (None, 2, 3):
+        calls.clear()
+        assert reduced_cohomology_dims(cone, field) == (0,) * 6
+        assert bool(calls) == (field == 3), field
+        assert reduced_homology_dims(cone, field) == (0,) * 6
     assert len(cohomology._DOWN) <= 1 << 12
     assert len(cohomology._BOUNDARY) <= 1 << 12
 
 
 def test_capped_face_listing_past_the_ceiling():
-    # past 12 vertices _coboundaries lists only the faces of at most t + 2
+    # past 12 vertices _faces_by_size lists only the faces of at most t + 2
     # vertices, and the indices -1..t it gives are those of the full answer
     for c in (cycle(14), _mod3_moore_space()):
         facets = tuple(c.facets)
@@ -189,7 +202,7 @@ def test_capped_face_listing_past_the_ceiling():
                 assert cohomology._cohomology_dims_of_facets(facets, field, t) == full[: t + 2], (c, field, t)
     # a 14-sphere on 16 vertices: the faces of at most 3 vertices show nothing
     sphere = tuple(uniform_matroid(16, 14).facets)
-    assert max(cohomology._faces_by_size(sphere, 3)) == 3
+    assert [len(faces) for faces in cohomology._faces_by_size(sphere, 3)] == [1, 16, 120, 560]
     for field in (None, 3):
         for t in (0, 1):
             assert cohomology._cohomology_dims_of_facets(sphere, field, t) == (0,) * (t + 2), (field, t)

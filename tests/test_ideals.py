@@ -534,6 +534,19 @@ def test_power_guard():
         symbolic_power(cycle(5), 17)
 
 
+@pytest.mark.parametrize("build", [
+    MonomialIdeal.power,
+    SymbolicPower.of,
+    OrdinaryPower.of,
+    symbolic_power_ideal,
+    symbolic_power_by_intersection,
+], ids=["power", "SymbolicPower.of", "OrdinaryPower.of", "symbolic_power_ideal", "by_intersection"])
+@pytest.mark.parametrize("m", [0, 17, 2.5, True], ids=repr)
+def test_every_power_builder_refuses_an_exponent_outside_1_to_16(build, m):
+    with pytest.raises(ValueError, match=r"power must lie in 1\.\.16"):
+        build(sr_ideal(cycle(5)), m)
+
+
 def test_symbolic_power_box_guard_is_a_desk_scale_error():
     big = MonomialIdeal.from_generators(12, [(1, 1) + (0,) * 10])
     with pytest.raises(DeskScaleExceeded) as info:

@@ -29,6 +29,11 @@ def reference_rank(rows, field):
     return found
 
 
+def _sparse(rows):
+    """Dense rows as the dict rows {column: entry} that ``rank`` takes."""
+    return [{j: e for j, e in enumerate(r) if e} for r in rows]
+
+
 def _random_matrix(rng, values):
     nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
     density = rng.choice([0.3, 0.6, 1.0])
@@ -40,12 +45,12 @@ def test_rank_matches_reference_on_random_matrices(field):
     rng = random.Random(field or 0)
     for _ in range(400):
         m = _random_matrix(rng, range(-3, 4))
-        assert rank(m, field) == reference_rank(m, field), m
+        assert rank(_sparse(m), field) == reference_rank(m, field), m
     # every 2x2 matrix with entries in -2..2: every pivot order over Q (a
     # unit pivot then a Fraction one, a Fraction pivot first, cancelling rows)
     for a, b, c, d in itertools.product(range(-2, 3), repeat=4):
         m = [[a, b], [c, d]]
-        assert rank(m, field) == reference_rank(m, field), m
+        assert rank(_sparse(m), field) == reference_rank(m, field), m
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -54,16 +59,17 @@ def test_rank_matches_reference_without_unit_entries(field):
     rng = random.Random(100 + (field or 0))
     for _ in range(400):
         m = _random_matrix(rng, [-3, -2, 2, 3])
-        assert rank(m, field) == reference_rank(m, field), m
+        assert rank(_sparse(m), field) == reference_rank(m, field), m
 
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_rank_edge_shapes(field):
     assert rank([], field) == 0
-    assert rank([[]], field) == 0
-    assert rank([[0, 0, 0], [0, 0, 0]], field) == 0
+    assert rank([{}], field) == 0
+    assert rank([{0: 0}], field) == 0
+    assert rank(_sparse([[0, 0, 0], [0, 0, 0]]), field) == 0
     for m in ([[0, 2, -1, 3]], [[0], [3], [-2]], [[3, 2, 0]], [[2], [-1]], [[1, 1], [1, 1]]):
-        assert rank(m, field) == reference_rank(m, field), m
+        assert rank(_sparse(m), field) == reference_rank(m, field), m
 
 
 def _packed(rows):
@@ -89,8 +95,10 @@ def test_rank_f2_edge_shapes():
 
 
 def test_rank_reduces_mod_p_and_needs_a_prime():
-    assert rank([[2, 0], [0, 2]], 2) == 0
-    assert rank([[2, 0], [0, 2]]) == 2
+    assert rank([{0: 2}, {1: 2}], 2) == 0
+    assert rank([{0: 2}, {1: 2}]) == 2
+    assert rank([{0: 3, 2: 6}], 3) == 0
+    assert rank([{5: 2}]) == 1  # a Fraction pivot on a non-unit entry
     for bad in (4, 1, 0, -3, 2.0):
         with pytest.raises(ValueError):
-            rank([[1]], bad)
+            rank([{0: 1}], bad)

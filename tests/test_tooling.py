@@ -80,10 +80,10 @@ print(json.dumps([report.depth, report.dim, tracer.raw()]))
 """
 
 
-def test_traced_rational_fallback_hands_rank_dense_rows():
+def test_traced_rational_fallback_hands_rank_sparse_rows():
     # the 6-cycle's degree complexes have cohomology over F_2, so the depth
     # scan ranks them over Q too; the tracer's hook on ``linalg.rank``
-    # reads the width of the first row, which only a dense row has
+    # takes len(rows[0]), which on a sparse row is its number of entries
     import json
     import subprocess
     import sys
