@@ -105,6 +105,35 @@ def minimal_transversals(masks: Iterable[int], ground: int) -> list[int]:
     return sorted(out, key=lambda s: (s.bit_count(), s))
 
 
+def exchange_pair(faces: Iterable[int]) -> tuple[int, int] | None:
+    """A pair (G, F) of a downward-closed family of masks that fails the
+    independence exchange axiom, or None when the family satisfies it.
+
+    Checking F one larger than G suffices: a bigger F can be shrunk to
+    |G|+1 inside the family.  The vertices x with G + x in the family
+    form one mask per G, the union of F - G over the members F one
+    larger that contain G; a pair fails when F misses it.  The pair is
+    the first failing one in (size, mask) order.
+    """
+    by_size: dict[int, list[int]] = {}
+    for f in sorted(faces):
+        by_size.setdefault(f.bit_count(), []).append(f)
+    for k in sorted(by_size):
+        bigger = by_size.get(k + 1)
+        if not bigger:
+            continue
+        extends: dict[int, int] = {}
+        for f in bigger:
+            for b in iter_bits(f):
+                extends[f ^ b] = extends.get(f ^ b, 0) | b
+        for g in by_size[k]:
+            ext = extends.get(g, 0)
+            f = next((f for f in bigger if not f & ext), None)
+            if f is not None:
+                return g, f
+    return None
+
+
 def compactify(masks: Iterable[int], support: int) -> tuple[int, ...]:
     """Relabel masks on an arbitrary support to bits 0..k-1, order preserved."""
     positions = [v - 1 for v in vertices_of(support)]

@@ -269,12 +269,15 @@ def build_ideal(q: Query) -> SymbolicPower | OrdinaryPower:
     """The power the query names, as the value the oracle decides:
     ``SymbolicPower`` or ``OrdinaryPower`` on the facets of the radical
     complex that ``RADICAL_COMPLEXES[q.ideal_kind]`` reads off the query's
-    complex, with no base ideal built.  Its ``ideal()`` gives the explicit
-    generators.  m must be an integer."""
+    complex, with no base ideal built.  The power carries that complex, so
+    its minimal nonfaces, computed once for ``classify``, are read again
+    from it.  Its ``ideal()`` gives the explicit generators.  m must be an
+    integer."""
     if q.m == "all":
         raise ValueError('cannot build the power for m="all"')
     power = OrdinaryPower if q.power_kind == "ordinary" else SymbolicPower
-    return power(q.complex.n, RADICAL_COMPLEXES[q.ideal_kind](q.complex).facets, q.m)
+    radical = RADICAL_COMPLEXES[q.ideal_kind](q.complex)
+    return power(radical.n, radical.facets, q.m, radical)
 
 
 def run_oracle(q: Query, field: int | None = None, *, deadline: float | None = None) -> OracleRun:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -61,12 +60,9 @@ def _parse_budget(text: str) -> float | None:
     if not text:
         return None
     try:
-        seconds = float(text)
-    except ValueError:
-        seconds = math.nan
-    if not (math.isfinite(seconds) and seconds > 0):
+        return co.check_budget(float(text))
+    except ValueError:  # not a number, or not a budget
         raise argparse.ArgumentTypeError(f"budget must be a finite number of seconds > 0, not {text!r}")
-    return seconds
 
 
 def _deadline(args) -> float | None:

@@ -101,6 +101,14 @@ class OracleBudgetExceeded(RuntimeError):
     """The depth scan ran past its time budget."""
 
 
+def check_budget(seconds: float | None) -> float | None:
+    """``seconds`` when it is a time budget, a finite number > 0, or None
+    for no budget; ValueError otherwise."""
+    if seconds is not None and not (math.isfinite(seconds) and seconds > 0):
+        raise ValueError(f"budget must be a finite number of seconds > 0, not {seconds!r}")
+    return seconds
+
+
 def _validate_field(field) -> None:
     """None (the rationals) or a prime."""
     if field is not None:
@@ -466,7 +474,7 @@ Oracle = MonomialIdeal | SymbolicPower | OrdinaryPower  # what the oracle decide
 def _radical_complex(ideal: Oracle) -> SimplicialComplex:
     if isinstance(ideal, MonomialIdeal):
         return complex_of_radical(ideal)
-    return SimplicialComplex(ideal.n, ideal.facets)
+    return ideal.radical_complex
 
 
 def _localizations(ideal: Oracle, below: int):

@@ -17,6 +17,7 @@ from typing import Iterable
 
 from .bits import (
     antichain_maximal,
+    exchange_pair,
     mask_of,
     minimal_transversals,
     submasks,
@@ -77,6 +78,12 @@ class SimplicialComplex:
     @cached_property
     def _face_set(self) -> frozenset[int]:
         return frozenset(s for f in self.facets for s in submasks(f))
+
+    @cached_property
+    def exchange_pair(self) -> tuple[int, int] | None:
+        """A pair (G, F) of face masks failing the exchange axiom, or None
+        for a matroid (``bits.exchange_pair``), computed once per object."""
+        return exchange_pair(self._face_set)
 
     def faces(self) -> frozenset[int]:
         """All faces as masks (the empty face 0 included unless void)."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -312,16 +312,26 @@ class SquarefreePower:
     the prime powers P_{V-F}^m over the facets F.  ``SymbolicPower`` and
     ``OrdinaryPower`` are sibling subclasses that differ only in which
     power ``ideal()`` builds.
+
+    ``radical_complex`` is the complex on those facets, passed in by a
+    caller that holds it so that what it has computed (minimal nonfaces,
+    faces) is reused.  It takes no part in equality or hashing.
     """
 
     n: int
     facets: frozenset[int]
     m: int
+    radical_complex: SimplicialComplex | None = field(default=None, compare=False, repr=False)
 
     is_unit = False  # the unit ideal has no radical complex to hold
 
     def __post_init__(self):
         _check_power(self.m)
+        held = self.radical_complex
+        if held is None:
+            object.__setattr__(self, "radical_complex", SimplicialComplex(self.n, self.facets))
+        elif held.n != self.n or held.facets != self.facets:
+            raise ValueError("the radical complex must have the power's facets")
 
     @classmethod
     def of(cls, ideal: MonomialIdeal, m: int) -> "SquarefreePower":
@@ -329,7 +339,8 @@ class SquarefreePower:
         cover or facet ideal alike)."""
         if not ideal.is_squarefree:
             raise ValueError("powers are held here for squarefree input")
-        return cls(ideal.n, complex_of_radical(ideal).facets, m)
+        radical = complex_of_radical(ideal)
+        return cls(radical.n, radical.facets, m, radical)
 
     @property
     def is_zero(self) -> bool:
@@ -337,7 +348,7 @@ class SquarefreePower:
 
     def radical(self) -> MonomialIdeal:
         """The squarefree ideal, generated by the minimal nonfaces."""
-        return _nonface_ideal(SimplicialComplex(self.n, self.facets))
+        return _nonface_ideal(self.radical_complex)
 
     def contract(self, face: int) -> "SquarefreePower | None":
         """Invert the variables of ``face`` (a mask): localization commutes
@@ -424,7 +435,7 @@ class OrdinaryPower(SquarefreePower):
             symbolic &= sum((axes[i] for i in range(n) if not f >> i & 1), np.uint8(0)) >= m
         shifts = [(tuple(slice(1, None) if u >> i & 1 else slice(None) for i in range(n)),
                    tuple(slice(None, -1) if u >> i & 1 else slice(None) for i in range(n)))
-                  for u in SimplicialComplex(n, self.facets).minimal_nonface_masks()]
+                  for u in self.radical_complex.minimal_nonface_masks()]
         ordinary = np.ones_like(symbolic)  # I^0 = S
         for _ in range(m):
             grown = np.zeros_like(ordinary)
@@ -435,7 +446,7 @@ class OrdinaryPower(SquarefreePower):
         return bool(np.array_equal(ordinary, symbolic))
 
     def symbolic(self) -> SymbolicPower:
-        return SymbolicPower(self.n, self.facets, self.m)
+        return SymbolicPower(self.n, self.facets, self.m, self.radical_complex)
 
 
 def symbolic_power_by_intersection(ideal: MonomialIdeal, m: int) -> MonomialIdeal:

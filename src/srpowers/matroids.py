@@ -25,29 +25,13 @@ def _check_has_faces(c: SimplicialComplex) -> None:
 def matroid_exchange_witness(c: SimplicialComplex):
     """A failing exchange pair (G, F) as vertex tuples, or None.
 
-    Checking faces F one larger than G suffices: a bigger F can be
-    shrunk to |G|+1 inside the downward-closed family.  The vertices x
-    with G + x a face form one mask per G, the union of F - G over the
-    faces F one larger that contain G; a pair fails when F misses it.
+    The pair is ``bits.exchange_pair`` of the faces, held on the complex
+    (``SimplicialComplex.exchange_pair``), so every check that asks about
+    one complex object shares one computation.
     """
     _check_has_faces(c)
-    by_size: dict[int, list[int]] = {}
-    for f in sorted(c.faces()):
-        by_size.setdefault(f.bit_count(), []).append(f)
-    for k in sorted(by_size):
-        bigger = by_size.get(k + 1)
-        if not bigger:
-            continue
-        extends: dict[int, int] = {}
-        for f in bigger:
-            for b in iter_bits(f):
-                extends[f ^ b] = extends.get(f ^ b, 0) | b
-        for g in by_size[k]:
-            ext = extends.get(g, 0)
-            f = next((f for f in bigger if not f & ext), None)
-            if f is not None:
-                return vertices_of(g), vertices_of(f)
-    return None
+    pair = c.exchange_pair
+    return None if pair is None else (vertices_of(pair[0]), vertices_of(pair[1]))
 
 
 def is_matroid_exchange(c: SimplicialComplex) -> bool:

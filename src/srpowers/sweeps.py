@@ -6,12 +6,16 @@ exact local cohomology oracle; an oracle check takes its criterion from
 ``classify``'s decision table).  A sweep runs a family of complexes
 through selected checks and reports one row per complex per check;
 any disagreement is a failed run.
+Serial and parallel sweeps run one loop (``run_sweep``): the jobs, one
+per complex, stream in small batches through a bounded window and come
+back in family order.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -33,6 +37,14 @@ from .matroids import (
 )
 
 CSV_HEADER = "complex_signature,check_id,theorem_verdict,oracle_verdict,seconds"
+
+# A parallel sweep hands each worker batches of _BATCH jobs and keeps at
+# most _WINDOW batches per worker in flight.  Batches this small keep both
+# workers busy to the end of a family whose costly complexes come last
+# (the structured positives); one job per task costs more in pickling
+# and wake-ups than it saves.
+_BATCH = 8
+_WINDOW = 2
 
 
 def complex_signature(c: SimplicialComplex) -> str:
@@ -205,6 +217,17 @@ def _job(args) -> list[tuple] | None:
     return rows
 
 
+def _jobs(batch) -> list[list[tuple] | None]:
+    """``_job`` over a batch of jobs in family order, stopping after the
+    first None: a complex past the deadline ends the run there."""
+    outs = []
+    for args in batch:
+        outs.append(out := _job(args))
+        if out is None:
+            break
+    return outs
+
+
 def _family(n_max, dim_min, dim_max, sample, seed):
     if sample is not None:
         return sample_complexes(n_max, sample, seed, dim_min=max(dim_min, 0), dim_max=dim_max) + [
@@ -230,8 +253,13 @@ def run_sweep(
 ) -> SweepResult:
     """Run checks over a family of complexes; deterministic row order.
 
+    The jobs stream through a window of at most ``_WINDOW * parallel``
+    batches, taken in order; a new batch goes in as each one comes out, so
+    no worker waits for a slow batch of another.  ``budget_seconds`` is a
+    finite number > 0, or None for no budget (ValueError otherwise).
     With a budget, the run stops at the first complex left unfinished when
-    time runs out, and ``resume_token`` names it.  The first complex of a
+    time runs out, and ``resume_token`` names it; batches still in the
+    window are cancelled or left to the resume.  The first complex of a
     run is exempt from the budget, so resuming always makes progress.
     """
     for option, value, least in (("--n-max", n_max, 1), ("--sample", sample, 1),
@@ -248,7 +276,8 @@ def run_sweep(
     unknown = [cid for cid in check_ids if cid not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}")
-    deadline = time.monotonic() + budget_seconds if budget_seconds else None
+    co.check_budget(budget_seconds)
+    deadline = time.monotonic() + budget_seconds if budget_seconds is not None else None
     family = _family(n_max, dim_min, dim_max, sample, seed)
     jobs = (
         (c.n, tuple(sorted(c.facets)), tuple(check_ids), field, deadline if i else None)
@@ -259,9 +288,15 @@ def run_sweep(
     processed = resume
     exhausted = stop = False
     pool = ProcessPoolExecutor(max_workers=parallel) if parallel > 1 else None
+    size = _BATCH if pool else 1
+    window: deque = deque()  # callables giving each batch's outs, in family order
     try:
-        while not stop and (chunk := list(itertools.islice(jobs, 256 if pool else 1))):
-            outs = pool.map(_job, chunk, chunksize=16) if pool else map(_job, chunk)
+        while not stop:
+            while len(window) < _WINDOW * parallel and (batch := list(itertools.islice(jobs, size))):
+                window.append(pool.submit(_jobs, batch).result if pool else partial(_jobs, batch))
+            if not window:
+                break
+            outs = window.popleft()()
             for k, out in enumerate(outs, start=1):
                 if out is None:
                     stop = exhausted = True
@@ -269,8 +304,10 @@ def run_sweep(
                 rows.extend(SweepRow(*r) for r in out)
                 processed += 1
                 if deadline is not None and time.monotonic() > deadline:
+                    # the window was topped up before this batch was taken,
+                    # so it is empty only when the family is done
                     stop = True
-                    exhausted = k < len(chunk) or next(jobs, None) is not None
+                    exhausted = k < len(outs) or bool(window)
                     break
     finally:
         if pool:

@@ -179,6 +179,31 @@ def test_oracle_past_its_deadline_raises(call, monkeypatch):
         call(q, deadline=time.monotonic() - 1)
 
 
+# a complete intersection (minimal nonfaces {1,2} and {3,4}), whose cube
+# is its symbolic cube, so the oracle goes on to scan; and the 5-cycle
+@pytest.mark.parametrize("c", [from_facets(5, [(1, 3, 5), (1, 4, 5), (2, 3, 5), (2, 4, 5)]), C5],
+                         ids=["complete-intersection", "five-cycle"])
+def test_an_ordinary_cube_query_finds_the_minimal_nonfaces_once(c, monkeypatch):
+    # classify reads them for the complete-intersection criterion; the
+    # power the oracle decides carries the same complex and reads them back
+    from srpowers import bits, complexes
+
+    monkeypatch.setattr(co, "_DIMS", {})
+    monkeypatch.setattr(co, "_VANISHES", {})
+    calls = []
+
+    def counted(masks, ground):
+        calls.append(ground)
+        return bits.minimal_transversals(masks, ground)
+
+    for module in (complexes, ideals, co):
+        monkeypatch.setattr(module, "minimal_transversals", counted)
+    fresh = complexes.SimplicialComplex(c.n, c.facets)  # nothing held on it yet
+    rep = classify_with_oracle(Query(fresh, "stanley_reisner", "ordinary", "CM", 3))
+    assert rep.oracle.result is (rep.verdict == "holds")
+    assert len(calls) == 1
+
+
 def test_report_json_shape():
     rep = classify_with_oracle(Query(C5, "stanley_reisner", "symbolic", "CM", 3))
     data = rep.to_json()

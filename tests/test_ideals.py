@@ -313,6 +313,26 @@ def test_ordinary_power_equals_symbolic_on_larger_cubes():
     assert answers[-4:] == [False, False, False, False] and any(answers)
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_equals_symbolic_reads_the_carried_complex(m):
+    # the power build_ideal returns carries the query's complex; it answers
+    # as one made from the facets alone, and is equal to it with one hash
+    from srpowers.classify import Query, build_ideal
+
+    for c in distinct_complexes(5):
+        carried = build_ideal(Query(c, "stanley_reisner", "ordinary", "CM", m))
+        assert carried.radical_complex is c
+        fresh = OrdinaryPower(c.n, c.facets, m)
+        assert fresh.radical_complex is not c
+        assert carried == fresh and hash(carried) == hash(fresh) and repr(carried) == repr(fresh)
+        assert carried.equals_symbolic() is fresh.equals_symbolic(), c
+
+
+def test_a_carried_complex_must_have_the_power_s_facets():
+    with pytest.raises(ValueError, match="radical complex"):
+        OrdinaryPower(4, cycle(4).facets, 3, cycle(5))
+
+
 def test_ordinary_power_equality_runs_its_check_between_rounds():
     calls = []
     op = OrdinaryPower.of(sr_ideal(cycle(5)), 3)

@@ -4,6 +4,7 @@ import pytest
 
 from srpowers.bits import iter_bits, vertices_of
 from srpowers.complexes import (
+    SimplicialComplex,
     complete_graph,
     cycle,
     disjoint_union,
@@ -14,7 +15,7 @@ from srpowers.complexes import (
     simplex,
     uniform_matroid,
 )
-from srpowers.enumeration import distinct_complexes
+from srpowers.enumeration import distinct_complexes, structured_positives
 from srpowers.fixtures import named_complex
 from srpowers.ideals import dual_complex
 from srpowers.matroids import (
@@ -70,6 +71,16 @@ def test_exchange_witness_matches_the_pairwise_loop():
         family.append(from_facets(n, facets))
     for c in family:
         assert matroid_exchange_witness(c) == _pairwise_exchange_witness(c), c
+
+
+def test_the_held_exchange_witness_is_a_fresh_computation():
+    # held on the complex after the first call; a fresh object on the same
+    # facets computes it again, through the pairwise loop
+    for c in [*distinct_complexes(5), *structured_positives()]:
+        held = matroid_exchange_witness(c)
+        assert "exchange_pair" in vars(c)
+        assert matroid_exchange_witness(c) == held
+        assert held == _pairwise_exchange_witness(SimplicialComplex(c.n, c.facets)), c
 
 
 def test_pair_criterion_equals_exchange_exhaustively():

@@ -1,8 +1,12 @@
+import multiprocessing
+
 import pytest
 
+from srpowers import bits, complexes
 from srpowers import cohomology as co
 from srpowers import sweeps
 from srpowers.classify import Query, classify
+from srpowers.complexes import uniform_matroid
 from srpowers.enumeration import distinct_complexes
 from srpowers.sweeps import complex_signature, run_sweep
 
@@ -11,13 +15,72 @@ def _verdicts(result):
     return [(r.signature, r.check_id, r.theorem_verdict, r.oracle_verdict) for r in result.rows]
 
 
-def test_parallel_budget_keeps_the_rest_of_the_last_chunk():
-    # the whole family fits in one chunk of the pool, so the budget runs
-    # out inside the last chunk
+CUBE_CHECKS = ["sym-cube-cm", "sym-cube-s2", "ord-cube-cm", "cover-cube-cm"]
+
+
+def test_parallel_budget_leaves_the_rest_of_the_window_to_the_resume():
+    # the budget runs out while batches are still in the pool's window, so
+    # the complexes after the stop are left for the resume
     r = run_sweep(["sym-cube-cm"], n_max=6, dim_min=2, sample=60, seed=3,
                   parallel=2, budget_seconds=0.01)
     assert r.exhausted
     assert r.resume_token == r.processed >= 1
+
+
+def test_parallel_budget_stop_is_a_prefix_that_the_resume_completes():
+    checks = ["sym-cube-cm", "ord-cube-cm"]
+    kw = dict(n_max=6, dim_min=2, sample=60, seed=3, parallel=2)
+    full = run_sweep(checks, **kw)
+    cut = run_sweep(checks, budget_seconds=0.01, **kw)
+    assert cut.exhausted
+    # more complexes were left than the window holds, so it was full at the stop
+    assert full.processed - cut.processed > sweeps._WINDOW * 2 * sweeps._BATCH
+    head = _verdicts(cut)
+    assert head == _verdicts(full)[:len(head)]
+    rest = run_sweep(checks, resume=cut.resume_token, **kw)
+    assert not rest.exhausted and rest.processed == full.processed
+    assert head + _verdicts(rest) == _verdicts(full)
+
+
+def test_streamed_pool_gives_the_serial_rows():
+    # the family spans more batches than the window holds and ends with
+    # the structured positives, the costliest complexes
+    kw = dict(n_max=6, dim_min=2, sample=40, seed=11)
+    serial = run_sweep(CUBE_CHECKS, **kw)
+    assert serial.processed > sweeps._WINDOW * 2 * sweeps._BATCH
+    assert serial.disagreements == 0
+    assert _verdicts(run_sweep(CUBE_CHECKS, parallel=2, **kw)) == _verdicts(serial)
+
+
+def test_no_worker_outlives_a_sweep():
+    run_sweep(["matroid-pair-criterion"], n_max=5, parallel=2)
+    assert multiprocessing.active_children() == []
+    r = run_sweep(["sym-cube-cm"], n_max=6, dim_min=2, sample=60, seed=3,
+                  parallel=2, budget_seconds=0.01)
+    assert r.exhausted
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("budget", [0, -1, float("nan"), float("inf")])
+def test_budget_must_be_a_finite_number_above_zero(budget):
+    with pytest.raises(ValueError, match="finite number of seconds > 0"):
+        run_sweep(["matroid-pair-criterion"], n_max=4, budget_seconds=budget)
+
+
+def test_one_job_computes_the_exchange_witness_once(monkeypatch):
+    # three of the four cube checks ask classify for the exchange axiom
+    # on the job's one complex object
+    calls = []
+
+    def counted(faces):
+        calls.append(1)
+        return bits.exchange_pair(faces)
+
+    monkeypatch.setattr(complexes, "exchange_pair", counted)
+    c = uniform_matroid(5, 2)
+    rows = sweeps._job((c.n, tuple(sorted(c.facets)), tuple(CUBE_CHECKS), None, None))
+    assert [row[1] for row in rows] == CUBE_CHECKS
+    assert len(calls) == 1
 
 
 def test_check_past_the_deadline_leaves_its_complex_for_the_resume(monkeypatch):
