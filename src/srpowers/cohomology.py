@@ -17,9 +17,9 @@ i - |G_a| - 1, so depth and Cohen-Macaulayness reduce to a finite scan:
 
 hence the scan reads only the nonnegative box {0..rho_i - 1}^n, with
 rho_i the maximal exponent of x_i over the generators, of I_G for each
-face G, one walk over the faces serving depth, CM, S2 and gCM.  For
-squarefree ideals each box is the single degree 0 and the walk is the
-classical link-by-link criterion.
+face G: for squarefree ideals the box is {0}, the classical link-by-link
+criterion.  For I^(m), I_G is I^(m) of the link of G, so CM and S2 key
+each box off the link's facets and build I_G only on a miss.
 
 One scan serves every input; only the reader of the degree complexes
 depends on its type.  For a ``MonomialIdeal`` the reader takes the
@@ -313,7 +313,7 @@ _MEMO_LIMIT = 1 << 16
 
 # The oracle's two memo tables, shared by both readers.
 _DIMS: dict = {}  # (compact facets of a degree complex, field) -> dims from index -1
-_VANISHES: dict = {}  # (canonical ideal, field) -> CM; ("box", ideal, below, field) -> box vanishes
+_VANISHES: dict = {}  # (ideal key, field) -> CM; ("box", key of I_G, below, field) -> box vanishes
 
 
 def _memoized(table: dict, key, compute):
@@ -477,15 +477,18 @@ def _radical_complex(ideal: Oracle) -> SimplicialComplex:
     return ideal.radical_complex
 
 
+def _faces_below(ideal: Oracle, below: int) -> list[int]:
+    """The faces G of the radical complex with |G| < below, largest first."""
+    return sorted((g for g in _radical_complex(ideal).faces() if g.bit_count() < below),
+                  key=lambda g: (-g.bit_count(), g))
+
+
 def _localizations(ideal: Oracle, below: int):
-    """(G, I_G, below - |G|) over the faces G of the radical complex with
-    |G| < below, largest first (I_G inverts the variables of G).  At the
-    degrees with negative support G, S/I has local cohomology below
-    ``below`` exactly where I_G has it below below - |G| in its
-    nonnegative box."""
-    faces = sorted((g for g in _radical_complex(ideal).faces() if g.bit_count() < below),
-                   key=lambda g: (-g.bit_count(), g))
-    for g in faces:
+    """(G, I_G, below - |G|) over ``_faces_below`` (I_G inverts the
+    variables of G).  At the degrees with negative support G, S/I has
+    local cohomology below ``below`` exactly where I_G has it below
+    below - |G| in its nonnegative box."""
+    for g in _faces_below(ideal, below):
         local = ideal
         if g:
             local = contract(ideal, g) if isinstance(ideal, MonomialIdeal) else ideal.contract(g)
@@ -525,42 +528,52 @@ def depth_dim(ideal: MonomialIdeal, field: int | None = None, *, deadline: float
     return DepthReport(depth, dim_q, depth == dim_q, field, tuple(witnesses))
 
 
-def _canonical_ideal_key(ideal: MonomialIdeal | SymbolicPower):
-    """Memo key: the generators (for a symbolic power, m and the facet
-    indicators) with the variables sorted by their sorted columns, so
-    equal keys mean equal ideals up to renaming the variables."""
+def _canonical_ideal_key(ideal: MonomialIdeal | SymbolicPower, face: int = 0):
+    """Memo key: the generators with the variables sorted by their sorted
+    columns, so equal keys mean equal ideals up to renaming.  A symbolic
+    power is keyed at ``face`` (``SquarefreePower.contract``) by m and the
+    star facets F ^ face, F >= face, on the other vertices sorted by how
+    many star facets hold them, then by index: as a 0/1 column's sorted
+    tuple is fixed by its count, this is the same sort."""
     if isinstance(ideal, SymbolicPower):
-        tag = ("symbolic", ideal.m)
-        gens = [indicator(f, ideal.n) for f in ideal.facets]
-    else:
-        tag = ()
-        gens = ideal.sorted_gens()
+        star = [f ^ face for f in ideal.facets if f & face == face]
+        order = sorted((v for v in range(ideal.n) if not face >> v & 1),
+                       key=lambda v: sum(f >> v & 1 for f in star))
+        return ("symbolic", ideal.m, len(order),
+                tuple(sorted(sum((f >> v & 1) << j for j, v in enumerate(order)) for f in star)))
+    gens = ideal.sorted_gens()
     cols = [tuple(sorted(g[i] for g in gens)) for i in range(ideal.n)]
     order = sorted(range(ideal.n), key=lambda i: cols[i])
-    return tag + (ideal.n, tuple(sorted(tuple(g[i] for i in order) for g in gens)))
+    return (ideal.n, tuple(sorted(tuple(g[i] for i in order) for g in gens)))
 
 
-def _box_vanishes(ideal: MonomialIdeal | SymbolicPower, below: int, field, deadline) -> bool:
-    """No local cohomology of S/I in an index below ``below`` at a
-    nonnegative degree, behind a ``_VANISHES`` entry tagged "box"."""
+def _box_vanishes(ideal: MonomialIdeal | SymbolicPower, face: int, below: int, field, deadline) -> bool:
+    """No local cohomology of S/I_G, G = ``face``, in an index below
+    ``below`` at a nonnegative degree, behind a ``_VANISHES`` entry tagged
+    "box".  A symbolic power is keyed at G off its facets and I_G, the
+    power of the link on the key's labels, is built only on a miss."""
     _check_deadline(deadline)
-    if below <= 0:
-        return True  # nothing below index 0, and no entry for it
-    return _memoized(
-        _VANISHES,
-        ("box", _canonical_ideal_key(ideal), below, field),
-        lambda: not _scan(ideal, below, field, first_only=True, deadline=deadline),
-    )
+    if isinstance(ideal, SymbolicPower):
+        key = _canonical_ideal_key(ideal, face)
+    else:
+        ideal = contract(ideal, face) if face else ideal
+        key = _canonical_ideal_key(ideal)
+
+    def scan():
+        local = SymbolicPower(key[2], frozenset(key[3]), ideal.m) if isinstance(ideal, SymbolicPower) else ideal
+        return not _scan(local, below, field, first_only=True, deadline=deadline)
+    return _memoized(_VANISHES, ("box", key, below, field), scan)
 
 
 def _vanishes_below(ideal: MonomialIdeal | SymbolicPower, field, deadline) -> bool:
-    """No local cohomology of S/I below its dimension: none in the box of
-    any localization.  One entry per ideal up to renaming sits over the
-    box entries of its localizations, which isomorphic links share."""
+    """No local cohomology of S/I below its dimension d: none below
+    d - |G| in the box of any I_G.  One entry per ideal up to renaming
+    sits over the box entries of its localizations, shared by isomorphic
+    links."""
     _check_box(ideal.max_exponents())
-    return _memoized(_VANISHES, (_canonical_ideal_key(ideal), field),
-                     lambda: all(_box_vanishes(local, below, field, deadline) for _, local, below
-                                 in _localizations(ideal, quotient_dimension(ideal))))
+    return _memoized(_VANISHES, (_canonical_ideal_key(ideal), field), lambda: all(
+        _box_vanishes(ideal, g, dim - g.bit_count(), field, deadline)
+        for dim in [quotient_dimension(ideal)] for g in _faces_below(ideal, dim)))
 
 
 def _scanned(ideal: Oracle, deadline) -> MonomialIdeal | SymbolicPower | None:
@@ -598,11 +611,12 @@ def is_s2(ideal: Oracle, field: int | None = None, *,
     """Serre condition S2: every monomial-prime localization has depth at
     least min(2, its dimension).  Monomial primes suffice because the
     failure locus of a monomial quotient is itself monomial-graded.  An
-    ordinary power is decided through I^(m).  Through ``_localizations``
-    this asks each I_G for no cohomology below min(2, dim I_G) in its
-    box; the conditions at index 0 on I_(G+v) it leaves out fail only for
-    a facet G + v with dim I_G >= 2, where the link of G (the degree
-    complex of I_G at 0) is disconnected, so S2 fails at G anyway."""
+    ordinary power is decided through I^(m).  This asks each I_G for no
+    cohomology below min(2, dim S/I_G) = min(2, max |F - G| over facets
+    F >= G), nothing at a facet G; the conditions at index 0 on I_(G+v)
+    it leaves out fail only for a facet G + v with dim S/I_G >= 2, where
+    the link of G (the degree complex of I_G at 0) is disconnected, so S2
+    fails at G anyway."""
     _validate_field(field)
     _require_proper(ideal)
     if ideal.is_zero:
@@ -611,8 +625,9 @@ def is_s2(ideal: Oracle, field: int | None = None, *,
     if ideal is None:
         return False
     _check_box(ideal.max_exponents())
-    return all(_box_vanishes(local, min(2, quotient_dimension(local)), field, deadline)
-               for _, local, _ in _localizations(ideal, ideal.n + 1))
+    facets = _radical_complex(ideal).facets
+    return all(_box_vanishes(ideal, g, min(2, max(f.bit_count() for f in facets if f & g == g) - g.bit_count()),
+                             field, deadline) for g in _faces_below(ideal, ideal.n + 1) if g not in facets)
 
 
 def is_generalized_cm(ideal: Oracle, field: int | None = None, *,

@@ -40,7 +40,7 @@ from srpowers.cohomology import (
 )
 from srpowers.fixtures import named_complex
 from srpowers.linalg import field_name
-from srpowers.enumeration import distinct_complexes
+from srpowers.enumeration import canonical_key, distinct_complexes, relabel_table
 from srpowers.ideals import (
     MonomialIdeal,
     OrdinaryPower,
@@ -776,6 +776,139 @@ def test_one_scan_gives_both_readers_the_same_witness_indices():
         w.index for w in _scan(rp2.ideal(), 3, 2, first_only=False)
     ]
     assert cases >= 200
+
+
+def _renaming(c, g, rng):
+    """A random renaming of the vertices of ``c``, acting on masks, that
+    keeps the order of the vertices outside g held by equally many facets
+    containing g: the renamings the memo key at g does not see.  The key
+    sorts the vertices by that count and breaks ties by label, so it is
+    no complete invariant: {14, 2, 3} and {12, 3, 4} are isomorphic links
+    with different keys, and miss each other's entries as they did when
+    the columns were sorted as tuples."""
+    perm = rng.sample(range(c.n), c.n)
+    star = [f for f in c.facets if f & g == g]
+    ties: dict = {}
+    for v in range(c.n):
+        ties.setdefault(-1 if g >> v & 1 else sum(f >> v & 1 for f in star), []).append(v)
+    for count, vertices in ties.items():
+        if count >= 0:  # vertices come in order; give them their images in order
+            for v, image in zip(vertices, sorted(perm[v] for v in vertices)):
+                perm[v] = image
+    return lambda mask: sum(1 << perm[i] for i in range(c.n) if mask >> i & 1)
+
+
+def test_a_face_key_is_the_key_of_the_contraction():
+    """Every class on <= 5 vertices, every face G and m in 1..3: the key
+    of I^(m) at G is the key of the contraction I^(m)_G, and it stays put
+    when the vertices are renamed, G along with them, by a renaming that
+    keeps the order within ties (``_renaming``)."""
+    rng = random.Random(53)
+    keys = 0
+    for c in distinct_complexes(5):
+        for m in (1, 2, 3):
+            power = SymbolicPower(c.n, c.facets, m)
+            for g in c.faces():
+                local = power.contract(g)
+                if local is None:  # G is every vertex
+                    continue
+                key = cohomology._canonical_ideal_key(power, g)
+                assert key == cohomology._canonical_ideal_key(local), (c, m, g)
+                rename = _renaming(c, g, rng)
+                renamed = SymbolicPower(c.n, frozenset(map(rename, c.facets)), m)
+                assert key == cohomology._canonical_ideal_key(renamed, rename(g)), (c, m, g)
+                keys += 1
+    assert keys > 10000
+    # the ties are broken by label: an isomorphic link may key apart
+    one, other = (SymbolicPower(4, frozenset(facets), 2) for facets in ({0b1001, 0b10, 0b100}, {0b11, 0b100, 0b1000}))
+    assert cohomology._canonical_ideal_key(one) != cohomology._canonical_ideal_key(other)
+
+
+def test_the_power_built_on_a_miss_is_a_renamed_contraction(monkeypatch):
+    """Every class on <= 5 vertices, every face G and m in 1..3: the power
+    a box miss scans for I^(m) at G is the contraction I^(m)_G with its
+    vertices renamed.  On every class on <= 4 vertices and a seeded
+    sample on 5 it gets the same CM and S2 verdicts, each computed with
+    empty memo tables."""
+    built = []
+    scan = cohomology._scan
+    monkeypatch.setattr(cohomology, "_scan", lambda ideal, *args, **kwargs: built.append(ideal) or scan(ideal, *args, **kwargs))
+
+    def fresh(check, ideal):
+        monkeypatch.setattr(cohomology, "_VANISHES", {})
+        return check(ideal)
+
+    tables = {k: relabel_table(k) for k in range(1, 6)}
+    classes = list(distinct_complexes(5))
+    verdicts = {c for c in classes if c.n <= 4} | set(random.Random(59).sample([c for c in classes if c.n == 5], 40))
+    cases = 0
+    for c in classes:
+        for m in (1, 2, 3):
+            power = SymbolicPower(c.n, c.facets, m)
+            for g in c.faces():
+                local = power.contract(g)
+                if local is None:
+                    continue
+                built.clear()
+                monkeypatch.setattr(cohomology, "_VANISHES", {})
+                cohomology._box_vanishes(power, g, 1, None, None)
+                (miss,) = built
+                assert (miss.n, miss.m) == (local.n, m), (c, m, g)
+                table = tables[local.n]
+                assert canonical_key(miss.facets, table) == canonical_key(local.facets, table), (c, m, g)
+                for check in (is_cm, is_s2) if c in verdicts else ():
+                    assert fresh(check, miss) == fresh(check, local), (check.__name__, c, m, g)
+                    cases += 1
+    assert cases > 1000
+
+
+@pytest.mark.parametrize("kind", [SymbolicPower, OrdinaryPower, "explicit"])
+def test_one_key_per_memo_lookup(kind, monkeypatch):
+    """Every ``_VANISHES`` lookup of CM and S2 computes one key, and S2
+    computes none at a facet, where it asks nothing."""
+    rng = random.Random(61)
+    family = [c for c in distinct_complexes(4) if not c.is_empty_complex] + [
+        random_complex(rng, n_min=5, n_max=5) for _ in range(12)]
+    keys = _counting(monkeypatch, "_canonical_ideal_key")
+    lookups = []
+    memoized = cohomology._memoized
+    monkeypatch.setattr(cohomology, "_memoized", lambda table, *args: (
+        table is cohomology._VANISHES and lookups.append(args[0])) or memoized(table, *args))
+    monkeypatch.setattr(cohomology, "_VANISHES", {})
+    checked = 0
+    for c in family:
+        power = (SymbolicPower if kind == "explicit" else kind)(c.n, c.facets, 2)
+        ideal = power.ideal() if kind == "explicit" else power
+        if ideal.is_zero:
+            continue
+        for check in (is_cm, is_s2):
+            del keys[:], lookups[:]
+            check(ideal)
+            assert len(keys) == len(lookups), (c, check.__name__)
+            checked += bool(keys)
+        # the last check was S2: no key at a facet of the radical complex
+        faces = [args[1] if len(args) > 1 else 0 for args in keys]
+        assert kind == "explicit" or not set(faces) & c.facets, c
+    assert checked > 30
+
+
+def test_memoized_box_entries_still_honour_the_deadline(monkeypatch):
+    """With every box entry of a symbolic power memoized, CM and S2 asked
+    past their deadline still raise: the deadline is checked before each
+    box lookup, hit or miss."""
+    monkeypatch.setattr(cohomology, "_VANISHES", {})
+    for c in (uniform_matroid(5, 3), cycle(5), EX410):
+        for m in (1, 3):
+            sp = SymbolicPower.of(sr_ideal(c), m)
+            want = is_cm(sp), is_s2(sp)
+            for key in [key for key in cohomology._VANISHES if key[0] != "box"]:
+                del cohomology._VANISHES[key]  # only the box entries stay
+            entries = len(cohomology._VANISHES)
+            for check in (is_cm, is_s2):
+                with pytest.raises(OracleBudgetExceeded):
+                    check(sp, deadline=time.monotonic() - 1)
+            assert len(cohomology._VANISHES) == entries  # nothing was scanned
+            assert (is_cm(sp), is_s2(sp)) == want
 
 
 def test_memo_tables_stay_within_their_bound(monkeypatch):
