@@ -427,7 +427,7 @@ def _closed_form_reader(sp: SymbolicPower):
 def _scan(ideal: MonomialIdeal | SymbolicPower, below: int, field, *,
           first_only: bool, deadline: float | None = None) -> list[Witness]:
     """Witnesses for nonvanishing local cohomology in indices < below at
-    the nonnegative degrees; ``_localizations`` reaches the others.
+    the nonnegative degrees; the localizations I_G reach the others.
 
     One loop serves both routes; only the reader of the degree complexes
     depends on the type of ``ideal``.  The box is read in blocks in
@@ -483,18 +483,6 @@ def _faces_below(ideal: Oracle, below: int) -> list[int]:
                   key=lambda g: (-g.bit_count(), g))
 
 
-def _localizations(ideal: Oracle, below: int):
-    """(G, I_G, below - |G|) over ``_faces_below`` (I_G inverts the
-    variables of G).  At the degrees with negative support G, S/I has
-    local cohomology below ``below`` exactly where I_G has it below
-    below - |G| in its nonnegative box."""
-    for g in _faces_below(ideal, below):
-        local = ideal
-        if g:
-            local = contract(ideal, g) if isinstance(ideal, MonomialIdeal) else ideal.contract(g)
-        yield g, local, below - g.bit_count()
-
-
 def quotient_dimension(ideal: Oracle) -> int:
     """Krull dimension of S/I: one more than the radical complex dimension."""
     _require_proper(ideal)
@@ -517,8 +505,9 @@ def depth_dim(ideal: MonomialIdeal, field: int | None = None, *, deadline: float
     _check_box(ideal.max_exponents())
     dim_q = quotient_dimension(ideal)
     found: dict[int, list[Witness]] = {}
-    for g, local, below in _localizations(ideal, dim_q):
-        for w in _scan(local, below, field, first_only=False, deadline=deadline):
+    for g in _faces_below(ideal, dim_q):
+        local = contract(ideal, g) if g else ideal  # inverts the variables of G
+        for w in _scan(local, dim_q - g.bit_count(), field, first_only=False, deadline=deadline):
             rest = iter(w.a)
             a = tuple(-1 if g >> i & 1 else next(rest) for i in range(n))
             i = w.index + g.bit_count()
@@ -640,8 +629,10 @@ def is_generalized_cm(ideal: Oracle, field: int | None = None, *,
         return True
     if not is_equidimensional(ideal):
         return False
-    return all(is_cm(local, field, deadline=deadline)
-               for g, local, _ in _localizations(ideal, 2) if g)
+    vertices = _radical_complex(ideal).vertex_mask
+    return all(is_cm(contract(ideal, g) if isinstance(ideal, MonomialIdeal) else ideal.contract(g),
+                     field, deadline=deadline)
+               for g in (1 << i for i in range(ideal.n) if vertices >> i & 1))
 
 
 def reisner_is_cm(c: SimplicialComplex, field: int | None = None) -> bool:

@@ -4,11 +4,11 @@ An ideal is stored by its unique minimal monomial generators (exponent
 vectors).  The zero ideal has no generators, the unit ideal is generated
 by the constant monomial.  Squarefree ideals translate to and from
 simplicial complexes; ordinary powers go through products, symbolic
-powers through a box enumeration over {0..m}^n constrained by the
-minimal primes (minimal generators of an intersection of m-th prime
-powers have all exponents at most m, since lowering an exponent above m
-preserves every constraint).  The same box holds every minimal generator
-of I^m for squarefree I, so I^m = I^(m) is decided by membership on it.
+powers through one membership grid of I^(m) on the box {0..m}^n (minimal
+generators of an intersection of m-th prime powers have all exponents at
+most m, since lowering an exponent above m preserves every constraint).
+The same box holds every minimal generator of I^m for squarefree I, so
+I^m = I^(m) is decided on that grid too.
 """
 
 from __future__ import annotations
@@ -364,6 +364,19 @@ class SquarefreePower:
         kept = full & ~face
         return type(self)(kept.bit_count(), frozenset(compactify(star, kept)), self.m)
 
+    def _symbolic_box(self) -> np.ndarray:
+        """The members of I^(m) in the box {0..m}^n, which holds all its
+        minimal generators: the AND over the facets F of
+        [sum_{i not in F} a_i >= m]."""
+        n, m = self.n, self.m
+        _check_exponent_box(n, m)
+        # the open grid of axis i; inside the box limit n * m <= 90, so uint8 sums are exact
+        axes = [np.arange(m + 1, dtype=np.uint8).reshape((-1,) + (1,) * (n - 1 - i)) for i in range(n)]
+        box = np.ones((m + 1,) * n, dtype=bool)
+        for f in self.facets:
+            box &= sum((axes[i] for i in range(n) if not f >> i & 1), np.uint8(0)) >= m
+        return box
+
 
 class SymbolicPower(SquarefreePower):
     """I^(m).  The depth oracle reads its degree complexes from the facets
@@ -380,29 +393,16 @@ class SymbolicPower(SquarefreePower):
         return tuple(0 if common >> i & 1 else self.m for i in range(self.n))
 
     def ideal(self) -> MonomialIdeal:
-        """The explicit generators of I^(m), by enumerating the box
-        {0..m}^n against the primes P_{V-F}: a point is a generator when
-        it meets every prime at least m times and lowering any nonzero
-        coordinate breaks a constraint that holds with equality.  The box
-        is read in blocks of at most 1 << 14 rows: one ``np.indices`` grid
-        of the trailing coordinates per point of the leading ones."""
-        n, m = self.n, self.m
+        """The explicit generators of I^(m): the members a of its box with
+        no member a - e_i, found by n shifted ORs of the box."""
         if self.is_zero:
-            return MonomialIdeal.zero(n)
-        _check_exponent_box(n, m)
-        pmat = 1 - np.array([indicator(f, n) for f in self.facets], dtype=np.int32)
-        k = n  # trailing coordinates per block, so a block has at most 1 << 14 rows
-        while (m + 1) ** k > 1 << 14:
-            k -= 1
-        tail = np.indices([m + 1] * k, dtype=np.int32).reshape(k, -1).T
-        gens: list[tuple[int, ...]] = []
-        for head in itertools.product(range(m + 1), repeat=n - k):
-            arr = np.hstack([np.broadcast_to(np.array(head, dtype=np.int32), (len(tail), n - k)), tail])
-            sums = arr @ pmat.T
-            covered = (sums == m).astype(np.int32) @ pmat  # meets a tight prime
-            minimal = (sums >= m).all(axis=1) & ((arr == 0) | (covered > 0)).all(axis=1)
-            gens.extend(map(tuple, arr[minimal].tolist()))
-        return MonomialIdeal(n, frozenset(gens))
+            return MonomialIdeal.zero(self.n)
+        box = self._symbolic_box()
+        above = np.zeros_like(box)  # the a with some a - e_i in the box
+        for i in range(self.n):
+            above[(slice(None),) * i + (slice(1, None),)] |= box[(slice(None),) * i + (slice(None, -1),)]
+        box &= ~above
+        return MonomialIdeal(self.n, frozenset(map(tuple, np.argwhere(box).tolist())))
 
 
 class OrdinaryPower(SquarefreePower):
@@ -419,25 +419,18 @@ class OrdinaryPower(SquarefreePower):
         """I^m = I^(m), read as membership on the box B = {0..m}^n with no
         generator built.  The minimal generators of both powers lie in B
         (those of I^m are sums of m squarefree ones), so the ideals are
-        equal exactly when their members in B are.  I^(m) on B is the AND
-        over the facets F of [sum_{i not in F} a_i >= m]; I^m on B is S
-        after m rounds, each the OR over the minimal nonfaces u of the
-        previous round shifted by u.  ``between_rounds`` runs after each
-        round (a deadline check)."""
-        n, m = self.n, self.m
+        equal exactly when their members in B are.  I^(m) on B is
+        ``_symbolic_box()``; I^m on B is S after m rounds, each the OR over
+        the minimal nonfaces u of the previous round shifted by u.
+        ``between_rounds`` runs after each round (a deadline check)."""
         if self.is_zero:
             return True
-        _check_exponent_box(n, m)
-        # the open grid of axis i; inside the box limit n * m <= 90, so uint8 sums are exact
-        axes = [np.arange(m + 1, dtype=np.uint8).reshape((-1,) + (1,) * (n - 1 - i)) for i in range(n)]
-        symbolic = np.ones((m + 1,) * n, dtype=bool)
-        for f in self.facets:
-            symbolic &= sum((axes[i] for i in range(n) if not f >> i & 1), np.uint8(0)) >= m
-        shifts = [(tuple(slice(1, None) if u >> i & 1 else slice(None) for i in range(n)),
-                   tuple(slice(None, -1) if u >> i & 1 else slice(None) for i in range(n)))
+        symbolic = self._symbolic_box()
+        shifts = [(tuple(slice(1, None) if u >> i & 1 else slice(None) for i in range(self.n)),
+                   tuple(slice(None, -1) if u >> i & 1 else slice(None) for i in range(self.n)))
                   for u in self.radical_complex.minimal_nonface_masks()]
         ordinary = np.ones_like(symbolic)  # I^0 = S
-        for _ in range(m):
+        for _ in range(self.m):
             grown = np.zeros_like(ordinary)
             for to, back in shifts:
                 grown[to] |= ordinary[back]

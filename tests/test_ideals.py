@@ -141,19 +141,20 @@ def test_symbolic_power_one_is_the_ideal():
 
 
 def test_symbolic_power_box_matches_intersection_oracle():
-    rng = random.Random(8)
-    complexes = [cycle(4), cycle(5), EX410, uniform_matroid(5, 2)]
-    for _ in range(12):
-        n = rng.randint(2, 5)
-        gens = [rng.sample(range(1, n + 1), rng.randint(1, n)) for _ in range(rng.randint(1, 3))]
-        gens += [[v] for v in range(1, n + 1)]
-        complexes.append(from_facets(n, gens))
-    for c in complexes:
-        I = sr_ideal(c)
-        if I.is_zero:
-            continue
-        for m in (1, 2, 3):
-            assert symbolic_power_ideal(I, m).gens == symbolic_power_by_intersection(I, m).gens
+    # every class on at most four vertices, with its proper nonzero SR, cover and facet ideals
+    cases = 0
+    for c in [cycle(5), EX410, uniform_matroid(5, 2), *distinct_complexes(4)]:
+        for build in (sr_ideal, cover_ideal, facet_ideal):
+            try:
+                I = build(c)
+            except ValueError:
+                continue
+            if I.is_zero or I.is_unit:
+                continue
+            for m in (1, 2, 3, 4):
+                assert symbolic_power_ideal(I, m).gens == symbolic_power_by_intersection(I, m).gens
+                cases += 1
+    assert cases == 36 + 320  # the three named complexes, then the classes
 
 
 def _random_squarefree_bases(rng, count):
@@ -216,8 +217,8 @@ def test_symbolic_power_contraction_is_the_link():
                 assert got.ideal() == want
 
 
-def test_symbolic_power_box_blocks_cover_the_box():
-    # (m+1)^n past 1 << 14 splits the box into blocks of leading coordinates
+def test_symbolic_power_large_boxes_match_intersection():
+    # boxes {0..m}^n of 19 683 to 78 125 points, checked against the intersection route
     rng = random.Random(44)
     for n, m in ((8, 3), (7, 4), (9, 2)):
         for _ in range(2):
@@ -343,15 +344,16 @@ def test_ordinary_power_equality_runs_its_check_between_rounds():
 
 
 def test_ordinary_power_equality_box_guard(monkeypatch):
-    # refused with the message of the explicit symbolic builder, before numpy is touched
+    # both builders of the box refuse it with one message, before numpy is touched
     base = MonomialIdeal.from_generators(13, [(1, 1) + (0,) * 11])
     op = OrdinaryPower.of(base, 3)
     with pytest.raises(DeskScaleExceeded) as want:
         op.symbolic().ideal()
     monkeypatch.setattr(ideals, "np", None)
-    with pytest.raises(DeskScaleExceeded) as got:
-        op.equals_symbolic()
-    assert str(got.value) == str(want.value)
+    for build in (op.equals_symbolic, op.symbolic().ideal):
+        with pytest.raises(DeskScaleExceeded) as got:
+            build()
+        assert str(got.value) == str(want.value)
     assert "67108864" in str(got.value) and str(1 << 24) in str(got.value)
 
 
