@@ -65,6 +65,14 @@ def _parse_budget(text: str) -> float | None:
         raise argparse.ArgumentTypeError(f"budget must be a finite number of seconds > 0, not {text!r}")
 
 
+def _parse_field(text: str) -> int | None:
+    """``parse_field``, keeping its reason: argparse prints only the name for a ValueError."""
+    try:
+        return parse_field(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _deadline(args) -> float | None:
     """The absolute ``time.monotonic()`` reading at which the budget ends."""
     return time.monotonic() + args.budget_seconds if args.budget_seconds else None
@@ -161,16 +169,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Combinatorial classification and exact depth oracle for powers of squarefree monomial ideals",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    budget = os.environ.get("SRPL_BUDGET_SECONDS")  # a string default goes through the type
+    oracle = argparse.ArgumentParser(add_help=False)  # the options of every command that runs the oracle
+    oracle.add_argument("--field", type=_parse_field, default=None, help="Q (default) or Fp")
+    oracle.add_argument("--budget-seconds", type=_parse_budget,  # a string default goes through the type
+                        default=os.environ.get("SRPL_BUDGET_SECONDS"))
 
-    pa = sub.add_parser("analyze", help="classify a (complex, power, property) query")
+    pa = sub.add_parser("analyze", parents=[oracle], help="classify a (complex, power, property) query")
     pa.add_argument("input", help="named example, JSON, file, or - for stdin")
     pa.add_argument("--kind", required=True, choices=sorted(KIND_MAP))
     pa.add_argument("--m", type=_parse_m, required=True)
     pa.add_argument("--property", required=True, choices=sorted(PROPERTY_MAP))
     pa.add_argument("--oracle", action="store_true", help="also run the exact oracle")
-    pa.add_argument("--field", type=parse_field, default=None, help="Q (default) or Fp")
-    pa.add_argument("--budget-seconds", type=_parse_budget, default=budget)
     pa.set_defaults(fn=_cmd_analyze)
 
     pp = sub.add_parser("power", help="construct a power and print ideal JSON")
@@ -181,13 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="how to read a complex input as an ideal")
     pp.set_defaults(fn=_cmd_power)
 
-    pd = sub.add_parser("depth", help="depth/dimension report for an ideal")
+    pd = sub.add_parser("depth", parents=[oracle], help="depth/dimension report for an ideal")
     pd.add_argument("input")
-    pd.add_argument("--field", type=parse_field, default=None)
-    pd.add_argument("--budget-seconds", type=_parse_budget, default=budget)
     pd.set_defaults(fn=_cmd_depth)
 
-    ps = sub.add_parser("sweep", help="run equivalence checks over small complexes")
+    ps = sub.add_parser("sweep", parents=[oracle], help="run equivalence checks over small complexes")
     ps.add_argument("--check", required=True, help="comma-separated check ids")
     ps.add_argument("--n-max", type=int, default=5)
     ps.add_argument("--dim-filter", type=_parse_dim_filter, default=(-1, None),
@@ -195,10 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--sample", type=int, default=None,
                     help="use a fixed pseudorandom family of this size instead of enumeration")
     ps.add_argument("--seed", type=int, default=20120711)
-    ps.add_argument("--budget-seconds", type=_parse_budget, default=budget)
     ps.add_argument("--parallel", type=int, default=1)
     ps.add_argument("--resume-token", type=int, default=0)
-    ps.add_argument("--field", type=parse_field, default=None)
     ps.set_defaults(fn=_cmd_sweep)
     return p
 

@@ -31,12 +31,12 @@ building I^(m); scanning its explicit ideal instead is the cross-check
 
 An ``OrdinaryPower`` I^m is not scanned.  CM and S2 each make S/I^m
 unmixed (S1), and the unmixed part of I^m is I^(m), so S/I^m has either
-property exactly when I^m = I^(m) and S/I^(m) has it.  This is general
-ring theory, not the paper's criterion.  Equality is tested first, as
-membership of both powers on the box {0..m}^n that holds all their
-minimal generators (``OrdinaryPower.equals_symbolic``), which builds no
-generator and costs much less than a cold symbolic verdict; scanning the
-explicit I^m instead is the cross-check (sweep ``ord-cube-routes``).
+property exactly when I^m = I^(m) and S/I^(m) has it: general ring
+theory, not the paper's criterion.  Past a held "not CM" for I^(m),
+equality is tested on the box {0..m}^n that holds all minimal generators
+of both (``OrdinaryPower.equals_symbolic``), which builds no generator
+and costs much less than a cold symbolic verdict; scanning the explicit
+I^m instead is the cross-check (sweep ``ord-cube-routes``).
 
 All linear algebra is exact (rationals by default, or a prime field).
 Over Q the coboundaries are ranked over F_2 first, one int per row: by
@@ -565,10 +565,16 @@ def _vanishes_below(ideal: MonomialIdeal | SymbolicPower, field, deadline) -> bo
         for dim in [quotient_dimension(ideal)] for g in _faces_below(ideal, dim)))
 
 
+def _held(ideal: MonomialIdeal | SymbolicPower, field, deadline) -> bool | None:
+    """The CM verdict on S/I held in ``_VANISHES``, or None, checking the deadline first."""
+    _check_deadline(deadline)
+    return _VANISHES.get((_canonical_ideal_key(ideal), field))
+
+
 def _scanned(ideal: Oracle, deadline) -> MonomialIdeal | SymbolicPower | None:
-    """What CM and S2 are read from: for an ordinary power I^(m) when
-    I^m = I^(m) (equal membership on the box {0..m}^n, with no generator
-    built), else None, as neither holds."""
+    """What CM and S2 are read from, and whose held verdict S2 reads: for an
+    ordinary power I^(m) when I^m = I^(m) (equal membership on the box
+    {0..m}^n, no generator built), else None, as neither holds."""
     if not isinstance(ideal, OrdinaryPower):
         return ideal
     equal = ideal.equals_symbolic(lambda: _check_deadline(deadline))
@@ -578,11 +584,13 @@ def _scanned(ideal: Oracle, deadline) -> MonomialIdeal | SymbolicPower | None:
 def is_cm(ideal: Oracle, field: int | None = None, *,
           deadline: float | None = None) -> bool:
     """Cohen-Macaulayness of S/I over the field: no local cohomology below
-    the dimension.  An ordinary power is decided through I^(m)."""
+    the dimension.  I^m is decided through I^(m), a held "not CM" first."""
     _validate_field(field)
     _require_proper(ideal)
     if ideal.is_zero:
         return True
+    if isinstance(ideal, OrdinaryPower) and _held(ideal.symbolic(), field, deadline) is False:
+        return False
     ideal = _scanned(ideal, deadline)
     return ideal is not None and _vanishes_below(ideal, field, deadline)
 
@@ -600,12 +608,12 @@ def is_s2(ideal: Oracle, field: int | None = None, *,
     """Serre condition S2: every monomial-prime localization has depth at
     least min(2, its dimension).  Monomial primes suffice because the
     failure locus of a monomial quotient is itself monomial-graded.  An
-    ordinary power is decided through I^(m).  This asks each I_G for no
-    cohomology below min(2, dim S/I_G) = min(2, max |F - G| over facets
-    F >= G), nothing at a facet G; the conditions at index 0 on I_(G+v)
-    it leaves out fail only for a facet G + v with dim S/I_G >= 2, where
-    the link of G (the degree complex of I_G at 0) is disconnected, so S2
-    fails at G anyway."""
+    ordinary power is decided through I^(m), and an ideal held CM is S2.
+    Else this asks each I_G for no cohomology below min(2, dim S/I_G) =
+    min(2, max |F - G| over facets F >= G), nothing at a facet G; the
+    conditions at index 0 on I_(G+v) it leaves out fail only for a facet
+    G + v with dim S/I_G >= 2, where the link of G (the degree complex of
+    I_G at 0) is disconnected, so S2 fails at G anyway."""
     _validate_field(field)
     _require_proper(ideal)
     if ideal.is_zero:
@@ -615,14 +623,15 @@ def is_s2(ideal: Oracle, field: int | None = None, *,
         return False
     _check_box(ideal.max_exponents())
     facets = _radical_complex(ideal).facets
-    return all(_box_vanishes(ideal, g, min(2, max(f.bit_count() for f in facets if f & g == g) - g.bit_count()),
-                             field, deadline) for g in _faces_below(ideal, ideal.n + 1) if g not in facets)
+    return _held(ideal, field, deadline) or all(_box_vanishes(
+        ideal, g, min(2, max(f.bit_count() for f in facets if f & g == g) - g.bit_count()), field, deadline)
+        for g in _faces_below(ideal, ideal.n + 1) if g not in facets)
 
 
 def is_generalized_cm(ideal: Oracle, field: int | None = None, *,
                       deadline: float | None = None) -> bool:
     """Generalized Cohen-Macaulay: equidimensional and every one-variable
-    localization is Cohen-Macaulay."""
+    localization is Cohen-Macaulay, or, unless it is I^m, held CM."""
     _validate_field(field)
     _require_proper(ideal)
     if ideal.is_zero:
@@ -630,9 +639,10 @@ def is_generalized_cm(ideal: Oracle, field: int | None = None, *,
     if not is_equidimensional(ideal):
         return False
     vertices = _radical_complex(ideal).vertex_mask
-    return all(is_cm(contract(ideal, g) if isinstance(ideal, MonomialIdeal) else ideal.contract(g),
-                     field, deadline=deadline)
-               for g in (1 << i for i in range(ideal.n) if vertices >> i & 1))
+    held = not isinstance(ideal, OrdinaryPower) and _held(ideal, field, deadline)
+    return held or all(is_cm(contract(ideal, g) if isinstance(ideal, MonomialIdeal) else ideal.contract(g),
+                             field, deadline=deadline)
+                       for g in (1 << i for i in range(ideal.n) if vertices >> i & 1))
 
 
 def reisner_is_cm(c: SimplicialComplex, field: int | None = None) -> bool:

@@ -169,6 +169,22 @@ def test_depth_field_flag():
     assert json.loads(r.stdout)["is_cm"] is False
 
 
+@pytest.mark.parametrize("value, reason", [
+    ("F4", "4 is not prime"), ("F1", "1 is not prime"), ("R", "use Q or Fp"), ("F", "use Q or Fp"),
+])
+@pytest.mark.parametrize("command", [
+    ["depth", "uniform:4:2"],
+    ["analyze", "uniform:4:2", "--kind", "sr-symbolic", "--m", "3", "--property", "cm", "--oracle"],
+    ["sweep", "--check", "sym-cube-cm", "--n-max", "3"],
+])
+def test_a_refused_field_says_why(command, value, reason, capsys):
+    assert main([*command, "--field", value]) == 64
+    captured = capsys.readouterr()
+    assert "argument --field: " in captured.err and reason in captured.err, captured.err
+    assert "parse_field" not in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_emitted_json_reparses():
     r = run_cli("power", "five-cycle", "--m", "2", "--kind", "symbolic")
     ideal = ideal_from_json(json.loads(r.stdout))

@@ -864,8 +864,9 @@ def test_the_power_built_on_a_miss_is_a_renamed_contraction(monkeypatch):
 
 @pytest.mark.parametrize("kind", [SymbolicPower, OrdinaryPower, "explicit"])
 def test_one_key_per_memo_lookup(kind, monkeypatch):
-    """Every ``_VANISHES`` lookup of CM and S2 computes one key, and S2
-    computes none at a facet, where it asks nothing."""
+    """Every ``_VANISHES`` lookup of CM and S2, the read of a held verdict
+    included, computes one key, and S2 computes none at a facet, where it
+    asks nothing."""
     rng = random.Random(61)
     family = [c for c in distinct_complexes(4) if not c.is_empty_complex] + [
         random_complex(rng, n_min=5, n_max=5) for _ in range(12)]
@@ -874,6 +875,8 @@ def test_one_key_per_memo_lookup(kind, monkeypatch):
     memoized = cohomology._memoized
     monkeypatch.setattr(cohomology, "_memoized", lambda table, *args: (
         table is cohomology._VANISHES and lookups.append(args[0])) or memoized(table, *args))
+    held = cohomology._held
+    monkeypatch.setattr(cohomology, "_held", lambda ideal, *args: lookups.append(ideal) or held(ideal, *args))
     monkeypatch.setattr(cohomology, "_VANISHES", {})
     checked = 0
     for c in family:
@@ -890,6 +893,74 @@ def test_one_key_per_memo_lookup(kind, monkeypatch):
         faces = [args[1] if len(args) > 1 else 0 for args in keys]
         assert kind == "explicit" or not set(faces) & c.facets, c
     assert checked > 30
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_held_verdicts_never_change_an_answer(m, monkeypatch):
+    """Every class on <= 5 vertices: CM, S2 and gCM of I^(m) and I^m are
+    the same asked with empty memo tables as asked with what ``is_cm`` of
+    I^(m) left there, and CM of I^m under a held "not CM" for I^(m) tests
+    no equality I^m = I^(m)."""
+    tested = []
+    equals_symbolic = OrdinaryPower.equals_symbolic
+    monkeypatch.setattr(OrdinaryPower, "equals_symbolic",
+                        lambda self, *args: tested.append(self) or equals_symbolic(self, *args))
+    checks = (is_cm, is_s2, is_generalized_cm)
+
+    def answers(held: dict, dims: dict):
+        out = []
+        for power in powers:
+            for check in checks:
+                monkeypatch.setattr(cohomology, "_DIMS", dict(dims))
+                monkeypatch.setattr(cohomology, "_VANISHES", dict(held))
+                del tested[:]
+                out.append(check(power))
+                if check is is_cm and isinstance(power, OrdinaryPower) and held.get(key) is False:
+                    assert not tested, c
+                    shortcuts.append(c)
+        return out
+
+    verdicts, shortcuts = set(), []
+    for c in distinct_complexes(5):
+        if c.is_empty_complex:
+            continue
+        powers = (SymbolicPower(c.n, c.facets, m), OrdinaryPower(c.n, c.facets, m))
+        monkeypatch.setattr(cohomology, "_DIMS", {})
+        monkeypatch.setattr(cohomology, "_VANISHES", {})
+        verdict = is_cm(powers[0])
+        filled = cohomology._VANISHES, cohomology._DIMS
+        key = (cohomology._canonical_ideal_key(powers[0]), None)
+        assert powers[0].is_zero or filled[0][key] is verdict, c
+        cold = answers({}, {})
+        assert answers(*filled) == cold, c
+        verdicts.add(verdict)
+    assert verdicts == {True, False} and shortcuts
+
+
+def test_held_verdicts_still_honour_the_deadline(monkeypatch):
+    """A held verdict answers nothing past the deadline: with I^(3) held
+    CM or not CM, the queries it would answer still raise."""
+    monkeypatch.setattr(cohomology, "_VANISHES", {})
+    for c, cm in ((cycle(5), False), (uniform_matroid(4, 2), True), (uniform_matroid(5, 3), True)):
+        sp, op = SymbolicPower.of(sr_ideal(c), 3), OrdinaryPower.of(sr_ideal(c), 3)
+        assert is_cm(sp) is cm
+        for check, power in ((is_cm, op), (is_s2, sp), (is_s2, op), (is_generalized_cm, sp)):
+            with pytest.raises(OracleBudgetExceeded):
+                check(power, deadline=time.monotonic() - 1)
+
+
+def test_cold_ordinary_cm_tests_equality_and_scans_nothing(monkeypatch):
+    """With empty memo tables, CM of the uniform:8:3 ordinary cube is
+    answered by the equality test alone: I^3 != I^(3)."""
+    tested, scanned = [], []
+    equals_symbolic = OrdinaryPower.equals_symbolic
+    monkeypatch.setattr(OrdinaryPower, "equals_symbolic",
+                        lambda self, *args: tested.append(self) or equals_symbolic(self, *args))
+    monkeypatch.setattr(cohomology, "_scan", lambda *args, **kwargs: scanned.append(args))
+    monkeypatch.setattr(cohomology, "_DIMS", {})
+    monkeypatch.setattr(cohomology, "_VANISHES", {})
+    assert is_cm(OrdinaryPower.of(sr_ideal(uniform_matroid(8, 3)), 3)) is False
+    assert len(tested) == 1 and not scanned
 
 
 def test_memoized_box_entries_still_honour_the_deadline(monkeypatch):

@@ -52,6 +52,21 @@ def test_streamed_pool_gives_the_serial_rows():
     assert _verdicts(run_sweep(CUBE_CHECKS, parallel=2, **kw)) == _verdicts(serial)
 
 
+def test_the_order_of_the_checks_moves_no_verdict(monkeypatch):
+    """The cube checks forward and reversed, each from empty memo tables:
+    what an earlier check leaves held changes the cost of a later one,
+    never its verdict (forward, I^(3) is decided before I^3)."""
+    kw = dict(n_max=6, dim_min=2, sample=40, seed=11)
+    runs = []
+    for checks in (CUBE_CHECKS, CUBE_CHECKS[::-1]):
+        monkeypatch.setattr(co, "_DIMS", {})
+        monkeypatch.setattr(co, "_VANISHES", {})
+        result = run_sweep(checks, **kw)
+        assert len(result.rows) == len(checks) * result.processed
+        runs.append(sorted(_verdicts(result)))
+    assert runs[0] == runs[1]
+
+
 def test_no_worker_outlives_a_sweep():
     run_sweep(["matroid-pair-criterion"], n_max=5, parallel=2)
     assert multiprocessing.active_children() == []
