@@ -557,24 +557,23 @@ def _box_vanishes(ideal: MonomialIdeal | SymbolicPower, face: int, below: int, f
 def _vanishes_below(ideal: MonomialIdeal | SymbolicPower, field, deadline) -> bool:
     """No local cohomology of S/I below its dimension d: none below
     d - |G| in the box of any I_G.  One entry per ideal up to renaming
-    sits over the box entries of its localizations, shared by isomorphic
-    links."""
+    (read by ``_held``) sits over the box entries of its localizations."""
     _check_box(ideal.max_exponents())
-    return _memoized(_VANISHES, (_canonical_ideal_key(ideal), field), lambda: all(
+    return _memoized(_VANISHES, _held(ideal, field, deadline)[0], lambda: all(
         _box_vanishes(ideal, g, dim - g.bit_count(), field, deadline)
         for dim in [quotient_dimension(ideal)] for g in _faces_below(ideal, dim)))
 
 
-def _held(ideal: MonomialIdeal | SymbolicPower, field, deadline) -> bool | None:
-    """The CM verdict on S/I held in ``_VANISHES``, or None, checking the deadline first."""
+def _held(ideal: MonomialIdeal | SymbolicPower, field, deadline) -> tuple:
+    """The key of the CM entry of S/I in ``_VANISHES`` and its held verdict or None, deadline first."""
     _check_deadline(deadline)
-    return _VANISHES.get((_canonical_ideal_key(ideal), field))
+    return (key := (_canonical_ideal_key(ideal), field)), _VANISHES.get(key)
 
 
 def _scanned(ideal: Oracle, deadline) -> MonomialIdeal | SymbolicPower | None:
-    """What CM and S2 are read from, and whose held verdict S2 reads: for an
-    ordinary power I^(m) when I^m = I^(m) (equal membership on the box
-    {0..m}^n, no generator built), else None, as neither holds."""
+    """What CM and S2 are read from: for an ordinary power I^(m) when
+    I^m = I^(m) (equal membership on the box {0..m}^n, with no generator
+    built), else None, as neither holds."""
     if not isinstance(ideal, OrdinaryPower):
         return ideal
     equal = ideal.equals_symbolic(lambda: _check_deadline(deadline))
@@ -584,13 +583,14 @@ def _scanned(ideal: Oracle, deadline) -> MonomialIdeal | SymbolicPower | None:
 def is_cm(ideal: Oracle, field: int | None = None, *,
           deadline: float | None = None) -> bool:
     """Cohen-Macaulayness of S/I over the field: no local cohomology below
-    the dimension.  I^m is decided through I^(m), a held "not CM" first."""
+    the dimension.  I^m is decided through I^(m): a held verdict on I^(m)
+    first, then I^m = I^(m), then the scan of I^(m) if nothing is held."""
     _validate_field(field)
     _require_proper(ideal)
     if ideal.is_zero:
         return True
-    if isinstance(ideal, OrdinaryPower) and _held(ideal.symbolic(), field, deadline) is False:
-        return False
+    if isinstance(ideal, OrdinaryPower) and (held := _held(ideal.symbolic(), field, deadline)[1]) is not None:
+        return held and ideal.equals_symbolic(lambda: _check_deadline(deadline))
     ideal = _scanned(ideal, deadline)
     return ideal is not None and _vanishes_below(ideal, field, deadline)
 
@@ -623,7 +623,7 @@ def is_s2(ideal: Oracle, field: int | None = None, *,
         return False
     _check_box(ideal.max_exponents())
     facets = _radical_complex(ideal).facets
-    return _held(ideal, field, deadline) or all(_box_vanishes(
+    return _held(ideal, field, deadline)[1] or all(_box_vanishes(
         ideal, g, min(2, max(f.bit_count() for f in facets if f & g == g) - g.bit_count()), field, deadline)
         for g in _faces_below(ideal, ideal.n + 1) if g not in facets)
 
@@ -631,7 +631,7 @@ def is_s2(ideal: Oracle, field: int | None = None, *,
 def is_generalized_cm(ideal: Oracle, field: int | None = None, *,
                       deadline: float | None = None) -> bool:
     """Generalized Cohen-Macaulay: equidimensional and every one-variable
-    localization is Cohen-Macaulay, or, unless it is I^m, held CM."""
+    localization is Cohen-Macaulay."""
     _validate_field(field)
     _require_proper(ideal)
     if ideal.is_zero:
@@ -639,10 +639,9 @@ def is_generalized_cm(ideal: Oracle, field: int | None = None, *,
     if not is_equidimensional(ideal):
         return False
     vertices = _radical_complex(ideal).vertex_mask
-    held = not isinstance(ideal, OrdinaryPower) and _held(ideal, field, deadline)
-    return held or all(is_cm(contract(ideal, g) if isinstance(ideal, MonomialIdeal) else ideal.contract(g),
-                             field, deadline=deadline)
-                       for g in (1 << i for i in range(ideal.n) if vertices >> i & 1))
+    return all(is_cm(contract(ideal, g) if isinstance(ideal, MonomialIdeal) else ideal.contract(g),
+                     field, deadline=deadline)
+               for g in (1 << i for i in range(ideal.n) if vertices >> i & 1))
 
 
 def reisner_is_cm(c: SimplicialComplex, field: int | None = None) -> bool:
