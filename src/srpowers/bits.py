@@ -29,6 +29,14 @@ def support(vector: Iterable) -> int:
     return m
 
 
+def bits_at(indices: Iterable[int], size: int) -> int:
+    """The int with the bits at ``indices`` set, all below ``size``."""
+    buf = bytearray((size + 7) >> 3)
+    for j in indices:
+        buf[j >> 3] |= 1 << (j & 7)
+    return int.from_bytes(buf, "little")
+
+
 def indicator(mask: int, n: int) -> tuple[int, ...]:
     """The 0/1 vector of length n with ones at the positions of ``mask``."""
     return tuple(mask >> i & 1 for i in range(n))

@@ -69,15 +69,13 @@ import math
 import time
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
-from operator import or_
-
-import numpy as np
+from itertools import chain, combinations, compress, islice, product, repeat
+from operator import and_, invert, or_
+from typing import Iterator
 
 from .bits import (
     antichain_minimal,
     compactify,
-    indicator,
     iter_bits,
     minimal_transversals,
     submasks,
@@ -340,14 +338,14 @@ def _dims_of_facets(facets: tuple[int, ...], field, jmax: int) -> tuple[int, ...
     return _memoized(_DIMS, (key, field), lambda: _cohomology_dims_of_facets(key, field, jmax))
 
 
-_CHUNK = 4096  # box rows per numpy block; also the deadline granularity
+_CHUNK = 4096  # box rows per block: the deadline granularity of a scan
 _BOX_LIMIT = 1 << 22  # points of a degree box at desk scale
-_EXPONENT_LIMIT = (1 << 15) - 1  # box rows and generators are held as int16
+_EXPONENT_LIMIT = (1 << 15) - 1  # the largest exponent of a degree box at desk scale
 
 
 def _check_box(rho: tuple[int, ...]) -> None:
     """Refuse an ideal whose degree box {-1..rho_i - 1}^n is past desk
-    scale, or whose exponents int16 cannot hold."""
+    scale, or whose exponents are."""
     if max(rho, default=0) > _EXPONENT_LIMIT:
         raise DeskScaleExceeded(f"the exponent {max(rho)} is over the desk-scale limit of {_EXPONENT_LIMIT}")
     size = math.prod(r + 1 for r in rho)
@@ -355,73 +353,88 @@ def _check_box(rho: tuple[int, ...]) -> None:
         raise DeskScaleExceeded(f"the degree box has {size} points, over the desk-scale limit of {_BOX_LIMIT}")
 
 
-def _box_rows(rho: tuple[int, ...]) -> np.ndarray:
-    """The nonnegative degree box {0..rho_i - 1}^n as int16 rows in
-    lexicographic order, once ``_check_box`` passes."""
+def _box_rows(rho: tuple[int, ...]) -> Iterator[Iterator[tuple[int, ...]]]:
+    """The nonnegative degree box {0..rho_i - 1}^n in lexicographic order,
+    in blocks of at most ``_CHUNK`` rows, once ``_check_box`` passes.  The
+    blocks share one row source, so each is read before the next; no row
+    is held past its turn, which spares the garbage collector."""
     _check_box(rho)
-    return np.indices(rho, dtype=np.int16).reshape(len(rho), math.prod(rho)).T
+    rows = product(*map(range, rho))
+    return (islice(rows, _CHUNK) for _ in range(0, math.prod(rho), _CHUNK))
+
+
+def _lane_sums(lanes: list[list[int]], start: int = 0) -> Iterator[int]:
+    """start + sum_i lanes[i][a_i] over the a with a_i < len(lanes[i]), in
+    lexicographic order.  The sums over the trailing coordinates, at most
+    ``_CHUNK`` of them, are listed once and added to each sum over the
+    leading ones."""
+    k = len(lanes)
+    while k and math.prod(map(len, lanes[k - 1:])) <= _CHUNK:
+        k -= 1
+    inner = list(map(sum, product(*lanes[k:])))
+    return chain.from_iterable(map(s.__add__, inner) for s in map(sum, product(*lanes[:k]), repeat(start)))
 
 
 def _generator_reader(ideal: MonomialIdeal):
-    """Degree complexes from the generators (after Takayama).  ``rows``
-    yields, per block of box rows, (row, key) for the rows whose degree
-    complex is neither void nor a cone, in row order.  The key is the
-    minimal nonfaces, which name the complex; ``facets`` turns them into
-    facets by minimal transversals."""
+    """Degree complexes from the generators (after Takayama).  ``raws``
+    runs over the box in lexicographic order, in step with ``_box_rows``,
+    and gives each row a the masks {j : u_j > a_j} of the generators u as
+    n-bit lanes of one int, one lane per generator: the sum over the
+    coordinates j of the lanes with bit j set for the generators above
+    a_j.  ``key_of`` reads the minimal nonfaces off it, which name the
+    degree complex, or None when that is void or a cone; ``facets`` turns
+    them into facets by minimal transversals."""
     n = ideal.n
     full = (1 << n) - 1
-    U = np.array(sorted(ideal.gens), dtype=np.int16)
+    gens, rho = sorted(ideal.gens), ideal.max_exponents()
+    # above[j][t]: bit j in the lane of each generator u with u_j > t
+    above = [[sum(1 << n * k + j for k, u in enumerate(gens) if u[j] > t) for t in range(rho[j])]
+             for j in range(n)]
+    shifts = range(0, n * len(gens), n)
 
-    def rows(A):
-        masks = np.zeros((len(A), len(U)), dtype=np.int64)
-        for j in range(n):
-            masks |= (U[:, j][None, :] > A[:, j][:, None]).astype(np.int64) << j
-        for b, row in enumerate(masks.tolist()):
-            ds = set(row)
-            if 0 in ds:
-                continue  # some generator divides x^a here: void
-            dmin = antichain_minimal(ds)
-            covered = 0
-            for d in dmin:
-                covered |= d
-            if covered == full:  # else a cone apex: all reduced cohomology vanishes
-                yield b, tuple(sorted(dmin))
+    def key_of(packed: int) -> tuple[int, ...] | None:
+        ds = {packed >> shift & full for shift in shifts}
+        if 0 in ds:
+            return None  # some generator divides x^a here: void
+        dmin = antichain_minimal(ds)
+        # else a cone apex: all reduced cohomology vanishes
+        return tuple(sorted(dmin)) if reduce(or_, dmin, 0) == full else None
 
     def facets(dmin: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(sorted(full ^ t for t in minimal_transversals(dmin, full)))
 
-    return rows, facets
-
-
-def _select_facets(A: np.ndarray, out: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The closed form on a block of nonnegative box rows A, given the
-    facet complements as 0/1 rows ``out``: which facets each row selects,
-    and the indices of the rows whose degree complex is neither void nor
-    a cone."""
-    sel = A @ out.T < m
-    apex = (sel @ out == 0).any(axis=1)
-    return sel, np.flatnonzero(sel.any(axis=1) & ~apex)
+    return _lane_sums(above), key_of, facets
 
 
 def _closed_form_reader(sp: SymbolicPower):
     """Degree complexes of I^(m) in closed form (Minh-Trung; see
-    ``degree_complex``): the complex at a depends on a only through the
-    selected facets.  ``rows`` yields, per block, (row, facets) for one
-    row of each selection whose complex is neither void nor a cone, in
-    the order of the selections; the facets are the key."""
+    ``degree_complex``): the complex at a is spanned by the facets F with
+    sum_{i not in F} a_i < m.  ``raws`` runs over the box in lexicographic
+    order, in step with ``_box_rows``, and gives each row the selected
+    facets as one int; ``key_of`` gives them as a tuple, the key, or None
+    when the complex is void or a cone.
+
+    Each facet has a lane of one int holding its sum plus a bias, so that
+    the high bit of a lane is set exactly when the sum is at least m: the
+    selection is ``high & ~(sum + bias)``.  A vertex in every selected
+    facet is a cone apex."""
     facets = sorted(sp.facets)
-    out = 1 - np.array([indicator(f, sp.n) for f in facets], dtype=np.int32)
+    n, m, rho = sp.n, sp.m, sp.max_exponents()
+    width = (n * m).bit_length() + 1  # above any sum over the box, plus the bias
+    ones = sum(1 << width * j for j in range(len(facets)))
+    high = ones << width - 1
+    # a_i adds to the lanes of the facets missing i
+    steps = [sum(1 << width * j for j, f in enumerate(facets) if not f >> i & 1) for i in range(n)]
+    lanes = [[t * step for t in range(r)] for step, r in zip(steps, rho)]
+    sums = _lane_sums(lanes, ((1 << width - 1) - m) * ones)
+    top, flag = 1 << width * len(facets), bytes.maketrans(b"01", b"\0\1")
 
-    def rows(A):
-        sel, live = _select_facets(A, out, sp.m)
-        if not len(live):
-            return
-        _, first = np.unique(np.packbits(sel[live], axis=1), axis=0, return_index=True)
-        for u in first.tolist():
-            b = int(live[u])
-            yield b, tuple(facets[j] for j in np.flatnonzero(sel[b]).tolist())
+    def key_of(sel: int) -> tuple[int, ...] | None:
+        # the high bit of each lane, lowest lane first, as bytes 0 or 1
+        chosen = tuple(compress(facets, bin(sel | top)[:1:-1][width - 1 :: width].encode().translate(flag)))
+        return chosen if chosen and not reduce(and_, chosen) else None  # else void, or a cone
 
-    return rows, lambda link: link
+    return map(high.__and__, map(invert, sums)), key_of, lambda link: link
 
 
 def _scan(ideal: MonomialIdeal | SymbolicPower, below: int, field, *,
@@ -431,31 +444,35 @@ def _scan(ideal: MonomialIdeal | SymbolicPower, below: int, field, *,
 
     One loop serves both routes; only the reader of the degree complexes
     depends on the type of ``ideal``.  The box is read in blocks in
-    lexicographic order, and a row whose degree complex came up before is
-    skipped, since it gives the same indices.  At a nonnegative degree,
-    index j of the complex gives cohomological index i = j + 1, so only
-    the cohomology in indices up to below - 2 is computed.  Full mode
-    keeps the first witness per index; first-only mode returns at the
-    first hit.
+    lexicographic order, and a row whose reading or degree complex came
+    up before is skipped, since it gives the same indices.  At a
+    nonnegative degree, index j of the complex gives cohomological index
+    i = j + 1, so only the cohomology in indices up to below - 2 is
+    computed.  Full mode keeps the first witness per index; first-only
+    mode returns at the first hit.
     """
     if below <= 0:
         return []
-    rows = _box_rows(ideal.max_exponents())  # refuses what int16 cannot hold
+    blocks = _box_rows(ideal.max_exponents())  # refuses past desk scale
     reader = _closed_form_reader if isinstance(ideal, SymbolicPower) else _generator_reader
-    read, facets_of = reader(ideal)
+    raws, key_of, facets_of = reader(ideal)
+    read: set[int] = set()
     seen: set = set()
     found: dict[int, Witness] = {}
-    for start in range(0, len(rows), _CHUNK):
+    for block in blocks:
         _check_deadline(deadline)
-        A = rows[start : start + _CHUNK]
-        for b, key in read(A):
-            if key in seen:
+        for a, raw in zip(block, raws):
+            if raw in read:
+                continue
+            read.add(raw)
+            key = key_of(raw)
+            if key is None or key in seen:
                 continue
             seen.add(key)
             dims = _dims_of_facets(facets_of(key), field, below - 2)
             for i, cdim in enumerate(dims[:below]):  # dims start at index -1
                 if cdim and i not in found:
-                    found[i] = Witness(i, tuple(A[b].tolist()), cdim)
+                    found[i] = Witness(i, a, cdim)
                     if first_only:
                         return [found[i]]
             if len(found) == below:

@@ -13,14 +13,16 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
+from functools import lru_cache
 from typing import Iterable, Iterator
 
-import numpy as np
-
-from .bits import antichain_maximal, compactify, mask_of, submasks
+from .bits import antichain_maximal, bits_at, compactify, mask_of, submasks
 from .complexes import SimplicialComplex
 
-# A facet bitmap on k vertices has 2^k bits; k <= 6 fits one uint64.
+# A key holds a vertex in 3 bits and a facet bitmap on k vertices, 2^k
+# bits, in one 64-bit lane.  Past 6 vertices the classes are out of reach
+# anyway (OEIS A003182: 16 353 complexes on 6 vertices, 490 013 148 on 7).
 MAX_KEY_VERTICES = 6
 
 
@@ -40,21 +42,66 @@ def antichains(masks: Iterable[int]) -> Iterator[tuple[int, ...]]:
     yield from rec((1 << len(masks)) - 1, ())
 
 
-def relabel_table(k: int) -> np.ndarray:
-    """The uint64 table of 1 << pi(F), one row per face mask F on 1..k
-    and one column per relabeling pi, that ``canonical_key`` reads."""
+def canonical_key(facets: Iterable[int], k: int) -> int:
+    """The least facet bitmap OR(1 << pi(F)) over the relabelings pi of
+    1..k that list the vertices in the order of an invariant, the count of
+    facets of each size through the vertex: equal keys mean isomorphic
+    complexes on k <= ``MAX_KEY_VERTICES`` vertices.  So pi is fixed up to
+    the permutations within ties (vertex refinement after McKay-Piperno,
+    "Practical graph isomorphism, II", J. Symbolic Comput. 2014).  The
+    invariants are 64-bit lanes of one int, each over its vertex in the
+    low 3 bits, and the bitmaps of all the pi are lanes of another."""
     if k > MAX_KEY_VERTICES:
         raise ValueError(f"canonical keys are limited to {MAX_KEY_VERTICES} vertices")
-    perms = np.array(list(itertools.permutations(range(k))), dtype=np.uint64)
-    bits = np.arange(1 << k, dtype=np.uint64)[:, None] >> np.arange(k, dtype=np.uint64) & np.uint64(1)
-    return np.uint64(1) << (bits @ (np.uint64(1) << perms).T)
+    facets = tuple(facets)
+    spread, base = _invariants(k, len(facets).bit_length())
+    lanes = sum(map(spread.__getitem__, facets), base).to_bytes(8 * k, sys.byteorder)
+    ranked = sorted(memoryview(lanes).cast("Q"))
+    place = _places(tuple(map((7).__and__, ranked)))
+    bitmap, size, code = _bitmaps(tuple(map((8).__gt__, map(int.__xor__, ranked, ranked[1:]))))
+    bitmaps = sum(map(bitmap.__getitem__, map(place.__getitem__, facets))).to_bytes(size, sys.byteorder)
+    return min(memoryview(bitmaps).cast(code))
 
 
-def canonical_key(facets: Iterable[int], table: np.ndarray) -> int:
-    """The least facet bitmap OR(1 << pi(F)) over the relabelings pi of
-    ``table``.  For facets on the table's k vertices, equal keys mean
-    isomorphic complexes."""
-    return int(np.bitwise_or.reduce(table[list(facets)], axis=0).min())
+@lru_cache(maxsize=64)
+def _invariants(k: int, width: int) -> tuple[list[int], int]:
+    """Per face mask F on k vertices, 1 << 3 + width * |F| in the lane of
+    each vertex of F (counts below 1 << width); the lanes' vertices."""
+    spread = [sum(1 << 64 * v + 3 + width * f.bit_count() for v in range(k) if f >> v & 1) for f in range(1 << k)]
+    return spread, sum(v << 64 * v for v in range(k))
+
+
+@lru_cache(maxsize=1 << 10)  # every vertex order on at most 6 vertices
+def _places(order: tuple[int, ...]) -> list[int]:
+    """Per face mask F, the mask of the places i of its vertices order[i];
+    built by doubling over the vertices."""
+    table = [0]
+    for i in sorted(range(len(order)), key=order.__getitem__):
+        table += [t | 1 << i for t in table]
+    return table
+
+
+@lru_cache(maxsize=64)  # every run of ties on at most 6 vertices
+def _bitmaps(ties: tuple[bool, ...]) -> tuple[list[int], int, str]:
+    """Per place mask F, 1 << pi(F) in lane j for the j-th permutation pi
+    within the cells, the runs of places i, i + 1 with ``ties[i]``, each
+    tabled by doubling over the places; the size in bytes and the format
+    of one lane."""
+    cells, start = [], 0
+    for i, tie in enumerate(ties + (False,)):
+        if not tie:
+            cells.append(itertools.permutations(range(start, i + 1)))
+            start = i + 1
+    images = []
+    for perm in itertools.product(*cells):
+        image = [0]
+        for p in itertools.chain.from_iterable(perm):
+            image += [t | 1 << p for t in image]
+        images.append(image)
+    lane = max(1 << len(ties) + 1 >> 3, 1)  # bytes for a bitmap of 2^k bits
+    size = lane * len(images)
+    table = [bits_at((t + 8 * lane * j for j, t in enumerate(column)), 8 * size) for column in zip(*images)]
+    return table, size, {1: "B", 2: "H", 4: "I", 8: "Q"}[lane]
 
 
 def compact_complex(facets: tuple[int, ...]) -> SimplicialComplex:
@@ -70,10 +117,11 @@ def distinct_complexes(n: int, *, dim_min: int = -1, dim_max: int | None = None)
     """One representative per isomorphism class of complexes on 1..n
     vertices with dimension in [dim_min, dim_max], by vertex count, each
     yielded as soon as it is found."""
-    tables = [relabel_table(k + 1) for k in range(n)]  # refuses n > MAX_KEY_VERTICES up front
+    if n > MAX_KEY_VERTICES:
+        raise ValueError(f"canonical keys are limited to {MAX_KEY_VERTICES} vertices")
     top = n if dim_max is None else dim_max
     level: list[tuple[int, ...]] = [(0,)]  # {empty face} on no vertices
-    for k, table in enumerate(tables):
+    for k in range(n):
         v = 1 << k
         seen: set[int] = set()
         children = []
@@ -82,7 +130,7 @@ def distinct_complexes(n: int, *, dim_min: int = -1, dim_max: int | None = None)
             faces = sorted({s for f in facets for s in submasks(f) if s.bit_count() <= top})
             for link in itertools.islice(antichains(faces), 1, None):
                 child = tuple(f for f in facets if f not in link) + tuple(f | v for f in link)
-                key = canonical_key(child, table)
+                key = canonical_key(child, k + 1)
                 if key in seen:
                     continue
                 seen.add(key)

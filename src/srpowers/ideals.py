@@ -4,23 +4,22 @@ An ideal is stored by its unique minimal monomial generators (exponent
 vectors).  The zero ideal has no generators, the unit ideal is generated
 by the constant monomial.  Squarefree ideals translate to and from
 simplicial complexes; ordinary powers go through products, symbolic
-powers through one membership grid of I^(m) on the box {0..m}^n (minimal
-generators of an intersection of m-th prime powers have all exponents at
-most m, since lowering an exponent above m preserves every constraint).
-The same box holds every minimal generator of I^m for squarefree I, so
-I^m = I^(m) is decided on that grid too.
+powers through one membership bitset of I^(m) on the box {0..m}^n
+(minimal generators of an intersection of m-th prime powers have all
+exponents at most m, since lowering an exponent above m preserves every
+constraint).  The same box holds every minimal generator of I^m for
+squarefree I, so I^m = I^(m) is decided on that bitset too.  All the
+arithmetic is on Python ints, so it is exact.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass, field
+from functools import reduce
 
-import numpy as np
-
-from .bits import compactify, indicator, mask_of, minimal_transversals, support, vertices_of
+from .bits import bits_at, compactify, indicator, mask_of, minimal_transversals, support, vertices_of
 from .complexes import SimplicialComplex
 
 MAX_POWER = 16  # desk scale guard
@@ -40,35 +39,39 @@ class DeskScaleExceeded(ValueError):
 
 
 _INT64_MAX = (1 << 63) - 1
-_BLOCK = 1 << 18  # cells (pairs times coordinates) per comparison block in ``minimalize``
 
 
 def minimalize(vectors, n: int) -> frozenset[tuple[int, ...]]:
     """Coordinatewise-minimal elements of a set of exponent vectors.
 
-    A vector can only be divided by one of lower total degree, so the
-    vectors are taken level by level in degree, and each level is
-    compared, in blocks of at most ``_BLOCK`` cells, with the minimal
-    vectors kept so far.  The arithmetic is exact int64: exponents whose
-    degree could leave that range are refused."""
-    vs = list(set(map(tuple, vectors)))
+    The vectors are indexed in order of total degree, so a divisor of a
+    vector other than itself has a lower index.  Each coordinate i has the
+    prefix-OR bitsets {u : u_i <= t}; the AND of a vector's n bitsets is
+    the set of its divisors, and the vector is kept when that set is the
+    vector alone.  Exponents past int64 max // n are refused, so that no
+    degree leaves int64, the range ``from_generators`` accepts."""
+    vs = sorted(set(map(tuple, vectors)), key=sum)
     limit = _INT64_MAX // max(n, 1)  # so that no degree leaves int64
     if max((max(v, default=0) for v in vs), default=0) > limit:
         raise DeskScaleExceeded(f"an exponent lies past {limit}, the int64 limit for {n} variables")
-    arr = np.array(vs, dtype=np.int64).reshape(len(vs), n)
-    deg = arr.sum(axis=1)
-    order = np.argsort(deg, kind="stable")
-    arr, deg = arr[order], deg[order]
-    step = max(1, math.isqrt(_BLOCK // max(n, 1)))  # rows per side of a block
-    kept = arr[:0]
-    for level in np.split(arr, np.flatnonzero(np.diff(deg)) + 1):
-        alive = np.ones(len(level), dtype=bool)
-        for i in range(0, len(level), step):
-            rows = level[i : i + step, None]
-            for j in range(0, len(kept), step):
-                alive[i : i + step] &= ~(kept[None, j : j + step] <= rows).all(axis=2).any(axis=1)
-        kept = np.concatenate([kept, level[alive]])
-    return frozenset(map(tuple, kept.tolist()))
+    if not n:
+        return frozenset(vs)
+    at_most = []  # per coordinate i: value t -> the bitset {u : u_i <= t}
+    for i in range(n):
+        by_value: dict[int, list[int]] = {}
+        for j, v in enumerate(vs):
+            by_value.setdefault(v[i], []).append(j)
+        prefix, table = 0, {}
+        for t in sorted(by_value):
+            prefix |= bits_at(by_value[t], len(vs))
+            table[t] = prefix
+        at_most.append(table)
+    kept = []
+    for v in vs:
+        divisors = reduce(operator.and_, map(dict.__getitem__, at_most, v))
+        if divisors & (divisors - 1) == 0:
+            kept.append(v)
+    return frozenset(kept)
 
 
 @dataclass(frozen=True)
@@ -81,7 +84,7 @@ class MonomialIdeal:
         gens = [tuple(g) for g in gens]
         for g in gens:
             if len(g) != n or not all(
-                isinstance(e, (int, np.integer)) and not isinstance(e, bool) and 0 <= e <= _INT64_MAX
+                isinstance(e, int) and not isinstance(e, bool) and 0 <= e <= _INT64_MAX
                 for e in g
             ):
                 raise ValueError(f"bad exponent vector {g} for n={n}: "
@@ -302,6 +305,29 @@ def _check_exponent_box(n: int, m: int) -> None:
         )
 
 
+def _box_digits(n: int, m: int) -> tuple[list[int], list[int]]:
+    """The box {0..m}^n as bitsets: a is the bit sum_i a_i * strides[i],
+    strides[i] = (m + 1)^(n - 1 - i), so the bits run in lexicographic
+    order, and [a_i = t] is ``zeros[i] << t * strides[i]``.  Refuses the
+    box past 1 << 24 points."""
+    _check_exponent_box(n, m)
+    strides = [(m + 1) ** (n - 1 - i) for i in range(n)]
+    zeros = []
+    for i, stride in enumerate(strides):
+        # digit 0 is the lowest stride of each block of (m + 1) * stride
+        # points: the (m + 1)^i blocks are tiled by doubling
+        tile, period, count, zero, shift = (1 << stride) - 1, (m + 1) * stride, (m + 1) ** i, 0, 0
+        while count:
+            if count & 1:
+                zero |= tile << shift
+                shift += period
+            tile |= tile << period
+            period *= 2
+            count >>= 1
+        zeros.append(zero)
+    return strides, zeros
+
+
 @dataclass(frozen=True)
 class SquarefreePower:
     """A power of a squarefree ideal I, held as the facets (bitmasks over
@@ -364,17 +390,30 @@ class SquarefreePower:
         kept = full & ~face
         return type(self)(kept.bit_count(), frozenset(compactify(star, kept)), self.m)
 
-    def _symbolic_box(self) -> np.ndarray:
+    def _symbolic_box(self, strides: list[int], zeros: list[int]) -> int:
         """The members of I^(m) in the box {0..m}^n, which holds all its
-        minimal generators: the AND over the facets F of
-        [sum_{i not in F} a_i >= m]."""
+        minimal generators, as one bitset on ``_box_digits(n, m)``: the
+        AND over the facets F of [sum_{i not in F} a_i >= m].  Each sum is
+        grown one coordinate at a time as its sets [sum >= s], s = 1..m,
+        and the sorted complements V - F share the sets of a common
+        prefix."""
         n, m = self.n, self.m
-        _check_exponent_box(n, m)
-        # the open grid of axis i; inside the box limit n * m <= 90, so uint8 sums are exact
-        axes = [np.arange(m + 1, dtype=np.uint8).reshape((-1,) + (1,) * (n - 1 - i)) for i in range(n)]
-        box = np.ones((m + 1,) * n, dtype=bool)
-        for f in self.facets:
-            box &= sum((axes[i] for i in range(n) if not f >> i & 1), np.uint8(0)) >= m
+        full = (1 << (m + 1) ** n) - 1
+        box = full
+        prefix: list[int] = []  # the coordinates summed so far
+        levels = [[0] * m]  # levels[k][s - 1]: [sum over prefix[:k] >= s]
+        for outside in sorted(tuple(i for i in range(n) if not f >> i & 1) for f in self.facets):
+            k = 0
+            while k < min(len(prefix), len(outside)) and prefix[k] == outside[k]:
+                k += 1
+            del prefix[k:], levels[k + 1:]
+            for i in outside[k:]:
+                digit = [zeros[i] << t * strides[i] for t in range(m + 1)]  # [a_i = t]
+                below = [full] + levels[-1]  # below[s]: [sum so far >= s], full for s <= 0
+                levels.append([reduce(operator.or_, (digit[t] & below[max(s - t, 0)] for t in range(m + 1)))
+                               for s in range(1, m + 1)])
+                prefix.append(i)
+            box &= levels[-1][-1]
         return box
 
 
@@ -397,12 +436,17 @@ class SymbolicPower(SquarefreePower):
         no member a - e_i, found by n shifted ORs of the box."""
         if self.is_zero:
             return MonomialIdeal.zero(self.n)
-        box = self._symbolic_box()
-        above = np.zeros_like(box)  # the a with some a - e_i in the box
-        for i in range(self.n):
-            above[(slice(None),) * i + (slice(1, None),)] |= box[(slice(None),) * i + (slice(None, -1),)]
-        box &= ~above
-        return MonomialIdeal(self.n, frozenset(map(tuple, np.argwhere(box).tolist())))
+        strides, zeros = _box_digits(self.n, self.m)
+        box = self._symbolic_box(strides, zeros)
+        above = 0  # the a with some a - e_i in the box
+        for stride, zero in zip(strides, zeros):
+            above |= (box & ~(zero << self.m * stride)) << stride
+        bits = bin(box & ~above)[:1:-1]  # bit k at place k
+        gens, k = [], bits.find("1")
+        while k >= 0:
+            gens.append(tuple(k // stride % (self.m + 1) for stride in strides))
+            k = bits.find("1", k + 1)
+        return MonomialIdeal(self.n, frozenset(gens))
 
 
 class OrdinaryPower(SquarefreePower):
@@ -420,23 +464,24 @@ class OrdinaryPower(SquarefreePower):
         generator built.  The minimal generators of both powers lie in B
         (those of I^m are sums of m squarefree ones), so the ideals are
         equal exactly when their members in B are.  I^(m) on B is
-        ``_symbolic_box()``; I^m on B is S after m rounds, each the OR over
+        ``_symbolic_box``; I^m on B is S after m rounds, each the OR over
         the minimal nonfaces u of the previous round shifted by u.
         ``between_rounds`` runs after each round (a deadline check)."""
         if self.is_zero:
             return True
-        symbolic = self._symbolic_box()
-        shifts = [(tuple(slice(1, None) if u >> i & 1 else slice(None) for i in range(self.n)),
-                   tuple(slice(None, -1) if u >> i & 1 else slice(None) for i in range(self.n)))
-                  for u in self.radical_complex.minimal_nonface_masks()]
-        ordinary = np.ones_like(symbolic)  # I^0 = S
+        strides, zeros = _box_digits(self.n, self.m)
+        symbolic = self._symbolic_box(strides, zeros)
+        full = (1 << (self.m + 1) ** self.n) - 1
+        shifts = []  # per u: (the a with a + u in the box, the index step of + u)
+        for u in self.radical_complex.minimal_nonface_masks():
+            at = [i for i in range(self.n) if u >> i & 1]
+            shifts.append((full & ~reduce(operator.or_, (zeros[i] << self.m * strides[i] for i in at)),
+                           sum(strides[i] for i in at)))
+        ordinary = full  # I^0 = S
         for _ in range(self.m):
-            grown = np.zeros_like(ordinary)
-            for to, back in shifts:
-                grown[to] |= ordinary[back]
-            ordinary = grown
+            ordinary = reduce(operator.or_, ((ordinary & keep) << step for keep, step in shifts))
             between_rounds()
-        return bool(np.array_equal(ordinary, symbolic))
+        return ordinary == symbolic
 
     def symbolic(self) -> SymbolicPower:
         return SymbolicPower(self.n, self.facets, self.m, self.radical_complex)

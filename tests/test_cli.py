@@ -375,3 +375,33 @@ def test_sampled_sweep_reaches_low_dimensions():
         # a signature n5:12+34 lists facets as digit strings (vertices <= 5)
         facets = line.split(",")[0].split(":")[1].split("+")
         assert max(len(f) for f in facets) - 1 <= 1, line
+
+
+def test_no_numpy_is_loaded():
+    # a fresh interpreter answers an oracle query, a power piped into depth
+    # and a small enumeration without importing numpy
+    script = """
+import contextlib, io, sys
+from srpowers.cli import main
+from srpowers.enumeration import distinct_complexes
+
+def run(args, stdin=""):
+    out = io.StringIO()
+    sys.stdin = io.StringIO(stdin)
+    with contextlib.redirect_stdout(out):
+        code = main(args)
+    return code, out.getvalue()
+
+code, _ = run(["analyze", "uniform:6:3", "--kind", "sr-symbolic", "--m", "3", "--property", "cm", "--oracle"])
+assert code == 0, code
+code, power = run(["power", "cycle:6", "--m", "3", "--kind", "symbolic"])
+assert code == 0, code
+code, depth = run(["depth", "-"], power)
+assert code == 0 and '"depth": 1' in depth, (code, depth)
+assert sum(1 for _ in distinct_complexes(4)) == 28
+assert "numpy" not in sys.modules
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("SRPL_BUDGET_SECONDS", None)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

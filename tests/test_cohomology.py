@@ -5,7 +5,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from srpowers.complexes import (
@@ -25,7 +24,7 @@ from srpowers.cohomology import (
     OracleBudgetExceeded,
     _box_rows,
     _scan,
-    _select_facets,
+    _closed_form_reader,
     degree_complex,
     depth_dim,
     is_cm,
@@ -40,7 +39,7 @@ from srpowers.cohomology import (
 )
 from srpowers.fixtures import named_complex
 from srpowers.linalg import field_name
-from srpowers.enumeration import canonical_key, distinct_complexes, relabel_table
+from srpowers.enumeration import canonical_key, distinct_complexes
 from srpowers.ideals import (
     MonomialIdeal,
     OrdinaryPower,
@@ -629,17 +628,13 @@ def test_scan_selection_matches_closed_form_degree_complexes():
     for _, base in _squarefree_bases(rng, 12):
         for m in (1, 2, 3):
             sp = SymbolicPower.of(base, m)
-            facets = sorted(sp.facets)
-            out = np.array([[1 - (f >> i & 1) for i in range(sp.n)] for f in facets])
-            rows = _box_rows((m,) * sp.n)
-            sel, live = _select_facets(rows, out, m)
-            for b, a in enumerate(rows.tolist()):
+            raws, key_of, _ = _closed_form_reader(sp)
+            for a, raw in zip((a for block in _box_rows(sp.max_exponents()) for a in block), raws):
                 want = degree_complex(sp, a)
-                if b in live:
-                    assert {facets[j] for j in np.flatnonzero(sel[b])} == want.facets, (base, m, a)
-                else:
-                    apex = any(all(f >> i & 1 for f in want.facets) for i in range(sp.n))
-                    assert want.is_void or apex, (base, m, a)
+                apex = any(all(f >> i & 1 for f in want.facets) for i in range(sp.n))
+                key = key_of(raw)
+                assert (key is None) == (want.is_void or apex), (base, m, a)
+                assert key is None or key == tuple(sorted(want.facets)), (base, m, a)
             # a negative support G: the degree complex of the localization at G
             for a in itertools.product(range(-1, m), repeat=sp.n):
                 g = sum(1 << i for i, x in enumerate(a) if x < 0)
@@ -650,6 +645,41 @@ def test_scan_selection_matches_closed_form_degree_complexes():
                     continue
                 rest = tuple(x for x in a if x >= 0)
                 assert _lifted(degree_complex(local, rest), g, sp.n) == want.facets, (base, m, a)
+
+
+def test_closed_form_lanes_at_the_largest_power():
+    # m = 16 makes the widest lanes: the sums reach n * 15 at the empty
+    # facet.  Every class on at most 3 vertices over its whole box, on 4
+    # vertices over the rows with coordinates in {0, 1, m - 2, m - 1} and a
+    # seeded sample; then {empty face} and a vertex with the rest in no
+    # facet, also at m = 15, where 4 vertices need the lanes' spare bit
+    rng = random.Random(31)
+    rows = 0
+    extra = [SimplicialComplex(n, frozenset(fs)) for n in (3, 4) for fs in ({0}, {1})]
+    for c, m in [(c, 16) for c in [*distinct_complexes(4), *extra]] + [(c, 15) for c in extra]:
+        sp = SymbolicPower(c.n, c.facets, m)
+        if sp.is_zero:
+            continue
+        if c.n <= 3:
+            box = set(itertools.product(range(m), repeat=c.n))
+        else:
+            box = set(itertools.product((0, 1, m - 2, m - 1), repeat=c.n))
+            box |= {tuple(rng.randrange(m) for _ in range(c.n)) for _ in range(200)}
+        raws, key_of, _ = _closed_form_reader(sp)
+        for a, raw in zip(itertools.product(range(m), repeat=c.n), raws):
+            if a not in box:
+                continue
+            want = degree_complex(sp, a)
+            apex = any(all(f >> i & 1 for f in want.facets) for i in range(c.n))
+            key = key_of(raw)
+            assert (key is None) == (want.is_void or apex), (c, a)
+            assert key is None or key == tuple(sorted(want.facets)), (c, a)
+            rows += key is not None
+    assert rows > 1000
+    for c in (cycle(3), path(3), from_facets(3, [(1, 2), (3,)])):
+        sp = SymbolicPower(c.n, c.facets, 16)
+        for check in (is_cm, is_s2):
+            assert check(sp) == check(sp.ideal()), (check.__name__, c)
 
 
 def test_symbolic_power_route_matches_explicit_route():
@@ -722,7 +752,7 @@ def test_box_rows_match_the_sorted_product():
     # the nonnegative box, in lexicographic order
     for rho in [(2, 0, 3), (1, 1, 1, 1), (3, 2), (2, 2, 2), (4,)]:
         ref = list(itertools.product(*(range(r) for r in rho)))
-        assert [tuple(r) for r in _box_rows(rho).tolist()] == ref
+        assert [r for block in _box_rows(rho) for r in block] == ref
     with pytest.raises(ValueError):
         _box_rows((1,) * 23)
 
@@ -751,7 +781,7 @@ def test_degree_box_exponents_stay_within_int16():
         depth_dim(MonomialIdeal.from_generators(2, [(40000, 1), (0, 2)]))
     with pytest.raises(DeskScaleExceeded, match="32768"):
         _box_rows((1, 32768))
-    assert _box_rows((32767,))[-1].tolist() == [32766]
+    assert [r for block in _box_rows((32767,)) for r in block][-1] == (32766,)
 
 
 def test_one_scan_gives_both_readers_the_same_witness_indices():
@@ -838,7 +868,6 @@ def test_the_power_built_on_a_miss_is_a_renamed_contraction(monkeypatch):
         monkeypatch.setattr(cohomology, "_VANISHES", {})
         return check(ideal)
 
-    tables = {k: relabel_table(k) for k in range(1, 6)}
     classes = list(distinct_complexes(5))
     verdicts = {c for c in classes if c.n <= 4} | set(random.Random(59).sample([c for c in classes if c.n == 5], 40))
     cases = 0
@@ -854,8 +883,7 @@ def test_the_power_built_on_a_miss_is_a_renamed_contraction(monkeypatch):
                 cohomology._box_vanishes(power, g, 1, None, None)
                 (miss,) = built
                 assert (miss.n, miss.m) == (local.n, m), (c, m, g)
-                table = tables[local.n]
-                assert canonical_key(miss.facets, table) == canonical_key(local.facets, table), (c, m, g)
+                assert canonical_key(miss.facets, local.n) == canonical_key(local.facets, local.n), (c, m, g)
                 for check in (is_cm, is_s2) if c in verdicts else ():
                     assert fresh(check, miss) == fresh(check, local), (check.__name__, c, m, g)
                     cases += 1

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -283,6 +284,35 @@ def test_both_powers_contract_to_the_same_link():
                 assert got_s.n == c.n - g.bit_count() and got_s.m == m
 
 
+def _small_powers(m):
+    """Every class on at most four vertices, held as a power of its
+    facets, then two whose radical holds a variable: a vertex in no facet."""
+    held = [(c.n, c.facets) for c in distinct_complexes(4)] + [(3, frozenset({0b011})), (2, frozenset({0}))]
+    return [(SymbolicPower(n, facets, m), OrdinaryPower(n, facets, m)) for n, facets in held]
+
+
+def test_symbolic_box_against_intersection_on_every_class_up_to_four_vertices():
+    # a vertex in every facet is a cone; the full simplex gives zero
+    cones = zeros = 0
+    for m in range(1, 6):
+        for sp, _ in _small_powers(m):
+            assert sp.ideal() == symbolic_power_by_intersection(sp.radical(), m), (sp, m)
+            cones += any(all(f >> v & 1 for f in sp.facets) for v in range(sp.n))
+            zeros += sp.is_zero
+    assert cones > 0 and zeros > 0
+
+
+def test_equals_symbolic_against_generators_on_every_class_up_to_four_vertices():
+    checked = equal = 0
+    for m in range(1, 6):
+        for _, op in _small_powers(m):
+            want = op.radical().power(m).equals(op.symbolic().ideal())
+            assert op.equals_symbolic() is want, (op, m)
+            checked += 1
+            equal += want
+    assert 0 < equal < checked
+
+
 def _equal_by_generators(op):
     return op.ideal() == op.symbolic().ideal()
 
@@ -343,16 +373,21 @@ def test_ordinary_power_equality_runs_its_check_between_rounds():
     assert zero.equals_symbolic(lambda: calls.append(1)) is True and len(calls) == 3
 
 
-def test_ordinary_power_equality_box_guard(monkeypatch):
-    # both builders of the box refuse it with one message, before numpy is touched
+def test_ordinary_power_equality_box_guard():
+    # both builders of the box refuse it with one message, before the box
+    # (4^13 points, 8 MB as one bitset) is built
     base = MonomialIdeal.from_generators(13, [(1, 1) + (0,) * 11])
     op = OrdinaryPower.of(base, 3)
     with pytest.raises(DeskScaleExceeded) as want:
         op.symbolic().ideal()
-    monkeypatch.setattr(ideals, "np", None)
     for build in (op.equals_symbolic, op.symbolic().ideal):
-        with pytest.raises(DeskScaleExceeded) as got:
-            build()
+        tracemalloc.start()
+        try:
+            with pytest.raises(DeskScaleExceeded) as got:
+                build()
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
         assert str(got.value) == str(want.value)
     assert "67108864" in str(got.value) and str(1 << 24) in str(got.value)
 
@@ -591,30 +626,42 @@ def composition(rng, d, n):
     return tuple(b - a for a, b in zip([0] + cuts, cuts + [d]))
 
 
-@pytest.mark.parametrize("block", [None, 40])
-def test_minimalize_against_brute_force(monkeypatch, block):
-    if block is not None:  # small blocks: many blocks per degree level and per kept set
-        monkeypatch.setattr(ideals, "_BLOCK", block)
+@pytest.mark.parametrize("chunk", [None, 40])
+def test_minimalize_against_brute_force(chunk):
+    def minimal(vs, n):
+        if chunk is None:
+            return minimalize(vs, n)
+        # in chunks, then over the union of the chunks' minimal sets, as
+        # MonomialIdeal.add builds the generators of a sum
+        parts = [minimalize(vs[k:k + chunk], n) for k in range(0, len(vs), chunk)]
+        return minimalize([v for part in parts for v in part], n)
+
     assert minimalize([], 3) == frozenset()
     assert minimalize([(0, 0, 0), (1, 2, 0), (0, 0, 0)], 3) == {(0, 0, 0)}
     assert minimalize([[2], (1,), (3,)], 1) == {(1,)}
+    assert minimalize([(), ()], 0) == {()}
     rng = random.Random(23)
     for n in range(1, 9):
-        # sizes on both sides of 400 vectors; exponents to MAX_POWER and past int16
+        near = ideals._INT64_MAX // n  # the largest exponent held for n variables
+        # sizes on both sides of 400 vectors; exponents to MAX_POWER, past int16
+        # and near the int64 limit
         families = [
             [tuple(rng.randint(0, top) for _ in range(n)) for _ in range(size)]
             for size, top in ((rng.randint(1, 60), 2), (rng.randint(1, 60), MAX_POWER),
                               (rng.randint(300, 520), 3), (rng.randint(1, 60), 40000))
         ]
+        families.append([tuple(near - rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 60))])
         # wide degree levels: vectors of degree 6 and 7
         families.append([composition(rng, rng.choice((6, 7)), n) for _ in range(rng.randint(300, 520))])
         for vs in families:
             vs += rng.sample(vs, len(vs) // 3)  # duplicates
             if rng.random() < 0.2:
                 vs.append((0,) * n)
-            got = minimalize(vs, n)
+            got = minimal(vs, n)
             assert got == brute_force_minimalize(vs), (n, len(vs))
             assert all(type(e) is int for v in got for e in v)
+        with pytest.raises(DeskScaleExceeded, match="int64"):
+            minimalize([(near + 1,) + (0,) * (n - 1)], n)
 
 
 def test_bad_exponents_are_refused():
