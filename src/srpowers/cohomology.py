@@ -18,8 +18,10 @@ i - |G_a| - 1, so depth and Cohen-Macaulayness reduce to a finite scan:
 hence the scan reads only the nonnegative box {0..rho_i - 1}^n, with
 rho_i the maximal exponent of x_i over the generators, of I_G for each
 face G: for squarefree ideals the box is {0}, the classical link-by-link
-criterion.  For I^(m), I_G is I^(m) of the link of G, so CM and S2 key
-each box off the link's facets and build I_G only on a miss.
+criterion.  For I^(m), I_G is I^(m) of the link of G, so each box is
+keyed off the link's facets and I_G is built only on a miss.  gCM walks
+the faces CM walks but the empty one, and each box verdict is one entry
+of the one memo table, ``_VANISHES``, which CM, S2 and gCM share.
 
 One scan serves every input; only the reader of the degree complexes
 depends on its type.  For a ``MonomialIdeal`` the reader takes the
@@ -87,7 +89,6 @@ from .ideals import (
     MonomialIdeal,
     OrdinaryPower,
     SymbolicPower,
-    complex_of_radical,
     contract,
     sr_ideal,
     symbolic_power,
@@ -184,10 +185,11 @@ def _dims(by_size: list[list[int]], rank_of) -> tuple[int, ...]:
 
 def _cohomology_dims_of_facets(facets, field, through: int) -> tuple[int, ...]:
     """Reduced cohomology dimensions, indices -1..min(through, dim), for a
-    nonvoid complex given by facet masks (labels are irrelevant).  Over Q
-    the F_2 ranks come first, as a certificate of vanishing (see above)."""
+    nonvoid complex given by facet masks, relabelled onto the vertices
+    they use.  Over Q the F_2 ranks come first (see above)."""
     if set(facets) == {0}:
         return (1,)
+    facets = compactify(facets, reduce(or_, facets))
     through = min(through, max(f.bit_count() for f in facets) - 1)
     by_size = _faces_by_size(facets, through + 2)
     if field is None or field == 2:
@@ -202,18 +204,13 @@ def _cohomology_dims_of_facets(facets, field, through: int) -> tuple[int, ...]:
         [{r ^ b: -1 if i % 2 else 1 for i, b in enumerate(iter_bits(r))} for r in faces], field))
 
 
-def _compact(facets) -> tuple[int, ...]:
-    """The facets relabelled onto the vertices they use, sorted."""
-    return tuple(sorted(compactify(facets, reduce(or_, facets))))
-
-
 def reduced_cohomology_dims(c: SimplicialComplex, field: int | None = None) -> tuple[int, ...]:
     """Dimensions of the reduced cohomology of the complex over the field,
     indices -1..dim.  The void complex gives () and {0} gives (1,)."""
     _validate_field(field)
     if c.is_void:
         return ()
-    return _cohomology_dims_of_facets(_compact(c.facets), field, c.dimension())
+    return _cohomology_dims_of_facets(c.facets, field, c.dimension())
 
 
 def reduced_homology_dims(c: SimplicialComplex, field: int | None = None) -> tuple[int, ...]:
@@ -304,13 +301,10 @@ class DepthReport:
         }
 
 
-# Entries per memo table.  A lookup that needs more indices than its
-# _DIMS entry holds replaces the entry, so there is one entry per key
-# however deep the scans go; benchmark traffic peaks near 2k entries.
+# Entries of the memo table; benchmark traffic peaks near 850 entries.
 _MEMO_LIMIT = 1 << 16
 
-# The oracle's two memo tables, shared by both readers.
-_DIMS: dict = {}  # (compact facets of a degree complex, field) -> dims from index -1
+# The oracle's one memo table, shared by both readers and every query.
 _VANISHES: dict = {}  # (ideal key, field) -> CM; ("box", key of I_G, below, field) -> box vanishes
 
 
@@ -324,18 +318,6 @@ def _memoized(table: dict, key, compute):
         del table[next(iter(table))]
     table[key] = value
     return value
-
-
-def _dims_of_facets(facets: tuple[int, ...], field, jmax: int) -> tuple[int, ...]:
-    """Reduced cohomology dimensions in indices -1..min(jmax, dim) at
-    least.  One ``_DIMS`` entry per complex and field: a lookup that needs
-    more indices than the entry holds recomputes it through ``jmax``."""
-    key = _compact(facets)
-    need = min(jmax, max(f.bit_count() for f in key) - 1)
-    held = _DIMS.get((key, field))
-    if held is not None and len(held) - 2 < need:
-        del _DIMS[(key, field)]
-    return _memoized(_DIMS, (key, field), lambda: _cohomology_dims_of_facets(key, field, jmax))
 
 
 _CHUNK = 4096  # box rows per block: the deadline granularity of a scan
@@ -469,7 +451,7 @@ def _scan(ideal: MonomialIdeal | SymbolicPower, below: int, field, *,
             if key is None or key in seen:
                 continue
             seen.add(key)
-            dims = _dims_of_facets(facets_of(key), field, below - 2)
+            dims = _cohomology_dims_of_facets(facets_of(key), field, below - 2)
             for i, cdim in enumerate(dims[:below]):  # dims start at index -1
                 if cdim and i not in found:
                     found[i] = Witness(i, a, cdim)
@@ -488,15 +470,9 @@ def _check_deadline(deadline: float | None) -> None:
 Oracle = MonomialIdeal | SymbolicPower | OrdinaryPower  # what the oracle decides
 
 
-def _radical_complex(ideal: Oracle) -> SimplicialComplex:
-    if isinstance(ideal, MonomialIdeal):
-        return complex_of_radical(ideal)
-    return ideal.radical_complex
-
-
 def _faces_below(ideal: Oracle, below: int) -> list[int]:
     """The faces G of the radical complex with |G| < below, largest first."""
-    return sorted((g for g in _radical_complex(ideal).faces() if g.bit_count() < below),
+    return sorted((g for g in ideal.radical_complex.faces() if g.bit_count() < below),
                   key=lambda g: (-g.bit_count(), g))
 
 
@@ -505,7 +481,7 @@ def quotient_dimension(ideal: Oracle) -> int:
     _require_proper(ideal)
     if ideal.is_zero:
         return ideal.n
-    return _radical_complex(ideal).dimension() + 1
+    return ideal.radical_complex.dimension() + 1
 
 
 def depth_dim(ideal: MonomialIdeal, field: int | None = None, *, deadline: float | None = None) -> DepthReport:
@@ -571,14 +547,14 @@ def _box_vanishes(ideal: MonomialIdeal | SymbolicPower, face: int, below: int, f
     return _memoized(_VANISHES, ("box", key, below, field), scan)
 
 
-def _vanishes_below(ideal: MonomialIdeal | SymbolicPower, field, deadline) -> bool:
-    """No local cohomology of S/I below its dimension d: none below
-    d - |G| in the box of any I_G.  One entry per ideal up to renaming
-    (read by ``_held``) sits over the box entries of its localizations."""
-    _check_box(ideal.max_exponents())
-    return _memoized(_VANISHES, _held(ideal, field, deadline)[0], lambda: all(
-        _box_vanishes(ideal, g, dim - g.bit_count(), field, deadline)
-        for dim in [quotient_dimension(ideal)] for g in _faces_below(ideal, dim)))
+def _walk(ideal: MonomialIdeal | SymbolicPower, field, deadline, *, punctured: bool) -> bool:
+    """No local cohomology of S/I_G below d - |G| in the box of I_G, d =
+    dim S/I, for each face G with |G| < d, largest first, but G = 0 when
+    ``punctured``.  The deadline comes first: a walk may read no box."""
+    _check_deadline(deadline)
+    d = quotient_dimension(ideal)
+    return all(_box_vanishes(ideal, g, d - g.bit_count(), field, deadline)
+               for g in _faces_below(ideal, d) if g or not punctured)
 
 
 def _held(ideal: MonomialIdeal | SymbolicPower, field, deadline) -> tuple:
@@ -600,8 +576,9 @@ def _scanned(ideal: Oracle, deadline) -> MonomialIdeal | SymbolicPower | None:
 def is_cm(ideal: Oracle, field: int | None = None, *,
           deadline: float | None = None) -> bool:
     """Cohen-Macaulayness of S/I over the field: no local cohomology below
-    the dimension.  I^m is decided through I^(m): a held verdict on I^(m)
-    first, then I^m = I^(m), then the scan of I^(m) if nothing is held."""
+    the dimension, read off the whole walk under one entry per ideal up
+    to renaming (read by ``_held``).  I^m is decided through I^(m): a held
+    verdict on I^(m) first, then I^m = I^(m), then the walk of I^(m)."""
     _validate_field(field)
     _require_proper(ideal)
     if ideal.is_zero:
@@ -609,7 +586,11 @@ def is_cm(ideal: Oracle, field: int | None = None, *,
     if isinstance(ideal, OrdinaryPower) and (held := _held(ideal.symbolic(), field, deadline)[1]) is not None:
         return held and ideal.equals_symbolic(lambda: _check_deadline(deadline))
     ideal = _scanned(ideal, deadline)
-    return ideal is not None and _vanishes_below(ideal, field, deadline)
+    if ideal is None:
+        return False
+    _check_box(ideal.max_exponents())
+    return _memoized(_VANISHES, _held(ideal, field, deadline)[0],
+                     lambda: _walk(ideal, field, deadline, punctured=False))
 
 
 def is_equidimensional(ideal: Oracle) -> bool:
@@ -617,7 +598,7 @@ def is_equidimensional(ideal: Oracle) -> bool:
     _require_proper(ideal)
     if ideal.is_zero:
         return True
-    return _radical_complex(ideal).is_pure()
+    return ideal.radical_complex.is_pure()
 
 
 def is_s2(ideal: Oracle, field: int | None = None, *,
@@ -639,7 +620,7 @@ def is_s2(ideal: Oracle, field: int | None = None, *,
     if ideal is None:
         return False
     _check_box(ideal.max_exponents())
-    facets = _radical_complex(ideal).facets
+    facets = ideal.radical_complex.facets
     return _held(ideal, field, deadline)[1] or all(_box_vanishes(
         ideal, g, min(2, max(f.bit_count() for f in facets if f & g == g) - g.bit_count()), field, deadline)
         for g in _faces_below(ideal, ideal.n + 1) if g not in facets)
@@ -648,17 +629,21 @@ def is_s2(ideal: Oracle, field: int | None = None, *,
 def is_generalized_cm(ideal: Oracle, field: int | None = None, *,
                       deadline: float | None = None) -> bool:
     """Generalized Cohen-Macaulay: equidimensional and every one-variable
-    localization is Cohen-Macaulay."""
+    localization I_v is Cohen-Macaulay (Takayama).  As (I_v)_G' = I_{G'+v}
+    and dim S/I_v = d - 1, that is the CM walk without G = 0.  I^m needs
+    I_v^m = I_v^(m) at each vertex v, then walks I^(m)."""
     _validate_field(field)
     _require_proper(ideal)
     if ideal.is_zero:
         return True
     if not is_equidimensional(ideal):
         return False
-    vertices = _radical_complex(ideal).vertex_mask
-    return all(is_cm(contract(ideal, g) if isinstance(ideal, MonomialIdeal) else ideal.contract(g),
-                     field, deadline=deadline)
-               for g in (1 << i for i in range(ideal.n) if vertices >> i & 1))
+    if isinstance(ideal, OrdinaryPower):
+        if not all(ideal.contract(v).equals_symbolic(lambda: _check_deadline(deadline))
+                   for v in iter_bits(ideal.radical_complex.vertex_mask)):
+            return False
+        ideal = ideal.symbolic()
+    return _walk(ideal, field, deadline, punctured=True)
 
 
 def reisner_is_cm(c: SimplicialComplex, field: int | None = None) -> bool:

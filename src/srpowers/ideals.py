@@ -17,10 +17,10 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 
-from .bits import bits_at, compactify, indicator, mask_of, minimal_transversals, support, vertices_of
-from .complexes import SimplicialComplex
+from .bits import bits_at, compactify, indicator, minimal_transversals, support, vertices_of
+from .complexes import SimplicialComplex, _as_mask
 
 MAX_POWER = 16  # desk scale guard
 
@@ -125,6 +125,11 @@ class MonomialIdeal:
     def max_exponents(self) -> tuple[int, ...]:
         """Per-variable maximum exponent over the generators."""
         return tuple(map(max, zip(*self.gens))) if self.gens else (0,) * self.n
+
+    @cached_property
+    def radical_complex(self) -> SimplicialComplex:
+        """``complex_of_radical``, computed once per ideal."""
+        return complex_of_radical(self)
 
     # -- membership and comparisons -------------------------------------------
 
@@ -365,7 +370,7 @@ class SquarefreePower:
         cover or facet ideal alike)."""
         if not ideal.is_squarefree:
             raise ValueError("powers are held here for squarefree input")
-        radical = complex_of_radical(ideal)
+        radical = ideal.radical_complex
         return cls(radical.n, radical.facets, m, radical)
 
     @property
@@ -515,8 +520,8 @@ def contract(ideal: MonomialIdeal, inverted) -> MonomialIdeal | None:
     """I S[x_i^{-1} : i in G] intersected with the ring in the other
     variables, in order: delete the G coordinates and re-minimalize.  None
     when that is the unit ideal: G is every variable, or holds the support
-    of a generator."""
-    g = mask_of(inverted, ideal.n) if not isinstance(inverted, int) else inverted
+    of a generator.  G is a mask or vertex labels, refused out of range."""
+    g = _as_mask(inverted, ideal.n)
     kept = [i for i in range(ideal.n) if not g >> i & 1]
     gens = [tuple(gen[i] for i in kept) for gen in ideal.gens]
     if not kept or (0,) * len(kept) in gens:
@@ -530,7 +535,7 @@ def localized_membership(exponents, ideal: MonomialIdeal, inverted) -> bool:
     a = tuple(exponents)
     if len(a) != ideal.n:
         raise ValueError("exponent vector length mismatch")
-    f = mask_of(inverted, ideal.n) if not isinstance(inverted, int) else inverted
+    f = _as_mask(inverted, ideal.n)
     outside = [i for i in range(ideal.n) if not f >> i & 1]
     return any(all(g[i] <= a[i] for i in outside) for g in ideal.gens)
 

@@ -172,7 +172,6 @@ def test_oracle_attachment():
 
 @pytest.mark.parametrize("call", [run_oracle, verify_against_oracle, classify_with_oracle])
 def test_oracle_past_its_deadline_raises(call, monkeypatch):
-    monkeypatch.setattr(co, "_DIMS", {})
     monkeypatch.setattr(co, "_VANISHES", {})
     q = Query(uniform_matroid(6, 3), "stanley_reisner", "symbolic", "CM", 3)
     with pytest.raises(co.OracleBudgetExceeded):
@@ -188,7 +187,6 @@ def test_an_ordinary_cube_query_finds_the_minimal_nonfaces_once(c, monkeypatch):
     # power the oracle decides carries the same complex and reads them back
     from srpowers import bits, complexes
 
-    monkeypatch.setattr(co, "_DIMS", {})
     monkeypatch.setattr(co, "_VANISHES", {})
     calls = []
 

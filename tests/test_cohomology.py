@@ -37,6 +37,7 @@ from srpowers.cohomology import (
     reduced_homology_dims,
     reisner_is_cm,
 )
+from srpowers.bits import iter_bits
 from srpowers.fixtures import named_complex
 from srpowers.linalg import field_name
 from srpowers.enumeration import canonical_key, distinct_complexes
@@ -733,7 +734,6 @@ def test_ordinary_power_route_builds_no_generators(monkeypatch):
     monkeypatch.setattr(SymbolicPower, "ideal", refuse)
     monkeypatch.setattr(OrdinaryPower, "ideal", refuse)
     monkeypatch.setattr(MonomialIdeal, "power", refuse)
-    monkeypatch.setattr(cohomology, "_DIMS", {})
     monkeypatch.setattr(cohomology, "_VANISHES", {})
     assert [[check(cube) for check in checks] for cube in cubes] == want
 
@@ -936,11 +936,10 @@ def test_held_verdicts_never_change_an_answer(m, monkeypatch):
                         lambda self, *args: tested.append(self) or equals_symbolic(self, *args))
     checks = (is_cm, is_s2, is_generalized_cm)
 
-    def answers(held: dict, dims: dict):
+    def answers(held: dict):
         out = []
         for power in powers:
             for check in checks:
-                monkeypatch.setattr(cohomology, "_DIMS", dict(dims))
                 monkeypatch.setattr(cohomology, "_VANISHES", dict(held))
                 del tested[:]
                 out.append(check(power))
@@ -954,14 +953,13 @@ def test_held_verdicts_never_change_an_answer(m, monkeypatch):
         if c.is_empty_complex:
             continue
         powers = (SymbolicPower(c.n, c.facets, m), OrdinaryPower(c.n, c.facets, m))
-        monkeypatch.setattr(cohomology, "_DIMS", {})
         monkeypatch.setattr(cohomology, "_VANISHES", {})
         verdict = is_cm(powers[0])
-        filled = cohomology._VANISHES, cohomology._DIMS
+        filled = cohomology._VANISHES
         key = (cohomology._canonical_ideal_key(powers[0]), None)
-        assert powers[0].is_zero or filled[0][key] is verdict, c
-        cold = answers({}, {})
-        assert answers(*filled) == cold, c
+        assert powers[0].is_zero or filled[key] is verdict, c
+        cold = answers({})
+        assert answers(filled) == cold, c
         verdicts.add(verdict)
     assert verdicts == {True, False} and shortcuts
 
@@ -978,6 +976,55 @@ def test_held_verdicts_still_honour_the_deadline(monkeypatch):
                 check(power, deadline=time.monotonic() - 1)
 
 
+def _one_variable_gcm(x, field) -> bool:
+    """gCM as Takayama states it: equidimensional, and every one-variable
+    localization is CM."""
+    vertices = iter_bits(x.radical_complex.vertex_mask)
+    return is_equidimensional(x) and all(
+        is_cm(contract(x, v) if isinstance(x, MonomialIdeal) else x.contract(v), field) for v in vertices)
+
+
+@pytest.mark.parametrize("field", [None, 2])
+def test_generalized_cm_walk_matches_the_localization_definition(field, monkeypatch):
+    """Every class on <= 5 vertices: gCM of I^(m) and I^m, m = 1..3, and
+    of the explicit I^2, asked with empty memo tables, is the definition
+    asked with empty memo tables."""
+    seen = set()
+    for c in distinct_complexes(5):
+        powers = [kind(c.n, c.facets, m) for kind in (SymbolicPower, OrdinaryPower) for m in (1, 2, 3)]
+        if c.vertex_mask == (1 << c.n) - 1:
+            powers.append(sr_ideal(c).power(2))
+        for x in powers:
+            if x.is_zero:
+                continue
+            monkeypatch.setattr(cohomology, "_VANISHES", {})
+            got = is_generalized_cm(x, field)
+            monkeypatch.setattr(cohomology, "_VANISHES", {})
+            assert got == _one_variable_gcm(x, field), (c, x, field)
+            seen.add((type(x), got))
+    assert len(seen) == 6  # each kind both ways
+
+
+def test_generalized_cm_past_its_deadline_raises(monkeypatch):
+    """uniform:3:0 is 0-dimensional: its gCM walk reads no box, yet asked
+    past its deadline it raises, as does gCM of an ordinary power, cold
+    or with its verdicts held."""
+    points = uniform_matroid(3, 0)
+    monkeypatch.setattr(cohomology, "_VANISHES", {})
+    for x in (sr_ideal(points), SymbolicPower.of(sr_ideal(points), 3), OrdinaryPower.of(sr_ideal(points), 3)):
+        assert is_generalized_cm(x) is True
+        assert not cohomology._VANISHES
+        with pytest.raises(OracleBudgetExceeded):
+            is_generalized_cm(x, deadline=time.monotonic() - 1)
+    for c in (cycle(5), uniform_matroid(4, 2)):
+        cube = OrdinaryPower.of(sr_ideal(c), 3)
+        with pytest.raises(OracleBudgetExceeded):
+            is_generalized_cm(cube, deadline=time.monotonic() - 1)
+        is_generalized_cm(cube)  # its box verdicts are held now
+        with pytest.raises(OracleBudgetExceeded):
+            is_generalized_cm(cube, deadline=time.monotonic() - 1)
+
+
 def test_cold_ordinary_cm_tests_equality_and_scans_nothing(monkeypatch):
     """With empty memo tables, CM of the uniform:8:3 ordinary cube is
     answered by the equality test alone: I^3 != I^(3)."""
@@ -986,7 +1033,6 @@ def test_cold_ordinary_cm_tests_equality_and_scans_nothing(monkeypatch):
     monkeypatch.setattr(OrdinaryPower, "equals_symbolic",
                         lambda self, *args: tested.append(self) or equals_symbolic(self, *args))
     monkeypatch.setattr(cohomology, "_scan", lambda *args, **kwargs: scanned.append(args))
-    monkeypatch.setattr(cohomology, "_DIMS", {})
     monkeypatch.setattr(cohomology, "_VANISHES", {})
     assert is_cm(OrdinaryPower.of(sr_ideal(uniform_matroid(8, 3)), 3)) is False
     assert len(tested) == 1 and not scanned
@@ -1021,7 +1067,6 @@ def test_memo_tables_stay_within_their_bound(monkeypatch):
     checks = (is_cm, is_s2, is_generalized_cm)
     want = [[check(x) for check in checks] for x in family]
     monkeypatch.setattr(cohomology, "_MEMO_LIMIT", 8)
-    monkeypatch.setattr(cohomology, "_DIMS", {})
     monkeypatch.setattr(cohomology, "_VANISHES", {})
     peak = 0
     got = []
@@ -1029,9 +1074,9 @@ def test_memo_tables_stay_within_their_bound(monkeypatch):
         row = []
         for check in checks:
             row.append(check(x))
-            sizes = (len(cohomology._DIMS), len(cohomology._VANISHES))
-            assert max(sizes) <= 8, sizes
-            peak = max(peak, *sizes)
+            size = len(cohomology._VANISHES)
+            assert size <= 8, size
+            peak = max(peak, size)
         got.append(row)
     assert got == want
     assert peak == 8  # the bound was reached, so entries were dropped
@@ -1052,34 +1097,17 @@ def _oracle_answers(field):
 
 @pytest.mark.parametrize("field", [None, 2])
 def test_truncated_cohomology_gives_the_full_answers(field, monkeypatch):
-    # the scan asks only for indices up to jmax; the full computation
-    # asks every lookup for all indices
-    tables = []
-    for depth in (None, 1 << 10):
-        monkeypatch.setattr(cohomology, "_DIMS", {})
-        monkeypatch.setattr(cohomology, "_VANISHES", {})
-        if depth is not None:
-            truncated = cohomology._dims_of_facets
-            monkeypatch.setattr(cohomology, "_dims_of_facets",
-                                lambda facets, f, jmax: truncated(facets, f, depth))
-        tables.append((_oracle_answers(field), cohomology._DIMS))
-    (got, dims), (want, full) = tables
-    assert got == want
-    # the same keys, one per complex and field; truncated values are prefixes
-    assert dims.keys() == full.keys()
-    assert all(full[k][: len(v)] == v for k, v in dims.items())
-    assert any(len(v) < len(full[k]) for k, v in dims.items())
-
-
-def test_deeper_lookups_replace_the_one_entry(monkeypatch):
-    monkeypatch.setattr(cohomology, "_DIMS", {})
-    full = reduced_cohomology_dims(RP2, 2)  # (0, 0, 1, 1)
-    facets = tuple(sorted(RP2.facets))
-    shuffled = tuple(sorted(f << 1 for f in facets))  # the same complex, relabelled
-    held = []
-    for jmax, fs in [(0, facets), (0, shuffled), (1, facets), (0, facets), (5, shuffled), (2, facets)]:
-        dims = cohomology._dims_of_facets(fs, 2, jmax)
-        assert dims[: jmax + 2] == full[: jmax + 2]
-        assert len(cohomology._DIMS) == 1
-        held.append(len(next(iter(cohomology._DIMS.values()))))
-    assert held == [2, 2, 3, 3, 4, 4]
+    # the scan asks only for the indices up to below - 2; asking every
+    # rank for all indices gives the same answers
+    dims = cohomology._cohomology_dims_of_facets
+    asked = []
+    monkeypatch.setattr(cohomology, "_VANISHES", {})
+    monkeypatch.setattr(cohomology, "_cohomology_dims_of_facets",
+                        lambda facets, f, through: asked.append((facets, through)) or dims(facets, f, through))
+    got = _oracle_answers(field)
+    monkeypatch.setattr(cohomology, "_VANISHES", {})
+    monkeypatch.setattr(cohomology, "_cohomology_dims_of_facets",
+                        lambda facets, f, through: dims(facets, f, 1 << 10))
+    assert got == _oracle_answers(field)
+    # some rank was truncated: it gave fewer indices than the complex has
+    assert any(len(dims(facets, field, through)) < len(dims(facets, field, 1 << 10)) for facets, through in asked)

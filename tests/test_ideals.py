@@ -556,6 +556,18 @@ def test_localized_membership():
     assert localized_membership((0, 0, 0, 0, 0), I, [1, 2, 3, 4, 5])
 
 
+def test_localization_refuses_an_inverted_set_out_of_range():
+    # an int mask is range-checked as SimplicialComplex.link checks a face
+    I = sr_ideal(cycle(5))
+    for inverted in (1 << 7, 1 << 5, -1, [0], [6]):
+        with pytest.raises(ValueError):
+            contract(I, inverted)
+        with pytest.raises(ValueError):
+            localized_membership((0,) * 5, I, inverted)
+    assert contract(I, 1 << 4) == contract(I, [5])
+    assert localized_membership((0, 0, 0, 1, 1), I, 1 << 4) == localized_membership((0, 0, 0, 1, 1), I, [5])
+
+
 def test_extension_decomposition_spec_cases():
     assert extension_decomposition_check(sr_ideal(cycle(5)), 3, "symbolic")
     assert extension_decomposition_check(principal(2, (1, 1)), 2, "ordinary")

@@ -59,7 +59,6 @@ def test_the_order_of_the_checks_moves_no_verdict(monkeypatch):
     kw = dict(n_max=6, dim_min=2, sample=40, seed=11)
     runs = []
     for checks in (CUBE_CHECKS, CUBE_CHECKS[::-1]):
-        monkeypatch.setattr(co, "_DIMS", {})
         monkeypatch.setattr(co, "_VANISHES", {})
         result = run_sweep(checks, **kw)
         assert len(result.rows) == len(checks) * result.processed
