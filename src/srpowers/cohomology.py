@@ -31,6 +31,20 @@ facets of the radical complex in closed form (Minh-Trung), without
 building I^(m); scanning its explicit ideal instead is the cross-check
 (sweep ``sym-cube-routes``).
 
+The scan reads one box row per orbit of the twin symmetry.  Vertices u
+and v are twins when swapping them maps the facets of I^(m), or the
+generators of an explicit ideal, to themselves; twinship is an
+equivalence relation, as (u w) = (u v)(v w)(u v).  For a permutation
+sigma of twins the degree complex at sigma(a) is sigma of the one at a,
+by the closed form sum_{i not in F} a_i < m and by Takayama's formula
+alike, so both have the same cohomology.  The scan keeps the
+lexicographically first row with cohomology in each index; the least
+row of an orbit is the one nondecreasing along each twin class, read in
+position order, and it comes no later.  So ``_box_rows`` yields only
+those rows, in the same order, and every witness, depth and verdict is
+that of the full box.  This is isomorph rejection (McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 1998).
+
 An ``OrdinaryPower`` I^m is not scanned.  CM and S2 each make S/I^m
 unmixed (S1), and the unmixed part of I^m is I^(m), so S/I^m has either
 property exactly when I^m = I^(m) and S/I^(m) has it: general ring
@@ -335,21 +349,73 @@ def _check_box(rho: tuple[int, ...]) -> None:
         raise DeskScaleExceeded(f"the degree box has {size} points, over the desk-scale limit of {_BOX_LIMIT}")
 
 
-def _box_rows(rho: tuple[int, ...]) -> Iterator[Iterator[tuple[int, ...]]]:
-    """The nonnegative degree box {0..rho_i - 1}^n in lexicographic order,
-    in blocks of at most ``_CHUNK`` rows, once ``_check_box`` passes.  The
-    blocks share one row source, so each is read before the next; no row
-    is held past its turn, which spares the garbage collector."""
+Classes = tuple[tuple[int, ...], ...]  # twin classes: a partition of the positions, each in order
+
+
+def _twin_classes(ideal: MonomialIdeal | SymbolicPower) -> Classes:
+    """The classes of twin vertices, each in position order: u and v are
+    twins when swapping them maps the generators of an explicit ideal, or
+    the facets of a symbolic power (as 0/1 vectors), to themselves.
+    Twinship is an equivalence relation, so a vertex joins the first class
+    whose least member is its twin."""
+    members = ideal.gens if isinstance(ideal, MonomialIdeal) else {
+        tuple(f >> i & 1 for i in range(ideal.n)) for f in ideal.facets}
+    classes: list[list[int]] = []
+    for v in range(ideal.n):
+        for c in classes:
+            u = c[0]
+            if all(g[:u] + (g[v],) + g[u + 1:v] + (g[u],) + g[v + 1:] in members for g in members):
+                c.append(v)
+                break
+        else:
+            classes.append([v])
+    return tuple(map(tuple, classes))
+
+
+def _box_rows(rho: tuple[int, ...], classes: Classes) -> Iterator[Iterator[tuple[int, ...]]]:
+    """The rows of the nonnegative degree box {0..rho_i - 1}^n that are
+    nondecreasing along each twin class, in lexicographic order, in blocks
+    of at most ``_CHUNK`` rows, once ``_check_box`` passes on the full box.
+    With no twins that is every row.  The blocks share one row source, so
+    each is read before the next; no row is held past its turn, which
+    spares the garbage collector."""
     _check_box(rho)
-    rows = product(*map(range, rho))
-    return (islice(rows, _CHUNK) for _ in range(0, math.prod(rho), _CHUNK))
+    if len(classes) == len(rho):
+        rows, count = product(*map(range, rho)), math.prod(rho)
+    else:
+        rows = _sorted_sums([[(t,) for t in range(r)] for r in rho], (), classes)
+        # a nondecreasing row on a class of k positions is a k-multiset of range(rho)
+        count = math.prod(math.comb(rho[c[0]] + len(c) - 1, len(c)) for c in classes)
+    return (islice(rows, _CHUNK) for _ in range(0, count, _CHUNK))
 
 
-def _lane_sums(lanes: list[list[int]], start: int = 0) -> Iterator[int]:
-    """start + sum_i lanes[i][a_i] over the a with a_i < len(lanes[i]), in
-    lexicographic order.  The sums over the trailing coordinates, at most
-    ``_CHUNK`` of them, are listed once and added to each sum over the
-    leading ones."""
+def _sorted_sums(lanes: list[list], start, classes: Classes) -> Iterator:
+    """start + lanes[0][a_0] + lanes[1][a_1] + ... over the a with a_i <
+    len(lanes[i]) that are nondecreasing along each class, in
+    lexicographic order; the lanes may hold ints or 1-tuples (the rows
+    themselves).  The sum over each prefix of coordinates is formed once
+    and extended by every row that shares it."""
+    prev = [-1] * len(lanes)  # the previous position of the class, or -1
+    for c in classes:
+        for u, v in zip(c, c[1:]):
+            prev[v] = u
+    last = len(lanes) - 1
+
+    def tails(i: int, s, row: tuple[int, ...]) -> Iterator:
+        lo = row[prev[i]] if prev[i] >= 0 else 0
+        if i == last:
+            return map(s.__add__, lanes[i][lo:])
+        return chain.from_iterable(tails(i + 1, s + x, row + (t,)) for t, x in enumerate(lanes[i][lo:], lo))
+    return tails(0, start, ())
+
+
+def _lane_sums(lanes: list[list[int]], start: int, classes: Classes) -> Iterator[int]:
+    """start + sum_i lanes[i][a_i] over the rows a of ``_box_rows``, in
+    step with it.  With no twins the sums over the trailing coordinates,
+    at most ``_CHUNK`` of them, are listed once and added to each sum over
+    the leading ones."""
+    if len(classes) < len(lanes):
+        return _sorted_sums(lanes, start, classes)
     k = len(lanes)
     while k and math.prod(map(len, lanes[k - 1:])) <= _CHUNK:
         k -= 1
@@ -357,13 +423,13 @@ def _lane_sums(lanes: list[list[int]], start: int = 0) -> Iterator[int]:
     return chain.from_iterable(map(s.__add__, inner) for s in map(sum, product(*lanes[:k]), repeat(start)))
 
 
-def _generator_reader(ideal: MonomialIdeal):
+def _generator_reader(ideal: MonomialIdeal, classes: Classes):
     """Degree complexes from the generators (after Takayama).  ``raws``
-    runs over the box in lexicographic order, in step with ``_box_rows``,
-    and gives each row a the masks {j : u_j > a_j} of the generators u as
-    n-bit lanes of one int, one lane per generator: the sum over the
-    coordinates j of the lanes with bit j set for the generators above
-    a_j.  ``key_of`` reads the minimal nonfaces off it, which name the
+    runs over the rows of ``_box_rows`` with the twin ``classes``, in step
+    with it, and gives each row a the masks {j : u_j > a_j} of the
+    generators u as n-bit lanes of one int, one lane per generator: the
+    sum over the coordinates j of the lanes with bit j set for the
+    generators above a_j.  ``key_of`` reads the minimal nonfaces off it, which name the
     degree complex, or None when that is void or a cone; ``facets`` turns
     them into facets by minimal transversals."""
     n = ideal.n
@@ -385,16 +451,16 @@ def _generator_reader(ideal: MonomialIdeal):
     def facets(dmin: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(sorted(full ^ t for t in minimal_transversals(dmin, full)))
 
-    return _lane_sums(above), key_of, facets
+    return _lane_sums(above, 0, classes), key_of, facets
 
 
-def _closed_form_reader(sp: SymbolicPower):
+def _closed_form_reader(sp: SymbolicPower, classes: Classes):
     """Degree complexes of I^(m) in closed form (Minh-Trung; see
     ``degree_complex``): the complex at a is spanned by the facets F with
-    sum_{i not in F} a_i < m.  ``raws`` runs over the box in lexicographic
-    order, in step with ``_box_rows``, and gives each row the selected
-    facets as one int; ``key_of`` gives them as a tuple, the key, or None
-    when the complex is void or a cone.
+    sum_{i not in F} a_i < m.  ``raws`` runs over the rows of
+    ``_box_rows`` with the twin ``classes``, in step with it, and gives
+    each row the selected facets as one int; ``key_of`` gives them as a
+    tuple, the key, or None when the complex is void or a cone.
 
     Each facet has a lane of one int holding its sum plus a bias, so that
     the high bit of a lane is set exactly when the sum is at least m: the
@@ -408,7 +474,7 @@ def _closed_form_reader(sp: SymbolicPower):
     # a_i adds to the lanes of the facets missing i
     steps = [sum(1 << width * j for j, f in enumerate(facets) if not f >> i & 1) for i in range(n)]
     lanes = [[t * step for t in range(r)] for step, r in zip(steps, rho)]
-    sums = _lane_sums(lanes, ((1 << width - 1) - m) * ones)
+    sums = _lane_sums(lanes, ((1 << width - 1) - m) * ones, classes)
     top, flag = 1 << width * len(facets), bytes.maketrans(b"01", b"\0\1")
 
     def key_of(sel: int) -> tuple[int, ...] | None:
@@ -426,18 +492,20 @@ def _scan(ideal: MonomialIdeal | SymbolicPower, below: int, field, *,
 
     One loop serves both routes; only the reader of the degree complexes
     depends on the type of ``ideal``.  The box is read in blocks in
-    lexicographic order, and a row whose reading or degree complex came
-    up before is skipped, since it gives the same indices.  At a
-    nonnegative degree, index j of the complex gives cohomological index
-    i = j + 1, so only the cohomology in indices up to below - 2 is
-    computed.  Full mode keeps the first witness per index; first-only
-    mode returns at the first hit.
+    lexicographic order, one row per orbit of the twin classes (see
+    above), and a row whose reading or degree complex came up before is
+    skipped, since it gives the same indices.  At a nonnegative degree,
+    index j of the complex gives cohomological index i = j + 1, so only
+    the cohomology in indices up to below - 2 is computed.  Full mode
+    keeps the first witness per index; first-only mode returns at the
+    first hit.
     """
     if below <= 0:
         return []
-    blocks = _box_rows(ideal.max_exponents())  # refuses past desk scale
+    classes = _twin_classes(ideal)
+    blocks = _box_rows(ideal.max_exponents(), classes)  # refuses past desk scale
     reader = _closed_form_reader if isinstance(ideal, SymbolicPower) else _generator_reader
-    raws, key_of, facets_of = reader(ideal)
+    raws, key_of, facets_of = reader(ideal, classes)
     read: set[int] = set()
     seen: set = set()
     found: dict[int, Witness] = {}

@@ -25,6 +25,10 @@ from .bits import (
 )
 
 def _as_mask(face, n: int) -> int:
+    """A face given as a mask in range or as vertex labels in 1..n; a bool
+    is neither, as ``mask_of`` refuses it as a label."""
+    if isinstance(face, bool):
+        raise ValueError(f"face {face!r} is neither a mask nor a set of vertex labels")
     if isinstance(face, int):
         if face < 0 or face >= 1 << n:
             raise ValueError(f"face mask {face} out of range for n={n}")

@@ -153,6 +153,20 @@ def test_power_and_depth_pipeline():
     assert rep["depth"] < rep["dim"]
 
 
+def test_depth_of_a_cube_with_twins_is_pinned():
+    # every vertex of uniform:6:3 is a twin of every other, so the scans
+    # read one box row per orbit; the report is the full box's, byte for byte
+    r = run_cli("power", "uniform:6:3", "--m", "3", "--kind", "ordinary")
+    assert r.returncode == 0
+    r2 = run_cli("depth", "-", stdin_text=r.stdout)
+    assert r2.returncode == 0
+    assert r2.stdout == (
+        '{"depth": 2, "dim": 4, "is_cm": false, "field": "Q", "witnesses": ['
+        '{"i": 2, "a": [0, 0, 2, 2, 2, 2], "cohomology_dim": 1}, '
+        '{"i": 3, "a": [0, 0, 0, 1, 2, 2], "cohomology_dim": 1}]}\n'
+    )
+
+
 def test_depth_of_named_complex():
     r = run_cli("depth", "five-cycle")
     rep = json.loads(r.stdout)

@@ -25,6 +25,7 @@ from srpowers.cohomology import (
     _box_rows,
     _scan,
     _closed_form_reader,
+    _twin_classes,
     degree_complex,
     depth_dim,
     is_cm,
@@ -64,6 +65,11 @@ RP2 = from_facets(
     [(1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 6), (1, 5, 6),
      (2, 3, 5), (2, 3, 6), (2, 4, 6), (3, 4, 5), (4, 5, 6)],
 )
+
+
+def _no_twins(n):
+    """Twin classes of an ideal with no twins: every vertex on its own."""
+    return tuple((v,) for v in range(n))
 
 
 def random_complex(rng, n_min=2, n_max=5, with_singletons=True):
@@ -629,8 +635,9 @@ def test_scan_selection_matches_closed_form_degree_complexes():
     for _, base in _squarefree_bases(rng, 12):
         for m in (1, 2, 3):
             sp = SymbolicPower.of(base, m)
-            raws, key_of, _ = _closed_form_reader(sp)
-            for a, raw in zip((a for block in _box_rows(sp.max_exponents()) for a in block), raws):
+            raws, key_of, _ = _closed_form_reader(sp, _no_twins(sp.n))
+            rows = (a for block in _box_rows(sp.max_exponents(), _no_twins(sp.n)) for a in block)
+            for a, raw in zip(rows, raws):
                 want = degree_complex(sp, a)
                 apex = any(all(f >> i & 1 for f in want.facets) for i in range(sp.n))
                 key = key_of(raw)
@@ -666,7 +673,7 @@ def test_closed_form_lanes_at_the_largest_power():
         else:
             box = set(itertools.product((0, 1, m - 2, m - 1), repeat=c.n))
             box |= {tuple(rng.randrange(m) for _ in range(c.n)) for _ in range(200)}
-        raws, key_of, _ = _closed_form_reader(sp)
+        raws, key_of, _ = _closed_form_reader(sp, _no_twins(c.n))
         for a, raw in zip(itertools.product(range(m), repeat=c.n), raws):
             if a not in box:
                 continue
@@ -752,14 +759,89 @@ def test_box_rows_match_the_sorted_product():
     # the nonnegative box, in lexicographic order
     for rho in [(2, 0, 3), (1, 1, 1, 1), (3, 2), (2, 2, 2), (4,)]:
         ref = list(itertools.product(*(range(r) for r in rho)))
-        assert [r for block in _box_rows(rho) for r in block] == ref
+        assert [r for block in _box_rows(rho, _no_twins(len(rho))) for r in block] == ref
     with pytest.raises(ValueError):
-        _box_rows((1,) * 23)
+        _box_rows((1,) * 23, _no_twins(23))
+
+
+def test_twin_box_rows_are_the_nondecreasing_rows_of_the_product():
+    # with twin classes, the rows nondecreasing along each class, read in
+    # position order, in the product's order and in blocks of at most _CHUNK
+    cases = [
+        ((2, 2, 3), ((0, 1), (2,))),
+        ((3, 1, 3, 3), ((0, 2, 3), (1,))),
+        ((2, 2, 2, 2), ((0, 3), (1, 2))),
+        ((3, 0, 3), ((0, 2), (1,))),
+        ((4,) * 4, ((0, 1, 2, 3),)),
+        ((5,) * 7, ((0, 2, 5), (1, 6), (3,), (4,))),  # 13 125 rows, so several blocks
+    ]
+    for rho, classes in cases:
+        ref = [a for a in itertools.product(*map(range, rho))
+               if all(a[u] <= a[v] for c in classes for u, v in zip(c, c[1:]))]
+        blocks = [list(block) for block in _box_rows(rho, classes)]
+        assert [a for block in blocks for a in block] == ref, (rho, classes)
+        assert all(0 < len(block) <= cohomology._CHUNK for block in blocks), (rho, classes)
+    assert len(blocks) == 4
+    # the guard judges the full box, however few rows the twins leave
+    with pytest.raises(DeskScaleExceeded, match="244140625"):
+        _box_rows((4,) * 12, (tuple(range(12)),))
+
+
+def _twins_by_definition(n, members, swap):
+    """The twin classes straight from the definition: u ~ v when the swap
+    of u and v maps the members to themselves."""
+    twins = lambda u, v: {swap(x, u, v) for x in members} == set(members)  # noqa: E731
+    return tuple(tuple(v for v in range(n) if twins(u, v) or u == v)
+                 for u in range(n) if not any(twins(w, u) for w in range(u)))
+
+
+def _swap_bits(f, u, v):
+    return f & ~(1 << u | 1 << v) | (f >> u & 1) << v | (f >> v & 1) << u
+
+
+def test_twin_classes_of_facets_and_generators():
+    for n, k in [(4, 2), (6, 3), (7, 4), (8, 3)]:
+        u = uniform_matroid(n, k)
+        assert _twin_classes(SymbolicPower(n, u.facets, 3)) == (tuple(range(n)),)
+        assert _twin_classes(sr_ideal(u)) == (tuple(range(n)),)
+    assert _twin_classes(SymbolicPower.of(sr_ideal(cycle(6)), 2)) == _no_twins(6)
+    assert _twin_classes(sr_ideal(cycle(6))) == _no_twins(6)
+    # the explicit SR ideal, I^(2) and I^2 have the classes of the complex
+    for c in distinct_complexes(5):
+        want = _twins_by_definition(c.n, c.facets, _swap_bits)
+        sp = SymbolicPower(c.n, c.facets, 2)
+        assert _twin_classes(sp) == want, c
+        explicit = sr_ideal(c)
+        if explicit.is_zero:
+            continue
+        assert _twin_classes(explicit) == want, c
+        assert _twin_classes(sp.ideal()) == want, c
+        assert _twin_classes(explicit.power(2)) == want, c
+
+
+@pytest.mark.parametrize("field", [None, 2])
+def test_twin_reduction_changes_no_scan(field, monkeypatch):
+    # full-mode witnesses, with and without the twin classes, over every
+    # class on <= 5 vertices: I^(m) by closed form and explicitly for
+    # m = 1..4, and I^m for m <= 3
+    ideals = []
+    for c in distinct_complexes(5):
+        base = sr_ideal(c)
+        if base.is_zero:
+            continue
+        for m in (1, 2, 3, 4):
+            sp = SymbolicPower.of(base, m)
+            ideals += [sp, sp.ideal()] + ([base.power(m)] if m <= 3 else [])
+    got = [_scan(x, quotient_dimension(x), field, first_only=False) for x in ideals]
+    monkeypatch.setattr(cohomology, "_twin_classes", lambda ideal: _no_twins(ideal.n))
+    want = [_scan(x, quotient_dimension(x), field, first_only=False) for x in ideals]
+    assert got == want
+    assert len(ideals) > 1000 and sum(map(bool, want)) > 300
 
 
 def test_box_guard_is_a_desk_scale_error():
     with pytest.raises(DeskScaleExceeded) as info:
-        _box_rows((4,) * 12)
+        _box_rows((4,) * 12, _no_twins(12))
     assert not isinstance(info.value, OracleBudgetExceeded)
     assert "244140625" in str(info.value) and str(1 << 22) in str(info.value)
     # the guard counts the full box of the ideal asked about, before any
@@ -780,8 +862,8 @@ def test_degree_box_exponents_stay_within_int16():
     with pytest.raises(DeskScaleExceeded, match="40000.*32767"):
         depth_dim(MonomialIdeal.from_generators(2, [(40000, 1), (0, 2)]))
     with pytest.raises(DeskScaleExceeded, match="32768"):
-        _box_rows((1, 32768))
-    assert [r for block in _box_rows((32767,)) for r in block][-1] == (32766,)
+        _box_rows((1, 32768), _no_twins(2))
+    assert [r for block in _box_rows((32767,), _no_twins(1)) for r in block][-1] == (32766,)
 
 
 def test_one_scan_gives_both_readers_the_same_witness_indices():

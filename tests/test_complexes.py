@@ -143,6 +143,16 @@ def test_link_requires_a_face():
         cycle(5).link({1, 3})
 
 
+def test_a_bool_is_not_a_face():
+    # True would read as the mask of vertex 1, False as the empty face
+    c = cycle(5)
+    for face in (True, False):
+        for method in (c.link, c.star, c.has_face):
+            with pytest.raises(ValueError, match="neither a mask"):
+                method(face)
+    assert c.link(1) == c.link({1}) and c.has_face(0)
+
+
 def test_link_of_star_equals_link():
     rng = random.Random(3)
     for _ in range(40):

@@ -557,9 +557,10 @@ def test_localized_membership():
 
 
 def test_localization_refuses_an_inverted_set_out_of_range():
-    # an int mask is range-checked as SimplicialComplex.link checks a face
+    # an int mask is range-checked as SimplicialComplex.link checks a face,
+    # and a bool is neither a mask nor a label
     I = sr_ideal(cycle(5))
-    for inverted in (1 << 7, 1 << 5, -1, [0], [6]):
+    for inverted in (1 << 7, 1 << 5, -1, [0], [6], True, False, [True]):
         with pytest.raises(ValueError):
             contract(I, inverted)
         with pytest.raises(ValueError):
