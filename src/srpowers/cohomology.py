@@ -85,8 +85,8 @@ import math
 import time
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, combinations, compress, islice, product, repeat
-from operator import and_, invert, or_
+from itertools import chain, combinations, compress, islice, product
+from operator import and_, or_
 from typing import Iterator
 
 from .bits import (
@@ -372,66 +372,59 @@ def _twin_classes(ideal: MonomialIdeal | SymbolicPower) -> Classes:
     return tuple(map(tuple, classes))
 
 
-def _box_rows(rho: tuple[int, ...], classes: Classes) -> Iterator[Iterator[tuple[int, ...]]]:
-    """The rows of the nonnegative degree box {0..rho_i - 1}^n that are
-    nondecreasing along each twin class, in lexicographic order, in blocks
-    of at most ``_CHUNK`` rows, once ``_check_box`` passes on the full box.
-    With no twins that is every row.  The blocks share one row source, so
-    each is read before the next; no row is held past its turn, which
-    spares the garbage collector."""
-    _check_box(rho)
-    if len(classes) == len(rho):
-        rows, count = product(*map(range, rho)), math.prod(rho)
-    else:
-        rows = _sorted_sums([[(t,) for t in range(r)] for r in rho], (), classes)
-        # a nondecreasing row on a class of k positions is a k-multiset of range(rho)
-        count = math.prod(math.comb(rho[c[0]] + len(c) - 1, len(c)) for c in classes)
-    return (islice(rows, _CHUNK) for _ in range(0, count, _CHUNK))
+def _box_rows(rho: tuple[int, ...], classes: Classes, lanes: list[list[int]], start: int = 0,
+              mask: int | None = None) -> Iterator[Iterator[tuple[tuple[int, ...], int]]]:
+    """The rows a of the nonnegative degree box {0..rho_i - 1}^n that are
+    nondecreasing along each twin class, in lexicographic order, each with
+    start + sum_i lanes[i][a_i] (ANDed with ``mask``, if given), in blocks
+    of at most ``_CHUNK`` pairs.  With no twins that is every row.
 
-
-def _sorted_sums(lanes: list[list], start, classes: Classes) -> Iterator:
-    """start + lanes[0][a_0] + lanes[1][a_1] + ... over the a with a_i <
-    len(lanes[i]) that are nondecreasing along each class, in
-    lexicographic order; the lanes may hold ints or 1-tuples (the rows
-    themselves).  The sum over each prefix of coordinates is formed once
-    and extended by every row that shares it."""
-    prev = [-1] * len(lanes)  # the previous position of the class, or -1
+    One walk pairs the rows with their sums, so they cannot fall out of
+    step.  It runs over the leading coordinates, the sum over each prefix
+    formed once, down to a tail of positions k.. whose sums are listed
+    once and extended by each prefix, from the first tail row whose a_k
+    meets its class.  The tail is the last position, grown backwards
+    while the positions after k are twin-free and it has at most
+    ``_CHUNK`` rows.  The blocks share one walk, so each is read before
+    the next; no row is held past its turn, which spares the garbage
+    collector."""
+    n = len(rho)
+    if not n:  # the box on no vertices: the one empty row
+        return iter([iter([((), start if mask is None else mask & start)])])
+    prev = [-1] * n  # the previous position of the class, or -1
     for c in classes:
         for u, v in zip(c, c[1:]):
             prev[v] = u
-    last = len(lanes) - 1
-
-    def tails(i: int, s, row: tuple[int, ...]) -> Iterator:
-        lo = row[prev[i]] if prev[i] >= 0 else 0
-        if i == last:
-            return map(s.__add__, lanes[i][lo:])
-        return chain.from_iterable(tails(i + 1, s + x, row + (t,)) for t, x in enumerate(lanes[i][lo:], lo))
-    return tails(0, start, ())
-
-
-def _lane_sums(lanes: list[list[int]], start: int, classes: Classes) -> Iterator[int]:
-    """start + sum_i lanes[i][a_i] over the rows a of ``_box_rows``, in
-    step with it.  With no twins the sums over the trailing coordinates,
-    at most ``_CHUNK`` of them, are listed once and added to each sum over
-    the leading ones."""
-    if len(classes) < len(lanes):
-        return _sorted_sums(lanes, start, classes)
-    k = len(lanes)
-    while k and math.prod(map(len, lanes[k - 1:])) <= _CHUNK:
+    free = {c[0] for c in classes if len(c) == 1}
+    k = n - 1
+    while k > 0 and k in free and math.prod(rho[k - 1:]) <= _CHUNK:
         k -= 1
-    inner = list(map(sum, product(*lanes[k:])))
-    return chain.from_iterable(map(s.__add__, inner) for s in map(sum, product(*lanes[:k]), repeat(start)))
+    tail_sums = list(map(sum, product(*lanes[k:])))
+    rest = [range(r) for r in rho[k + 1:]]
+    stride = math.prod(rho[k + 1:])  # tail rows per value of a_k
+
+    def pairs(i: int, row: tuple[int, ...], s: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        lo = row[prev[i]] if prev[i] >= 0 else 0
+        if i < k:
+            return chain.from_iterable(pairs(i + 1, row + (t,), s + x) for t, x in enumerate(lanes[i][lo:], lo))
+        sums = map(s.__add__, islice(tail_sums, lo * stride, None))
+        return zip(product(*zip(row), range(lo, rho[k]), *rest),
+                   sums if mask is None else map(mask.__and__, sums))
+
+    # a nondecreasing row on a class of j positions is a j-multiset of range(rho)
+    count = math.prod(math.comb(rho[c[0]] + len(c) - 1, len(c)) for c in classes)
+    walk = pairs(0, (), start)
+    return (islice(walk, _CHUNK) for _ in range(0, count, _CHUNK))
 
 
-def _generator_reader(ideal: MonomialIdeal, classes: Classes):
-    """Degree complexes from the generators (after Takayama).  ``raws``
-    runs over the rows of ``_box_rows`` with the twin ``classes``, in step
-    with it, and gives each row a the masks {j : u_j > a_j} of the
-    generators u as n-bit lanes of one int, one lane per generator: the
+def _generator_reader(ideal: MonomialIdeal):
+    """Degree complexes from the generators (after Takayama).  The lanes
+    of ``_box_rows`` give each row a the masks {j : u_j > a_j} of the
+    generators u as n-bit fields of one int, one field per generator: the
     sum over the coordinates j of the lanes with bit j set for the
-    generators above a_j.  ``key_of`` reads the minimal nonfaces off it, which name the
-    degree complex, or None when that is void or a cone; ``facets`` turns
-    them into facets by minimal transversals."""
+    generators above a_j.  ``key_of`` reads the minimal nonfaces off it,
+    which name the degree complex, or None when that is void or a cone;
+    ``facets`` turns them into facets by minimal transversals."""
     n = ideal.n
     full = (1 << n) - 1
     gens, rho = sorted(ideal.gens), ideal.max_exponents()
@@ -451,38 +444,37 @@ def _generator_reader(ideal: MonomialIdeal, classes: Classes):
     def facets(dmin: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(sorted(full ^ t for t in minimal_transversals(dmin, full)))
 
-    return _lane_sums(above, 0, classes), key_of, facets
+    return (above, 0, None), key_of, facets
 
 
-def _closed_form_reader(sp: SymbolicPower, classes: Classes):
+def _closed_form_reader(sp: SymbolicPower):
     """Degree complexes of I^(m) in closed form (Minh-Trung; see
     ``degree_complex``): the complex at a is spanned by the facets F with
-    sum_{i not in F} a_i < m.  ``raws`` runs over the rows of
-    ``_box_rows`` with the twin ``classes``, in step with it, and gives
-    each row the selected facets as one int; ``key_of`` gives them as a
-    tuple, the key, or None when the complex is void or a cone.
+    sum_{i not in F} a_i < m.  The lanes of ``_box_rows`` give each row
+    the selected facets as one int; ``key_of`` gives them as a tuple, the
+    key, or None when the complex is void or a cone.
 
-    Each facet has a lane of one int holding its sum plus a bias, so that
-    the high bit of a lane is set exactly when the sum is at least m: the
-    selection is ``high & ~(sum + bias)``.  A vertex in every selected
+    Each facet has a field of one int holding its sum plus a bias, so that
+    the high bit of a field is set exactly when the sum is at least m: the
+    selection is ``high & ~(sum + bias)``, which is ``high & (~bias - sum)``,
+    so the lanes count down from ``~bias``.  A vertex in every selected
     facet is a cone apex."""
     facets = sorted(sp.facets)
     n, m, rho = sp.n, sp.m, sp.max_exponents()
     width = (n * m).bit_length() + 1  # above any sum over the box, plus the bias
     ones = sum(1 << width * j for j in range(len(facets)))
     high = ones << width - 1
-    # a_i adds to the lanes of the facets missing i
+    # a_i adds to the fields of the facets missing i
     steps = [sum(1 << width * j for j, f in enumerate(facets) if not f >> i & 1) for i in range(n)]
-    lanes = [[t * step for t in range(r)] for step, r in zip(steps, rho)]
-    sums = _lane_sums(lanes, ((1 << width - 1) - m) * ones, classes)
+    lanes = [[-t * step for t in range(r)] for step, r in zip(steps, rho)]
     top, flag = 1 << width * len(facets), bytes.maketrans(b"01", b"\0\1")
 
     def key_of(sel: int) -> tuple[int, ...] | None:
-        # the high bit of each lane, lowest lane first, as bytes 0 or 1
+        # the high bit of each field, lowest field first, as bytes 0 or 1
         chosen = tuple(compress(facets, bin(sel | top)[:1:-1][width - 1 :: width].encode().translate(flag)))
         return chosen if chosen and not reduce(and_, chosen) else None  # else void, or a cone
 
-    return map(high.__and__, map(invert, sums)), key_of, lambda link: link
+    return (lanes, ~(((1 << width - 1) - m) * ones), high), key_of, lambda link: link
 
 
 def _scan(ideal: MonomialIdeal | SymbolicPower, below: int, field, *,
@@ -502,16 +494,16 @@ def _scan(ideal: MonomialIdeal | SymbolicPower, below: int, field, *,
     """
     if below <= 0:
         return []
-    classes = _twin_classes(ideal)
-    blocks = _box_rows(ideal.max_exponents(), classes)  # refuses past desk scale
+    rho = ideal.max_exponents()
+    _check_box(rho)  # refuses past desk scale, before the lanes are built
     reader = _closed_form_reader if isinstance(ideal, SymbolicPower) else _generator_reader
-    raws, key_of, facets_of = reader(ideal, classes)
+    sums, key_of, facets_of = reader(ideal)
     read: set[int] = set()
     seen: set = set()
     found: dict[int, Witness] = {}
-    for block in blocks:
+    for block in _box_rows(rho, _twin_classes(ideal), *sums):
         _check_deadline(deadline)
-        for a, raw in zip(block, raws):
+        for a, raw in block:
             if raw in read:
                 continue
             read.add(raw)
