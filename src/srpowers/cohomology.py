@@ -25,11 +25,14 @@ of the one memo table, ``_VANISHES``, which CM, S2 and gCM share.
 
 One scan serves every input; only the reader of the degree complexes
 depends on its type.  For a ``MonomialIdeal`` the reader takes the
-minimal nonfaces from the generators and the facets by minimal
-transversals (after Takayama).  For a ``SymbolicPower`` it selects the
-facets of the radical complex in closed form (Minh-Trung), without
-building I^(m); scanning its explicit ideal instead is the cross-check
-(sweep ``sym-cube-routes``).
+minimal nonfaces from the generators, each mask {j : u_j > a_j} in a
+byte-wide field, and the facets from them (after Takayama): on at most
+``_TABLE_VERTICES`` variables by reads of the ``_DOWN`` table below, past
+them by ``antichain_minimal`` and minimal transversals, which
+``degree_complex`` uses throughout as the reference.  For a
+``SymbolicPower`` it selects the facets of the radical complex in closed
+form (Minh-Trung), without building I^(m); scanning its explicit ideal
+instead is the cross-check (sweep ``sym-cube-routes``).
 
 The scan reads one box row per orbit of the twin symmetry.  Vertices u
 and v are twins when swapping them maps the facets of I^(m), or the
@@ -82,6 +85,7 @@ the independent side of the Reisner cross-check (``reisner_is_cm``).
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 from functools import reduce
@@ -186,6 +190,29 @@ def _faces_by_size(facets, top: int) -> list[list[int]]:
         if size <= top:
             by_size[size].append(s)
     return by_size
+
+
+def _table_minimal(family: int, masks) -> list[int]:
+    """The members d of ``masks`` that are inclusion-minimal in the
+    family given as one int, bit d set for each member d, on at most
+    ``_TABLE_VERTICES`` vertices (tables grown): d is minimal exactly
+    when the only member below it is d, ``family & _DOWN[d] == 1 << d``."""
+    return [d for d in masks if family & _DOWN[d] == 1 << d]
+
+
+def _table_facets(nonfaces, n: int) -> list[int]:
+    """The facets on n <= ``_TABLE_VERTICES`` vertices (tables grown) of
+    the complex with the given minimal nonfaces.  A set is a face when its
+    complement C misses no nonface d, that is, when C is a submask of no
+    full ^ d, so the complements of the faces are the AND of
+    ``~_DOWN[full ^ d]`` and the facets the complements of its minimal
+    members; none when a nonface is empty (void)."""
+    full = (1 << n) - 1
+    complements = (1 << (1 << n)) - 1
+    for d in nonfaces:
+        complements &= ~_DOWN[full ^ d]
+    members = [t for t, bit in enumerate(bin(complements)[:1:-1]) if bit == "1"]
+    return [full ^ t for t in _table_minimal(complements, members)]
 
 
 def _dims(by_size: list[list[int]], rank_of) -> tuple[int, ...]:
@@ -420,28 +447,42 @@ def _box_rows(rho: tuple[int, ...], classes: Classes, lanes: list[list[int]], st
 def _generator_reader(ideal: MonomialIdeal):
     """Degree complexes from the generators (after Takayama).  The lanes
     of ``_box_rows`` give each row a the masks {j : u_j > a_j} of the
-    generators u as n-bit fields of one int, one field per generator: the
-    sum over the coordinates j of the lanes with bit j set for the
-    generators above a_j.  ``key_of`` reads the minimal nonfaces off it,
-    which name the degree complex, or None when that is void or a cone;
-    ``facets`` turns them into facets by minimal transversals."""
+    generators u as fields of 1, 2, 4 or 8 bytes of one int, one field per
+    generator: the sum over the coordinates j of the lanes with bit j set
+    for the generators above a_j.  ``key_of`` casts the bytes of the int
+    to the distinct masks in one call and reads the minimal nonfaces off
+    them, which name the degree complex, or None when that is void or a
+    cone; ``facets`` turns them into facets.  On at most
+    ``_TABLE_VERTICES`` variables both reads are ``_DOWN`` table reads
+    (``_table_minimal``, ``_table_facets``), past them
+    ``antichain_minimal`` and minimal transversals.  A scanned box has a
+    row, so at most 22 variables (``_check_box``) and 4-byte fields."""
     n = ideal.n
     full = (1 << n) - 1
     gens, rho = sorted(ideal.gens), ideal.max_exponents()
-    # above[j][t]: bit j in the lane of each generator u with u_j > t
-    above = [[sum(1 << n * k + j for k, u in enumerate(gens) if u[j] > t) for t in range(rho[j])]
+    size = 1 << (max(n - 1, 0) // 8).bit_length()  # bytes per field: 8 * size >= n
+    fmt, length = {1: "B", 2: "H", 4: "I", 8: "Q"}[size], size * len(gens)
+    # above[j][t]: bit j in the field of each generator u with u_j > t
+    above = [[sum(1 << 8 * size * k + j for k, u in enumerate(gens) if u[j] > t) for t in range(rho[j])]
              for j in range(n)]
-    shifts = range(0, n * len(gens), n)
+    table = n <= _TABLE_VERTICES
+    if table:
+        _grow_tables(n)
 
     def key_of(packed: int) -> tuple[int, ...] | None:
-        ds = {packed >> shift & full for shift in shifts}
+        ds = set(memoryview(packed.to_bytes(length, sys.byteorder)).cast(fmt))
         if 0 in ds:
             return None  # some generator divides x^a here: void
-        dmin = antichain_minimal(ds)
+        if table:
+            dmin = _table_minimal(sum(map((1).__lshift__, ds)), ds)
+        else:
+            dmin = antichain_minimal(ds)
         # else a cone apex: all reduced cohomology vanishes
         return tuple(sorted(dmin)) if reduce(or_, dmin, 0) == full else None
 
     def facets(dmin: tuple[int, ...]) -> tuple[int, ...]:
+        if table:
+            return tuple(sorted(_table_facets(dmin, n)))
         return tuple(sorted(full ^ t for t in minimal_transversals(dmin, full)))
 
     return (above, 0, None), key_of, facets
@@ -496,6 +537,8 @@ def _scan(ideal: MonomialIdeal | SymbolicPower, below: int, field, *,
         return []
     rho = ideal.max_exponents()
     _check_box(rho)  # refuses past desk scale, before the lanes are built
+    if 0 in rho:
+        return []  # a box with no row
     reader = _closed_form_reader if isinstance(ideal, SymbolicPower) else _generator_reader
     sums, key_of, facets_of = reader(ideal)
     read: set[int] = set()
@@ -531,7 +574,13 @@ Oracle = MonomialIdeal | SymbolicPower | OrdinaryPower  # what the oracle decide
 
 
 def _faces_below(ideal: Oracle, below: int) -> list[int]:
-    """The faces G of the radical complex with |G| < below, largest first."""
+    """The faces G of the radical complex with |G| < below, largest first.
+    Listing them takes sum_F 2^|F| steps over the facets F, refused past
+    ``_BOX_LIMIT`` before any is listed."""
+    steps = sum(1 << f.bit_count() for f in ideal.radical_complex.facets)
+    if steps > _BOX_LIMIT:
+        raise DeskScaleExceeded(
+            f"listing the faces of the radical complex takes {steps} steps, over the desk-scale limit of {_BOX_LIMIT}")
     return sorted((g for g in ideal.radical_complex.faces() if g.bit_count() < below),
                   key=lambda g: (-g.bit_count(), g))
 

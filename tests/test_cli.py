@@ -167,6 +167,19 @@ def test_depth_of_a_cube_with_twins_is_pinned():
     )
 
 
+def test_depth_of_a_twin_free_cube_is_pinned():
+    # cycle:6 has no twins, so the scan of its I^(3) reads every box row,
+    # each by the generator reader's table reads; the report byte for byte
+    r = run_cli("power", "cycle:6", "--m", "3", "--kind", "symbolic")
+    assert r.returncode == 0
+    r2 = run_cli("depth", "-", stdin_text=r.stdout)
+    assert r2.returncode == 0
+    assert r2.stdout == (
+        '{"depth": 1, "dim": 2, "is_cm": false, "field": "Q", "witnesses": ['
+        '{"i": 1, "a": [0, 0, 1, 0, 0, 2], "cohomology_dim": 1}]}\n'
+    )
+
+
 def test_depth_of_named_complex():
     r = run_cli("depth", "five-cycle")
     rep = json.loads(r.stdout)
@@ -356,6 +369,10 @@ def test_desk_scale_limit_exits_3():
     r = run_cli("depth", '{"n": 2, "gens": [[40000, 1], [0, 2]]}')
     assert r.returncode == 3
     assert "40000" in r.stderr and "32767" in r.stderr
+    # a 4-point box whose radical complex has 2^68 faces
+    r = run_cli("depth", json.dumps({"n": 70, "gens": [[1] + [0] * 69, [0, 1] + [0] * 68]}))
+    assert r.returncode == 3
+    assert str(1 << 68) in r.stderr and str(1 << 22) in r.stderr
     r = run_cli("power", json.dumps({"n": 12, "gens": [[1, 1] + [0] * 10]}),
                 "--m", "4", "--kind", "symbolic")
     assert r.returncode == 3

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,9 @@ from srpowers.cohomology import (
     _check_box,
     _scan,
     _closed_form_reader,
+    _generator_reader,
+    _table_facets,
+    _table_minimal,
     _twin_classes,
     degree_complex,
     depth_dim,
@@ -40,7 +44,7 @@ from srpowers.cohomology import (
     reduced_homology_dims,
     reisner_is_cm,
 )
-from srpowers.bits import iter_bits
+from srpowers.bits import antichain_minimal, iter_bits, minimal_transversals, support
 from srpowers.fixtures import named_complex
 from srpowers.linalg import field_name
 from srpowers.enumeration import canonical_key, distinct_complexes
@@ -665,6 +669,87 @@ def test_scan_selection_matches_closed_form_degree_complexes():
                 assert _lifted(degree_complex(local, rest), g, sp.n) == want.facets, (base, m, a)
 
 
+def _check_generator_rows(ideal):
+    """Every row of ``_generator_reader`` against ``degree_complex``, with
+    singleton and with real twin classes; the number of complexes named."""
+    sums, key_of, facets = _generator_reader(ideal)
+    named = 0
+    for classes in (_no_twins(ideal.n), _twin_classes(ideal)):
+        pairs = [p for block in _box_rows(ideal.max_exponents(), classes, *sums) for p in block]
+        assert [a for a, _ in pairs] == _rows(ideal.max_exponents(), classes)
+        for a, raw in pairs:
+            want = degree_complex(ideal, a)
+            apex = any(all(f >> i & 1 for f in want.facets) for i in range(ideal.n))
+            key = key_of(raw)
+            assert (key is None) == (want.is_void or apex), (ideal, a)
+            assert key is None or facets(key) == tuple(sorted(want.facets)), (ideal, a)
+            named += key is not None
+    return named
+
+
+def test_scan_selection_matches_generator_degree_complexes():
+    # the explicit I^(m) and I^m, on the _DOWN table reads
+    rng = random.Random(19)
+    named = 0
+    for _, base in _squarefree_bases(rng, 8):
+        for m in (1, 2, 3):
+            for ideal in (symbolic_power_ideal(base, m), base.power(m)):
+                named += _check_generator_rows(ideal)
+    assert named > 500
+    # 13 variables, past the tables, in 2-byte fields; x1 and x2 are twins
+    edges = [(1, 3), (2, 3)] + [(i, i + 1) for i in range(3, 13)]
+    gens = [(2, 1) + (0,) * 11, (1, 2) + (0,) * 11] + [tuple(int(v in e) for v in range(1, 14)) for e in edges]
+    past = MonomialIdeal.from_generators(13, gens)
+    assert _twin_classes(past)[0] == (0, 1) and len(_rows(past.max_exponents(), _twin_classes(past))) == 3
+    assert _check_generator_rows(past) > 0
+    # the fields at every width: the key is the minimal {j : u_j > a_j}
+    for n in (5, 8, 9, 16, 17, 33, 64):
+        gens = {tuple(rng.randrange(3) for _ in range(n)) for _ in range(6)} | {(1,) * n}
+        ideal = MonomialIdeal.from_generators(n, gens)
+        (lanes, start, _), key_of, _ = _generator_reader(ideal)
+        for _ in range(20):
+            a = tuple(rng.randrange(r) for r in ideal.max_exponents())
+            masks = {support(u > t for u, t in zip(g, a)) for g in ideal.gens}
+            dmin = antichain_minimal(masks)
+            apex = any(not any(d >> j & 1 for d in dmin) for j in range(n))
+            want = None if 0 in masks or apex else tuple(sorted(dmin))
+            assert key_of(start + sum(lane[t] for lane, t in zip(lanes, a))) == want, (n, a)
+
+
+def _antichains(masks):
+    """Every antichain of the given masks, built by adding the masks in turn."""
+    out = [[]]
+    for m in masks:
+        out += [chain + [m] for chain in out if all(m & c not in (m, c) for c in chain)]
+    return out
+
+
+def test_table_reads_match_antichain_minimal_and_transversals():
+    cohomology._grow_tables(12)
+
+    def check(family, n):
+        ground = (1 << n) - 1
+        want = sorted(ground ^ t for t in minimal_transversals(family, ground))
+        assert sorted(_table_minimal(sum(1 << d for d in set(family)), set(family))) == sorted(
+            antichain_minimal(family)), family
+        assert sorted(_table_facets(family, n)) == want, family
+        assert sorted(_table_facets(antichain_minimal(family), n)) == want, family
+
+    # every family of nonempty subsets of a 3-set
+    for bits in range(1 << 7):
+        check([d for d in range(1, 8) if bits >> d - 1 & 1], 3)
+    # every antichain on 5 vertices, the void one {empty set} among them
+    antichains = _antichains(range(1 << 5))
+    assert len(antichains) == 7581
+    for family in antichains:
+        check(family, 5)
+    # seeded families on 6..12 vertices
+    rng = random.Random(41)
+    for n in range(6, 13):
+        for _ in range(12):
+            check([rng.randrange(1, 1 << n) & rng.randrange(1, 1 << n) or 1 for _ in range(rng.randint(1, 2 * n))], n)
+
+
 def test_closed_form_lanes_at_the_largest_power():
     # m = 16 makes the widest lanes: the sums reach n * 15 at the empty
     # facet.  Every class on at most 3 vertices over its whole box, on 4
@@ -879,6 +964,30 @@ def test_box_guard_is_a_desk_scale_error():
         with pytest.raises(DeskScaleExceeded, match="244140625"):
             check(ideal)
         assert time.monotonic() - start < 1
+
+
+def test_face_walk_guard_is_a_desk_scale_error(monkeypatch):
+    # the box of (x1, x2) on 70 variables has 4 points, but its radical
+    # complex is one facet of 68 vertices: listing its 2^68 faces is
+    # refused before any is listed
+    ideal = MonomialIdeal.from_generators(70, [(1,) + (0,) * 69, (0, 1) + (0,) * 68])
+    _check_box(ideal.max_exponents())
+    monkeypatch.setattr(cohomology, "_VANISHES", {})  # no held verdict
+    for check in (depth_dim, is_cm, is_s2, is_generalized_cm):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DeskScaleExceeded, match=f"{1 << 68} steps.*{1 << 22}"):
+                check(ideal)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+    # at the limit the walk runs, past it it is refused: the facet 123
+    # takes 8 steps; the facets 123, 124 and 134 take 24, though their box
+    # has 8 points
+    monkeypatch.setattr(cohomology, "_BOX_LIMIT", 8)
+    assert depth_dim(MonomialIdeal.from_generators(4, [(0, 0, 0, 1)])).is_cm
+    with pytest.raises(DeskScaleExceeded, match="24 steps"):
+        depth_dim(MonomialIdeal.from_generators(4, [(0, 1, 1, 1)]))
 
 
 def test_degree_box_exponents_stay_within_int16():
