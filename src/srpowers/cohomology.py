@@ -19,9 +19,13 @@ hence the scan reads only the nonnegative box {0..rho_i - 1}^n, with
 rho_i the maximal exponent of x_i over the generators, of I_G for each
 face G: for squarefree ideals the box is {0}, the classical link-by-link
 criterion.  For I^(m), I_G is I^(m) of the link of G, so each box is
-keyed off the link's facets and I_G is built only on a miss.  gCM walks
-the faces CM walks but the empty one, and each box verdict is one entry
-of the one memo table, ``_VANISHES``, which CM, S2 and gCM share.
+keyed off the link's facets and I_G is built only on a miss.
+
+One walk (``_walk``) serves CM, S2 and gCM: each asks every face G for
+no cohomology of I_G below a bound of its own at G (Takayama), d - |G|
+for CM (d = dim S/I), the same but nothing at G = 0 for gCM, and
+min(2, dim S/I_G) for S2, 0 at a facet.  Each box verdict is one
+entry of the one memo table, ``_VANISHES``, which the three share.
 
 One scan serves every input; only the reader of the degree complexes
 depends on its type.  For a ``MonomialIdeal`` the reader takes the
@@ -51,11 +55,14 @@ exhaustive generation", J. Algorithms 1998).
 An ``OrdinaryPower`` I^m is not scanned.  CM and S2 each make S/I^m
 unmixed (S1), and the unmixed part of I^m is I^(m), so S/I^m has either
 property exactly when I^m = I^(m) and S/I^(m) has it: general ring
-theory, not the paper's criterion.  Past a held "not CM" for I^(m),
-equality is tested on the box {0..m}^n that holds all minimal generators
-of both (``OrdinaryPower.equals_symbolic``), which builds no generator
-and costs much less than a cold symbolic verdict; scanning the explicit
-I^m instead is the cross-check (sweep ``ord-cube-routes``).
+theory, not the paper's criterion.  gCM asks CM of each I_v, so for I^m
+it needs I_v^m = I_v^(m) at each vertex v.  So I^m reaches I^(m) through
+``_scanned``, which tests I_G^m = I_G^(m) at the faces the property
+needs: G = 0 for CM and S2, each vertex for gCM.  Past a held "not CM" for I^(m), equality is
+tested on the box {0..m}^n that holds all minimal generators of both
+(``OrdinaryPower.equals_symbolic``), which builds no generator and costs
+much less than a cold symbolic verdict; scanning the explicit I^m
+instead is the cross-check (sweep ``ord-cube-routes``).
 
 All linear algebra is exact (rationals by default, or a prime field).
 Over Q the coboundaries are ranked over F_2 first, one int per row: by
@@ -111,7 +118,7 @@ from .ideals import (
     sr_ideal,
     symbolic_power,
 )
-from .linalg import field_name, rank, rank_f2, require_prime
+from .linalg import check_field, field_name, rank, rank_f2
 
 
 class OracleBudgetExceeded(RuntimeError):
@@ -124,12 +131,6 @@ def check_budget(seconds: float | None) -> float | None:
     if seconds is not None and not (math.isfinite(seconds) and seconds > 0):
         raise ValueError(f"budget must be a finite number of seconds > 0, not {seconds!r}")
     return seconds
-
-
-def _validate_field(field) -> None:
-    """None (the rationals) or a prime."""
-    if field is not None:
-        require_prime(field)
 
 
 def _require_proper(ideal) -> None:
@@ -248,7 +249,7 @@ def _cohomology_dims_of_facets(facets, field, through: int) -> tuple[int, ...]:
 def reduced_cohomology_dims(c: SimplicialComplex, field: int | None = None) -> tuple[int, ...]:
     """Dimensions of the reduced cohomology of the complex over the field,
     indices -1..dim.  The void complex gives () and {0} gives (1,)."""
-    _validate_field(field)
+    check_field(field)
     if c.is_void:
         return ()
     return _cohomology_dims_of_facets(c.facets, field, c.dimension())
@@ -257,7 +258,7 @@ def reduced_cohomology_dims(c: SimplicialComplex, field: int | None = None) -> t
 def reduced_homology_dims(c: SimplicialComplex, field: int | None = None) -> tuple[int, ...]:
     """Reduced homology via boundary matrices; over a field the dimensions
     match cohomology, but the assembly is independent."""
-    _validate_field(field)
+    check_field(field)
     if c.is_void:
         return ()
     top = c.dimension()
@@ -599,7 +600,7 @@ def depth_dim(ideal: MonomialIdeal, field: int | None = None, *, deadline: float
     {-1..rho_i - 1}^n, the one with the fewest negative coordinates, then
     the lexicographically first.  Each localization's box gives its
     first witness per index, with -1 written back at G."""
-    _validate_field(field)
+    check_field(field)
     _require_proper(ideal)
     n = ideal.n
     if ideal.is_zero:
@@ -656,14 +657,13 @@ def _box_vanishes(ideal: MonomialIdeal | SymbolicPower, face: int, below: int, f
     return _memoized(_VANISHES, ("box", key, below, field), scan)
 
 
-def _walk(ideal: MonomialIdeal | SymbolicPower, field, deadline, *, punctured: bool) -> bool:
-    """No local cohomology of S/I_G below d - |G| in the box of I_G, d =
-    dim S/I, for each face G with |G| < d, largest first, but G = 0 when
-    ``punctured``.  The deadline comes first: a walk may read no box."""
+def _walk(ideal: MonomialIdeal | SymbolicPower, field, deadline, below: int, bound) -> bool:
+    """No local cohomology of S/I_G below ``bound(G)`` in the box of I_G,
+    for each face G with |G| < ``below``, largest first, skipping each G
+    whose bound is 0 or False.  The deadline comes first: a walk may read
+    no box."""
     _check_deadline(deadline)
-    d = quotient_dimension(ideal)
-    return all(_box_vanishes(ideal, g, d - g.bit_count(), field, deadline)
-               for g in _faces_below(ideal, d) if g or not punctured)
+    return all(_box_vanishes(ideal, g, b, field, deadline) for g in _faces_below(ideal, below) if (b := bound(g)))
 
 
 def _held(ideal: MonomialIdeal | SymbolicPower, field, deadline) -> tuple:
@@ -672,13 +672,15 @@ def _held(ideal: MonomialIdeal | SymbolicPower, field, deadline) -> tuple:
     return (key := (_canonical_ideal_key(ideal), field)), _VANISHES.get(key)
 
 
-def _scanned(ideal: Oracle, deadline) -> MonomialIdeal | SymbolicPower | None:
-    """What CM and S2 are read from: for an ordinary power I^(m) when
-    I^m = I^(m) (equal membership on the box {0..m}^n, with no generator
-    built), else None, as neither holds."""
+def _scanned(ideal: Oracle, deadline, faces) -> MonomialIdeal | SymbolicPower | None:
+    """What CM, S2 and gCM are read from: for an ordinary power I^(m)
+    when I_G^m = I_G^(m) at each of the ``faces`` G (equal membership on
+    the box {0..m}^n, with no generator built), else None, as the
+    property fails."""
     if not isinstance(ideal, OrdinaryPower):
         return ideal
-    equal = ideal.equals_symbolic(lambda: _check_deadline(deadline))
+    equal = all((ideal.contract(g) if g else ideal).equals_symbolic(lambda: _check_deadline(deadline))
+                for g in faces)
     return ideal.symbolic() if equal else None
 
 
@@ -688,18 +690,18 @@ def is_cm(ideal: Oracle, field: int | None = None, *,
     the dimension, read off the whole walk under one entry per ideal up
     to renaming (read by ``_held``).  I^m is decided through I^(m): a held
     verdict on I^(m) first, then I^m = I^(m), then the walk of I^(m)."""
-    _validate_field(field)
+    check_field(field)
     _require_proper(ideal)
     if ideal.is_zero:
         return True
     if isinstance(ideal, OrdinaryPower) and (held := _held(ideal.symbolic(), field, deadline)[1]) is not None:
         return held and ideal.equals_symbolic(lambda: _check_deadline(deadline))
-    ideal = _scanned(ideal, deadline)
+    ideal = _scanned(ideal, deadline, (0,))
     if ideal is None:
         return False
     _check_box(ideal.max_exponents())
-    return _memoized(_VANISHES, _held(ideal, field, deadline)[0],
-                     lambda: _walk(ideal, field, deadline, punctured=False))
+    return _memoized(_VANISHES, _held(ideal, field, deadline)[0], lambda: _walk(
+        ideal, field, deadline, d := quotient_dimension(ideal), lambda g: d - g.bit_count()))
 
 
 def is_equidimensional(ideal: Oracle) -> bool:
@@ -717,22 +719,21 @@ def is_s2(ideal: Oracle, field: int | None = None, *,
     failure locus of a monomial quotient is itself monomial-graded.  An
     ordinary power is decided through I^(m), and an ideal held CM is S2.
     Else this asks each I_G for no cohomology below min(2, dim S/I_G) =
-    min(2, max |F - G| over facets F >= G), nothing at a facet G; the
+    min(2, max |F - G| over facets F >= G), which is 0 at a facet G; the
     conditions at index 0 on I_(G+v) it leaves out fail only for a facet
     G + v with dim S/I_G >= 2, where the link of G (the degree complex of
     I_G at 0) is disconnected, so S2 fails at G anyway."""
-    _validate_field(field)
+    check_field(field)
     _require_proper(ideal)
     if ideal.is_zero:
         return True
-    ideal = _scanned(ideal, deadline)
+    ideal = _scanned(ideal, deadline, (0,))
     if ideal is None:
         return False
     _check_box(ideal.max_exponents())
     facets = ideal.radical_complex.facets
-    return _held(ideal, field, deadline)[1] or all(_box_vanishes(
-        ideal, g, min(2, max(f.bit_count() for f in facets if f & g == g) - g.bit_count()), field, deadline)
-        for g in _faces_below(ideal, ideal.n + 1) if g not in facets)
+    return _held(ideal, field, deadline)[1] or _walk(ideal, field, deadline, ideal.n + 1, lambda g: min(
+        2, max(f.bit_count() for f in facets if f & g == g) - g.bit_count()))
 
 
 def is_generalized_cm(ideal: Oracle, field: int | None = None, *,
@@ -741,24 +742,23 @@ def is_generalized_cm(ideal: Oracle, field: int | None = None, *,
     localization I_v is Cohen-Macaulay (Takayama).  As (I_v)_G' = I_{G'+v}
     and dim S/I_v = d - 1, that is the CM walk without G = 0.  I^m needs
     I_v^m = I_v^(m) at each vertex v, then walks I^(m)."""
-    _validate_field(field)
+    check_field(field)
     _require_proper(ideal)
     if ideal.is_zero:
         return True
     if not is_equidimensional(ideal):
         return False
-    if isinstance(ideal, OrdinaryPower):
-        if not all(ideal.contract(v).equals_symbolic(lambda: _check_deadline(deadline))
-                   for v in iter_bits(ideal.radical_complex.vertex_mask)):
-            return False
-        ideal = ideal.symbolic()
-    return _walk(ideal, field, deadline, punctured=True)
+    ideal = _scanned(ideal, deadline, iter_bits(ideal.radical_complex.vertex_mask))
+    if ideal is None:
+        return False
+    d = quotient_dimension(ideal)
+    return _walk(ideal, field, deadline, d, lambda g: g and d - g.bit_count())
 
 
 def reisner_is_cm(c: SimplicialComplex, field: int | None = None) -> bool:
     """Independent Cohen-Macaulay test for a squarefree quotient: reduced
     homology of every link vanishes below the link dimension."""
-    _validate_field(field)
+    check_field(field)
     if c.is_void:
         raise ValueError("need a complex with faces")
     for f in sorted(c.faces()):
@@ -783,11 +783,5 @@ def qb_connectivity_consequence(c: SimplicialComplex, m: int, kind: str) -> bool
         ideal = sr_ideal(c).power(m)
     else:
         raise ValueError("kind must be 'symbolic' or 'ordinary'")
-    zero = (0,) * c.n
-    if degree_complex(ideal, zero).facets != c.facets:
-        return False
-    for i in range(c.n):
-        e = tuple(1 if j == i else 0 for j in range(c.n))
-        if degree_complex(ideal, e).facets != c.facets:
-            return False
-    return True
+    # i = -1 gives the zero vector, i = 0..n - 1 the unit vectors
+    return all(degree_complex(ideal, [int(j == i) for j in range(c.n)]).facets == c.facets for i in range(-1, c.n))

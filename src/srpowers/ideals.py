@@ -255,7 +255,7 @@ def minimal_primes(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
     if ideal.is_unit or ideal.is_zero:
         raise ValueError("need a proper nonzero ideal")
     full = (1 << ideal.n) - 1
-    return tuple(sorted(vertices_of(full & ~f) for f in complex_of_radical(ideal).facets))
+    return tuple(sorted(vertices_of(full & ~f) for f in ideal.radical_complex.facets))
 
 
 def facet_ideal(c: SimplicialComplex) -> MonomialIdeal:

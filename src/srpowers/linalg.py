@@ -41,9 +41,10 @@ def rank_f2(rows: list[int]) -> int:
     return len(pivots)
 
 
-def require_prime(p) -> int:
-    """p itself when it is a prime int; otherwise ValueError."""
-    if not isinstance(p, int) or p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+def check_field(p: int | None) -> int | None:
+    """p itself when it names a field: None (the rationals) or a prime
+    int.  Otherwise ValueError."""
+    if p is not None and (not isinstance(p, int) or p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1))):
         raise ValueError(f"{p!r} is not prime")
     return p
 
@@ -57,10 +58,9 @@ def rank(rows: list[dict[int, int]], field: int | None = None) -> int:
     in the order they were found, so each pivot row is zero in the pivot
     columns before its own.  A row left nonzero becomes a pivot row at a
     unit entry if it has one, else (over Q) at its first entry."""
-    if field is None:
+    if check_field(field) is None:
         live = [row for row in ({j: e for j, e in r.items() if e} for r in rows) if row]
     else:
-        require_prime(field)
         live = [row for row in ({j: e % field for j, e in r.items() if e % field} for r in rows) if row]
     live.sort(key=len)
     pivots: dict[int, tuple[dict[int, int], int]] = {}  # column -> (row, inverse of its entry)
@@ -99,7 +99,7 @@ def parse_field(text: str) -> int | None:
     if t in ("Q", "q", "QQ"):
         return None
     if t and t[0] in "Ff" and t[1:].isdigit():
-        return require_prime(int(t[1:]))
+        return check_field(int(t[1:]))
     raise ValueError(f"cannot parse field {text!r}; use Q or Fp")
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .bits import iter_bits, vertices_of
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _as_mask
 
 
 def _check_has_faces(c: SimplicialComplex) -> None:
@@ -217,8 +217,6 @@ def shared_link_check(c: SimplicialComplex, nonface) -> bool:
 
     Always true for matroids; may return False on other input.
     """
-    from .complexes import _as_mask
-
     h = _as_mask(nonface, c.n)
     if h not in set(c.minimal_nonface_masks()):
         raise ValueError(f"{vertices_of(h)} is not a minimal nonface")

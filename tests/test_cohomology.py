@@ -1243,6 +1243,49 @@ def test_generalized_cm_past_its_deadline_raises(monkeypatch):
             is_generalized_cm(cube, deadline=time.monotonic() - 1)
 
 
+def test_each_walk_asks_the_bounds_of_its_definition(monkeypatch):
+    """Every class on <= 4 vertices, I^(2), I^2 and the explicit I^2, with
+    cold memo tables: the (face, bound) pairs the boxes are asked are the
+    definitions on the radical complex, of dimension d - 1:
+    CM {(G, d - |G|) : |G| < d}, gCM the same without G = 0 (nothing
+    unless pure), S2 {(G, min(2, max |F >= G| - |G|)) : G not a facet}.
+    Every box answers "vanishes" here, so no walk stops early.  I^2 asks
+    them exactly when I^2 = I^(2), for gCM at each vertex localization,
+    compared here on the explicit generators."""
+    asked = []
+    monkeypatch.setattr(cohomology, "_box_vanishes",
+                        lambda ideal, face, below, *args: asked.append((face, below)) or True)
+    outcomes = set()
+    for c in distinct_complexes(4):
+        sym, ordinary = SymbolicPower(c.n, c.facets, 2), OrdinaryPower(c.n, c.facets, 2)
+        if sym.is_zero:
+            continue
+        d, faces = c.dimension() + 1, c.faces()
+        cm = {(g, d - g.bit_count()) for g in faces if g.bit_count() < d}
+        want = {
+            is_cm: cm,
+            is_generalized_cm: {(g, b) for g, b in cm if g} if c.is_pure() else set(),
+            is_s2: {(g, min(2, max(f.bit_count() for f in c.facets if f & g == g) - g.bit_count()))
+                    for g in faces if g not in c.facets},
+        }
+        square, symbolic = ordinary.ideal(), sym.ideal()
+        equal = {is_cm: square == symbolic, is_s2: square == symbolic, is_generalized_cm: all(
+            contract(square, v) == contract(symbolic, v) for v in iter_bits(c.vertex_mask))}
+        for x in (sym, ordinary, sr_ideal(c).power(2)):
+            for check, pairs in want.items():
+                monkeypatch.setattr(cohomology, "_VANISHES", {})
+                del asked[:]
+                check(x)
+                walked = x is not ordinary or equal[check]
+                assert len(asked) == len(set(asked)) and set(asked) == (pairs if walked else set()), (
+                    c, x, check.__name__)
+                outcomes.add((check, type(x), walked, bool(asked)))
+    # every check asks something of each kind, and some I^2 is refused
+    checks, kinds = (is_cm, is_s2, is_generalized_cm), (SymbolicPower, OrdinaryPower, MonomialIdeal)
+    assert {(check, kind, True, True) for check in checks for kind in kinds} <= outcomes
+    assert {(check, OrdinaryPower, False, False) for check in checks} <= outcomes
+
+
 def test_cold_ordinary_cm_tests_equality_and_scans_nothing(monkeypatch):
     """With empty memo tables, CM of the uniform:8:3 ordinary cube is
     answered by the equality test alone: I^3 != I^(3)."""

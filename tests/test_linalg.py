@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from srpowers.linalg import rank, rank_f2
+from srpowers.linalg import check_field, rank, rank_f2
 
 FIELDS = [None, 2, 3, 7]
 
@@ -99,6 +99,9 @@ def test_rank_reduces_mod_p_and_needs_a_prime():
     assert rank([{0: 2}, {1: 2}]) == 2
     assert rank([{0: 3, 2: 6}], 3) == 0
     assert rank([{5: 2}]) == 1  # a Fraction pivot on a non-unit entry
+    assert [check_field(p) for p in (None, 2, 3, 7)] == [None, 2, 3, 7]
     for bad in (4, 1, 0, -3, 2.0):
+        with pytest.raises(ValueError, match="is not prime"):
+            check_field(bad)
         with pytest.raises(ValueError):
             rank([{0: 1}], bad)
