@@ -267,17 +267,16 @@ def classify(q: Query) -> ClassificationReport:
 
 def build_ideal(q: Query) -> SymbolicPower | OrdinaryPower:
     """The power the query names, as the value the oracle decides:
-    ``SymbolicPower`` or ``OrdinaryPower`` on the facets of the radical
-    complex that ``RADICAL_COMPLEXES[q.ideal_kind]`` reads off the query's
-    complex, with no base ideal built.  The power carries that complex, so
-    its minimal nonfaces, computed once for ``classify``, are read again
-    from it.  Its ``ideal()`` gives the explicit generators.  m must be an
-    integer."""
+    ``SymbolicPower`` or ``OrdinaryPower`` of the radical complex that
+    ``RADICAL_COMPLEXES[q.ideal_kind]`` reads off the query's complex, with
+    no base ideal built.  For the Stanley-Reisner kind that complex is the
+    query's own, so its minimal nonfaces, computed once for ``classify``,
+    are read again from it.  Its ``ideal()`` gives the explicit generators.
+    m must be an integer."""
     if q.m == "all":
         raise ValueError('cannot build the power for m="all"')
     power = OrdinaryPower if q.power_kind == "ordinary" else SymbolicPower
-    radical = RADICAL_COMPLEXES[q.ideal_kind](q.complex)
-    return power(radical.n, radical.facets, q.m, radical)
+    return power(RADICAL_COMPLEXES[q.ideal_kind](q.complex), q.m)
 
 
 def run_oracle(q: Query, field: int | None = None, *, deadline: float | None = None) -> OracleRun:
@@ -317,8 +316,8 @@ def verify_against_oracle(q: Query, field: int | None = None, *,
         raise ValueError("only CM, S2 and gCM are oracle-decidable")
     if q.m == "all":
         raise ValueError("oracle verification needs a concrete exponent")
-    report = classify(q)
-    run = run_oracle(q, field, deadline=deadline)
+    report = classify_with_oracle(q, field, deadline=deadline)
+    run = report.oracle
     assert run.ran and run.result is not None
     if report.verdict == "oracle_only":
         agree = True  # nothing to contradict

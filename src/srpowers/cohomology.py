@@ -652,7 +652,8 @@ def _box_vanishes(ideal: MonomialIdeal | SymbolicPower, face: int, below: int, f
         key = _canonical_ideal_key(ideal)
 
     def scan():
-        local = SymbolicPower(key[2], frozenset(key[3]), ideal.m) if isinstance(ideal, SymbolicPower) else ideal
+        local = SymbolicPower(SimplicialComplex(key[2], frozenset(key[3])),
+                              ideal.m) if isinstance(ideal, SymbolicPower) else ideal
         return not _scan(local, below, field, first_only=True, deadline=deadline)
     return _memoized(_VANISHES, ("box", key, below, field), scan)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 
 from .bits import bits_at, compactify, indicator, minimal_transversals, support, vertices_of
@@ -335,34 +335,23 @@ def _box_digits(n: int, m: int) -> tuple[list[int], list[int]]:
 
 @dataclass(frozen=True)
 class SquarefreePower:
-    """A power of a squarefree ideal I, held as the facets (bitmasks over
-    1..n) of the radical complex of I and the exponent m.
+    """A power of a squarefree ideal I, held as the radical complex of I
+    and the exponent m.
 
-    Both powers the oracle decides are determined by these facets: I is
-    generated by the minimal nonfaces, and I^(m) is the intersection of
-    the prime powers P_{V-F}^m over the facets F.  ``SymbolicPower`` and
+    Both powers the oracle decides are determined by that complex: I is
+    generated by its minimal nonfaces, and I^(m) is the intersection of
+    the prime powers P_{V-F}^m over its facets F.  ``SymbolicPower`` and
     ``OrdinaryPower`` are sibling subclasses that differ only in which
     power ``ideal()`` builds.
-
-    ``radical_complex`` is the complex on those facets, passed in by a
-    caller that holds it so that what it has computed (minimal nonfaces,
-    faces) is reused.  It takes no part in equality or hashing.
     """
 
-    n: int
-    facets: frozenset[int]
+    radical_complex: SimplicialComplex
     m: int
-    radical_complex: SimplicialComplex | None = field(default=None, compare=False, repr=False)
 
     is_unit = False  # the unit ideal has no radical complex to hold
 
     def __post_init__(self):
         _check_power(self.m)
-        held = self.radical_complex
-        if held is None:
-            object.__setattr__(self, "radical_complex", SimplicialComplex(self.n, self.facets))
-        elif held.n != self.n or held.facets != self.facets:
-            raise ValueError("the radical complex must have the power's facets")
 
     @classmethod
     def of(cls, ideal: MonomialIdeal, m: int) -> "SquarefreePower":
@@ -370,8 +359,16 @@ class SquarefreePower:
         cover or facet ideal alike)."""
         if not ideal.is_squarefree:
             raise ValueError("powers are held here for squarefree input")
-        radical = ideal.radical_complex
-        return cls(radical.n, radical.facets, m, radical)
+        return cls(ideal.radical_complex, m)
+
+    @property
+    def n(self) -> int:
+        return self.radical_complex.n
+
+    @property
+    def facets(self) -> frozenset[int]:
+        """The facets (bitmasks over 1..n) of the radical complex."""
+        return self.radical_complex.facets
 
     @property
     def is_zero(self) -> bool:
@@ -393,7 +390,7 @@ class SquarefreePower:
         if not star or face == full:
             return None
         kept = full & ~face
-        return type(self)(kept.bit_count(), frozenset(compactify(star, kept)), self.m)
+        return type(self)(SimplicialComplex(kept.bit_count(), frozenset(compactify(star, kept))), self.m)
 
     def _symbolic_box(self, strides: list[int], zeros: list[int]) -> int:
         """The members of I^(m) in the box {0..m}^n, which holds all its
@@ -489,7 +486,7 @@ class OrdinaryPower(SquarefreePower):
         return ordinary == symbolic
 
     def symbolic(self) -> SymbolicPower:
-        return SymbolicPower(self.n, self.facets, self.m, self.radical_complex)
+        return SymbolicPower(self.radical_complex, self.m)
 
 
 def symbolic_power_by_intersection(ideal: MonomialIdeal, m: int) -> MonomialIdeal:

@@ -62,41 +62,37 @@ def _chk_matroid_pair(c, field, deadline):
 
 
 def _chk_graph_4cycle(c, field, deadline):
-    if c.is_empty_complex or c.dimension() != 1 or not c.is_pure():
+    if c.dimension() != 1 or not c.is_pure():
         return None
     return is_matroid_exchange(c), graph_matroid_criterion(c)
 
 
 def _chk_matroid_local(c, field, deadline):
-    if c.is_empty_complex or c.dimension() < 2:
+    if c.dimension() < 2:
         return None
     return is_matroid_exchange(c), c.is_connected() and is_locally_matroid(c)
 
 
 def _chk_local_components(c, field, deadline):
-    if c.is_empty_complex or c.dimension() < 2 or not c.is_pure():
+    if c.dimension() < 2 or not c.is_pure():
         return None
     return is_locally_matroid(c), matroid_components(c).ok
 
 
 def _chk_ci_local(c, field, deadline):
-    if c.is_empty_complex or c.dimension() < 2:
+    if c.dimension() < 2:
         return None
     return is_complete_intersection(c), c.is_connected() and is_locally_ci(c)
 
 
 def _chk_duality(c, field, deadline):
-    if c.is_empty_complex:
-        return None
     return is_matroid_exchange(c), is_matroid_exchange(c.complement())
 
 
 def _theorem_vs_oracle(kinds, c, field, deadline):
     """``classify``'s verdict on the cube query of the given (ideal kind,
-    power kind, property) against the oracle; None for the empty complex
-    and wherever ``classify`` answers oracle_only."""
-    if c.is_empty_complex:
-        return None
+    power kind, property) against the oracle; None wherever ``classify``
+    answers oracle_only."""
     q = Query(c, *kinds, 3)
     verdict = classify(q).verdict
     if verdict == "oracle_only":
@@ -108,8 +104,6 @@ def _routes_agree(power_kind, c, field, deadline):
     """Cross-check of the two oracle routes: CM and S2 of the cube value
     (symbolic: closed form from the facets; ordinary: I^3 = I^(3) and the
     symbolic verdict) against the same checks on its explicit generators."""
-    if c.is_empty_complex:
-        return None
     cube = build_ideal(Query(c, "stanley_reisner", power_kind, "CM", 3))
     value = [f(cube, field, deadline=deadline) for f in (co.is_cm, co.is_s2)]
     general = [f(cube.ideal(), field, deadline=deadline) for f in (co.is_cm, co.is_s2)]
@@ -117,8 +111,6 @@ def _routes_agree(power_kind, c, field, deadline):
 
 
 def _chk_degree_complex_links(c, field, deadline):
-    if c.is_empty_complex:
-        return None
     ideal = sr_ideal(c)
     if ideal.is_zero:
         return None
@@ -136,8 +128,6 @@ def _chk_degree_complex_links(c, field, deadline):
 
 
 def _chk_reisner(c, field, deadline):
-    if c.is_empty_complex:
-        return None
     ideal = sr_ideal(c)
     if ideal.is_zero:
         return co.reisner_is_cm(c, field), True

@@ -8,6 +8,7 @@ from srpowers import cohomology as co
 from srpowers import ideals
 from srpowers.classify import (
     Query,
+    build_ideal,
     classify,
     classify_with_oracle,
     run_oracle,
@@ -158,6 +159,16 @@ def test_verify_against_oracle_rejects_bad_queries():
         verify_against_oracle(Query(C5, "stanley_reisner", "symbolic", "Buchsbaum", 3))
     with pytest.raises(ValueError):
         verify_against_oracle(Query(C5, "stanley_reisner", "symbolic", "CM", "all"))
+
+
+def test_a_power_needs_a_concrete_exponent():
+    q = Query(C5, "stanley_reisner", "symbolic", "CM", "all")
+    rep = classify_with_oracle(q)
+    assert rep.verdict == "fails"
+    assert rep.oracle.to_json() == {"ran": False, "result": None, "seconds": 0.0,
+                                    "note": 'power not constructible at m="all"'}
+    with pytest.raises(ValueError, match='m="all"'):
+        build_ideal(q)
 
 
 def test_oracle_attachment():
@@ -313,7 +324,6 @@ def test_build_ideal_reads_the_power_off_the_complex(monkeypatch):
     # power as going through the base ideal, on every class on <= 5
     # vertices and on those classes with one more vertex in no facet
     from srpowers import complexes
-    from srpowers.classify import build_ideal
     from srpowers.enumeration import distinct_complexes
 
     family = list(distinct_complexes(5))
@@ -333,6 +343,7 @@ def test_build_ideal_reads_the_power_off_the_complex(monkeypatch):
                 got = build_ideal(q)
                 assert type(got) is type(want), q
                 assert (got.n, got.facets, got.m) == (want.n, want.facets, want.m), q
+                assert q.ideal_kind != "stanley_reisner" or got.radical_complex is c, q
                 built[q] = got
     assert len(built) > 1000
 

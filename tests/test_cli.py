@@ -14,13 +14,13 @@ from srpowers.ideals import MonomialIdeal, ideal_from_json, symbolic_power
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(*args, stdin_text=None):
+def run_cli(*args, stdin_text=None, module="srpowers.cli"):
     """The CLI in a fresh interpreter on this checkout's sources, with no
     time budget from the environment."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("SRPL_BUDGET_SECONDS", None)
     proc = subprocess.run(
-        [sys.executable, "-m", "srpowers.cli", *args],
+        [sys.executable, "-m", module, *args],
         capture_output=True,
         text=True,
         input=stdin_text,
@@ -381,10 +381,7 @@ def test_desk_scale_limit_exits_3():
 
 def test_package_runs_as_a_module():
     args = ("analyze", "five-cycle", "--kind", "sr-symbolic", "--m", "3", "--property", "cm", "--oracle")
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.pop("SRPL_BUDGET_SECONDS", None)
-    as_module = subprocess.run([sys.executable, "-m", "srpowers", *args],
-                               capture_output=True, text=True, env=env)
+    as_module = run_cli(*args, module="srpowers")
     direct = run_cli(*args)
 
     def report(proc):  # the oracle's wall time is the one field that may differ
@@ -394,6 +391,18 @@ def test_package_runs_as_a_module():
 
     assert report(as_module) == report(direct)
     assert as_module.returncode == 1
+
+
+def test_the_package_entry_reports_a_failed_exchange():
+    r = run_cli("analyze", "path:4", "--kind", "sr-symbolic", "--m", "3", "--property", "cm", module="srpowers")
+    assert r.returncode == 1
+    assert "exchange fails" in json.loads(r.stdout)["witness"]
+
+
+@pytest.mark.parametrize("spec", ["cycle:5:2", "uniform:5"])
+def test_a_spec_with_the_wrong_arity_exits_64(spec, capsys):
+    assert main(["analyze", spec, "--kind", "sr-symbolic", "--m", "3", "--property", "cm"]) == 64
+    assert f"cannot interpret input '{spec}'" in capsys.readouterr().err
 
 
 def test_sampled_sweep_reaches_low_dimensions():

@@ -760,7 +760,7 @@ def test_closed_form_lanes_at_the_largest_power():
     rows = 0
     extra = [SimplicialComplex(n, frozenset(fs)) for n in (3, 4) for fs in ({0}, {1})]
     for c, m in [(c, 16) for c in [*distinct_complexes(4), *extra]] + [(c, 15) for c in extra]:
-        sp = SymbolicPower(c.n, c.facets, m)
+        sp = SymbolicPower(c, m)
         if sp.is_zero:
             continue
         if c.n <= 3:
@@ -781,7 +781,7 @@ def test_closed_form_lanes_at_the_largest_power():
             rows += key is not None
     assert rows > 1000
     for c in (cycle(3), path(3), from_facets(3, [(1, 2), (3,)])):
-        sp = SymbolicPower(c.n, c.facets, 16)
+        sp = SymbolicPower(c, 16)
         for check in (is_cm, is_s2):
             assert check(sp) == check(sp.ideal()), (check.__name__, c)
 
@@ -858,7 +858,7 @@ def test_box_rows_match_the_sorted_product():
         assert _rows(rho, _no_twins(len(rho))) == ref
     # a box on no vertices has the one empty row, where I^(m) of {empty face} has its witness
     assert _rows((), ()) == [()]
-    assert _scan(SymbolicPower(0, frozenset({0}), 3), 2, None, first_only=False) == [Witness(0, (), 1)]
+    assert _scan(SymbolicPower(SimplicialComplex(0, frozenset({0})), 3), 2, None, first_only=False) == [Witness(0, (), 1)]
     # the lanes: start + sum_i lanes[i][a_i], under the mask when given
     lanes = [[0, 5], [0, 1, 2], [0, 100]]
     for start, mask in ((0, None), (7, None), (7, 0b1110)):
@@ -911,14 +911,14 @@ def _swap_bits(f, u, v):
 def test_twin_classes_of_facets_and_generators():
     for n, k in [(4, 2), (6, 3), (7, 4), (8, 3)]:
         u = uniform_matroid(n, k)
-        assert _twin_classes(SymbolicPower(n, u.facets, 3)) == (tuple(range(n)),)
+        assert _twin_classes(SymbolicPower(u, 3)) == (tuple(range(n)),)
         assert _twin_classes(sr_ideal(u)) == (tuple(range(n)),)
     assert _twin_classes(SymbolicPower.of(sr_ideal(cycle(6)), 2)) == _no_twins(6)
     assert _twin_classes(sr_ideal(cycle(6))) == _no_twins(6)
     # the explicit SR ideal, I^(2) and I^2 have the classes of the complex
     for c in distinct_complexes(5):
         want = _twins_by_definition(c.n, c.facets, _swap_bits)
-        sp = SymbolicPower(c.n, c.facets, 2)
+        sp = SymbolicPower(c, 2)
         assert _twin_classes(sp) == want, c
         explicit = sr_ideal(c)
         if explicit.is_zero:
@@ -1055,7 +1055,7 @@ def test_a_face_key_is_the_key_of_the_contraction():
     keys = 0
     for c in distinct_complexes(5):
         for m in (1, 2, 3):
-            power = SymbolicPower(c.n, c.facets, m)
+            power = SymbolicPower(c, m)
             for g in c.faces():
                 local = power.contract(g)
                 if local is None:  # G is every vertex
@@ -1063,12 +1063,12 @@ def test_a_face_key_is_the_key_of_the_contraction():
                 key = cohomology._canonical_ideal_key(power, g)
                 assert key == cohomology._canonical_ideal_key(local), (c, m, g)
                 rename = _renaming(c, g, rng)
-                renamed = SymbolicPower(c.n, frozenset(map(rename, c.facets)), m)
+                renamed = SymbolicPower(SimplicialComplex(c.n, frozenset(map(rename, c.facets))), m)
                 assert key == cohomology._canonical_ideal_key(renamed, rename(g)), (c, m, g)
                 keys += 1
     assert keys > 10000
     # the ties are broken by label: an isomorphic link may key apart
-    one, other = (SymbolicPower(4, frozenset(facets), 2) for facets in ({0b1001, 0b10, 0b100}, {0b11, 0b100, 0b1000}))
+    one, other = (SymbolicPower(SimplicialComplex(4, frozenset(facets)), 2) for facets in ({0b1001, 0b10, 0b100}, {0b11, 0b100, 0b1000}))
     assert cohomology._canonical_ideal_key(one) != cohomology._canonical_ideal_key(other)
 
 
@@ -1091,7 +1091,7 @@ def test_the_power_built_on_a_miss_is_a_renamed_contraction(monkeypatch):
     cases = 0
     for c in classes:
         for m in (1, 2, 3):
-            power = SymbolicPower(c.n, c.facets, m)
+            power = SymbolicPower(c, m)
             for g in c.faces():
                 local = power.contract(g)
                 if local is None:
@@ -1127,7 +1127,7 @@ def test_one_key_per_memo_lookup(kind, monkeypatch):
     monkeypatch.setattr(cohomology, "_VANISHES", {})
     checked = 0
     for c in family:
-        power = (SymbolicPower if kind == "explicit" else kind)(c.n, c.facets, 2)
+        power = (SymbolicPower if kind == "explicit" else kind)(c, 2)
         ideal = power.ideal() if kind == "explicit" else power
         if ideal.is_zero:
             continue
@@ -1170,7 +1170,7 @@ def test_held_verdicts_never_change_an_answer(m, monkeypatch):
     for c in distinct_complexes(5):
         if c.is_empty_complex:
             continue
-        powers = (SymbolicPower(c.n, c.facets, m), OrdinaryPower(c.n, c.facets, m))
+        powers = (SymbolicPower(c, m), OrdinaryPower(c, m))
         monkeypatch.setattr(cohomology, "_VANISHES", {})
         verdict = is_cm(powers[0])
         filled = cohomology._VANISHES
@@ -1209,7 +1209,7 @@ def test_generalized_cm_walk_matches_the_localization_definition(field, monkeypa
     asked with empty memo tables."""
     seen = set()
     for c in distinct_complexes(5):
-        powers = [kind(c.n, c.facets, m) for kind in (SymbolicPower, OrdinaryPower) for m in (1, 2, 3)]
+        powers = [kind(c, m) for kind in (SymbolicPower, OrdinaryPower) for m in (1, 2, 3)]
         if c.vertex_mask == (1 << c.n) - 1:
             powers.append(sr_ideal(c).power(2))
         for x in powers:
@@ -1257,7 +1257,7 @@ def test_each_walk_asks_the_bounds_of_its_definition(monkeypatch):
                         lambda ideal, face, below, *args: asked.append((face, below)) or True)
     outcomes = set()
     for c in distinct_complexes(4):
-        sym, ordinary = SymbolicPower(c.n, c.facets, 2), OrdinaryPower(c.n, c.facets, 2)
+        sym, ordinary = SymbolicPower(c, 2), OrdinaryPower(c, 2)
         if sym.is_zero:
             continue
         d, faces = c.dimension() + 1, c.faces()

@@ -6,6 +6,7 @@ import pytest
 
 from srpowers.bits import compactify, mask_of, support, vertices_of
 from srpowers.complexes import (
+    SimplicialComplex,
     complete_graph,
     cycle,
     empty_complex,
@@ -264,7 +265,7 @@ def test_ordinary_power_symbolic_reuses_its_facets(monkeypatch):
     monkeypatch.setattr(ideals, "minimal_transversals", refuse)
     monkeypatch.setattr(complexes, "minimal_transversals", refuse)
     for op in powers:
-        assert op.symbolic() == SymbolicPower(op.n, op.facets, op.m)
+        assert op.symbolic() == SymbolicPower(SimplicialComplex(op.n, op.facets), op.m)
 
 
 def test_both_powers_contract_to_the_same_link():
@@ -285,10 +286,10 @@ def test_both_powers_contract_to_the_same_link():
 
 
 def _small_powers(m):
-    """Every class on at most four vertices, held as a power of its
-    facets, then two whose radical holds a variable: a vertex in no facet."""
-    held = [(c.n, c.facets) for c in distinct_complexes(4)] + [(3, frozenset({0b011})), (2, frozenset({0}))]
-    return [(SymbolicPower(n, facets, m), OrdinaryPower(n, facets, m)) for n, facets in held]
+    """Every class on at most four vertices, each the radical complex of
+    its powers, then two whose radical holds a variable: a vertex in no facet."""
+    held = [*distinct_complexes(4), SimplicialComplex(3, frozenset({0b011})), SimplicialComplex(2, frozenset({0}))]
+    return [(SymbolicPower(c, m), OrdinaryPower(c, m)) for c in held]
 
 
 def test_symbolic_box_against_intersection_on_every_class_up_to_four_vertices():
@@ -346,22 +347,31 @@ def test_ordinary_power_equals_symbolic_on_larger_cubes():
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_equals_symbolic_reads_the_carried_complex(m):
-    # the power build_ideal returns carries the query's complex; it answers
-    # as one made from the facets alone, and is equal to it with one hash
+    # the power build_ideal returns holds the query's complex itself; it
+    # answers as one held on a copy, and is equal to it with one hash
     from srpowers.classify import Query, build_ideal
 
     for c in distinct_complexes(5):
         carried = build_ideal(Query(c, "stanley_reisner", "ordinary", "CM", m))
         assert carried.radical_complex is c
-        fresh = OrdinaryPower(c.n, c.facets, m)
+        fresh = OrdinaryPower(SimplicialComplex(c.n, c.facets), m)
         assert fresh.radical_complex is not c
         assert carried == fresh and hash(carried) == hash(fresh) and repr(carried) == repr(fresh)
         assert carried.equals_symbolic() is fresh.equals_symbolic(), c
 
 
-def test_a_carried_complex_must_have_the_power_s_facets():
-    with pytest.raises(ValueError, match="radical complex"):
-        OrdinaryPower(4, cycle(4).facets, 3, cycle(5))
+def test_a_power_is_its_radical_complex_and_m():
+    import dataclasses
+
+    c = cycle(5)
+    for power in (SymbolicPower, OrdinaryPower):
+        assert [f.name for f in dataclasses.fields(power)] == ["radical_complex", "m"]
+        held = power(c, 3)
+        assert (held.n, held.facets, held.radical_complex) == (5, c.facets, c)
+        # the link {2}, {5} of vertex 1, relabelled onto the vertices 2..5
+        assert held.contract(0b1).radical_complex == SimplicialComplex(4, frozenset({0b0001, 0b1000}))
+        with pytest.raises(ValueError, match="power"):
+            power(c, 0)
 
 
 def test_ordinary_power_equality_runs_its_check_between_rounds():
@@ -369,7 +379,7 @@ def test_ordinary_power_equality_runs_its_check_between_rounds():
     op = OrdinaryPower.of(sr_ideal(cycle(5)), 3)
     assert op.equals_symbolic(lambda: calls.append(1)) is False
     assert len(calls) == 3
-    zero = OrdinaryPower(3, frozenset({0b111}), 2)
+    zero = OrdinaryPower(SimplicialComplex(3, frozenset({0b111})), 2)
     assert zero.equals_symbolic(lambda: calls.append(1)) is True and len(calls) == 3
 
 

@@ -188,3 +188,13 @@ def test_oracle_checks_compare_classify_with_the_oracle_on_every_class(field):
     # the table's theorem for graphs is checked too
     dims = {max(map(len, sig.split(":")[1].split("+"))) - 1 for sig, cid in got if cid == "sym-cube-cm"}
     assert 1 in dims
+
+
+# rows per combinatorial check over every class on 1..5 vertices: the
+# complexes of dimension >= 2, the pure ones among them, and all 208
+@pytest.mark.parametrize("check_id, rows", [("matroid-local-connected", 156), ("local-matroid-components", 39),
+                                            ("ci-local-connected", 156), ("matroid-complement-duality", 208)])
+def test_combinatorial_checks_agree_on_every_class(check_id, rows):
+    r = run_sweep([check_id], n_max=5)
+    assert r.processed == 208 and r.disagreements == 0
+    assert len(r.rows) == rows
