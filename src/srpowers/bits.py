@@ -9,6 +9,15 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+_BOX_LIMIT = 1 << 22  # points of a degree box, or submasks of a search, at desk scale
+
+
+class DeskScaleExceeded(ValueError):
+    """Input past desk scale: too large a box or too large an exponent.
+
+    The input is valid, so this is no usage error; nor is it a spent time
+    budget, since a resumed run would meet the same box again."""
+
 
 def mask_of(vertices: Iterable[int], n: int | None = None) -> int:
     """Bitmask of a vertex set; validates labels against 1..n when given."""
@@ -72,9 +81,8 @@ def submasks(mask: int) -> Iterator[int]:
 
 def antichain_maximal(masks: Iterable[int]) -> frozenset[int]:
     """Inclusion-maximal elements of a family of masks."""
-    ordered = sorted(set(masks), key=lambda m: -m.bit_count())
     kept: list[int] = []
-    for m in ordered:
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
         if not any(m & k == m for k in kept):
             kept.append(m)
     return frozenset(kept)
@@ -82,9 +90,8 @@ def antichain_maximal(masks: Iterable[int]) -> frozenset[int]:
 
 def antichain_minimal(masks: Iterable[int]) -> frozenset[int]:
     """Inclusion-minimal elements of a family of masks."""
-    ordered = sorted(set(masks), key=lambda m: m.bit_count())
     kept: list[int] = []
-    for m in ordered:
+    for m in sorted(set(masks), key=int.bit_count):
         if not any(m & k == k for k in kept):
             kept.append(m)
     return frozenset(kept)
@@ -93,52 +100,53 @@ def antichain_minimal(masks: Iterable[int]) -> frozenset[int]:
 def minimal_transversals(masks: Iterable[int], ground: int) -> list[int]:
     """Inclusion-minimal T <= ground meeting every mask of the family.
 
-    Brute force over submasks of the union, by increasing cardinality.
-    Intended for desk-scale ground sets (|ground| <= ~20).
+    Brute force over submasks of the union, by increasing cardinality,
+    refused past ``_BOX_LIMIT`` submasks before any is listed.
     """
     fam = [m & ground for m in masks]
-    if any(m == 0 for m in fam):
+    if not all(fam):
         return []
     union = 0
     for m in fam:
         union |= m
-    subs = sorted(submasks(union), key=lambda s: s.bit_count())
+    if 1 << union.bit_count() > _BOX_LIMIT:
+        raise DeskScaleExceeded(f"a minimal transversal search over {1 << union.bit_count()} submasks "
+                                f"is over the desk-scale limit of {_BOX_LIMIT}")
     out: list[int] = []
-    for t in subs:
-        if any(t & m == 0 for m in fam):
-            continue
-        if any(k & t == k for k in out):
-            continue
-        out.append(t)
+    for t in sorted(submasks(union), key=int.bit_count):
+        if all(t & m for m in fam) and not any(k & t == k for k in out):
+            out.append(t)
     return sorted(out, key=lambda s: (s.bit_count(), s))
 
 
-def exchange_pair(faces: Iterable[int]) -> tuple[int, int] | None:
-    """A pair (G, F) of a downward-closed family of masks that fails the
-    independence exchange axiom, or None when the family satisfies it.
+def exchange_pair(faces: frozenset[int]) -> tuple[int, int] | None:
+    """A pair (G, F) of a downward-closed set of masks that fails the
+    independence exchange axiom, or None when the set satisfies it.
 
     Checking F one larger than G suffices: a bigger F can be shrunk to
-    |G|+1 inside the family.  The vertices x with G + x in the family
-    form one mask per G, the union of F - G over the members F one
-    larger that contain G; a pair fails when F misses it.  The pair is
-    the first failing one in (size, mask) order.
+    |G|+1 inside the set.  The vertices x with G + x in the set form one
+    mask per G, found by probing the vertices outside G; a pair fails
+    when F misses it.  The pair is the first failing one in (size, mask)
+    order, so a failure at a small size is found without the larger ones.
     """
     by_size: dict[int, list[int]] = {}
     for f in sorted(faces):
         by_size.setdefault(f.bit_count(), []).append(f)
+    vertices = sum(by_size.get(1, ()))
     for k in sorted(by_size):
         bigger = by_size.get(k + 1)
         if not bigger:
             continue
-        extends: dict[int, int] = {}
-        for f in bigger:
-            for b in iter_bits(f):
-                extends[f ^ b] = extends.get(f ^ b, 0) | b
         for g in by_size[k]:
-            ext = extends.get(g, 0)
-            f = next((f for f in bigger if not f & ext), None)
-            if f is not None:
-                return g, f
+            ext, rest = 0, vertices & ~g
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                if g | b in faces:
+                    ext |= b
+            for f in bigger:
+                if not f & ext:
+                    return g, f
     return None
 
 

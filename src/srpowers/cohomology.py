@@ -101,6 +101,7 @@ from operator import and_, or_
 from typing import Iterator
 
 from .bits import (
+    _BOX_LIMIT,
     antichain_minimal,
     compactify,
     iter_bits,
@@ -363,7 +364,6 @@ def _memoized(table: dict, key, compute):
 
 
 _CHUNK = 4096  # box rows per block: the deadline granularity of a scan
-_BOX_LIMIT = 1 << 22  # points of a degree box at desk scale
 _EXPONENT_LIMIT = (1 << 15) - 1  # the largest exponent of a degree box at desk scale
 
 

@@ -12,17 +12,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable
 
-from .bits import (
-    antichain_maximal,
-    exchange_pair,
-    mask_of,
-    minimal_transversals,
-    submasks,
-    vertices_of,
-)
+from .bits import antichain_maximal, exchange_pair, mask_of, minimal_transversals, vertices_of
 
 def _as_mask(face, n: int) -> int:
     """A face given as a mask in range or as vertex labels in 1..n; a bool
@@ -59,10 +53,7 @@ class SimplicialComplex:
 
     @cached_property
     def vertex_mask(self) -> int:
-        m = 0
-        for f in self.facets:
-            m |= f
-        return m
+        return reduce(or_, self.facets, 0)
 
     def vertex_set(self) -> frozenset[int]:
         """Vertices lying in some facet (isolated ambient vertices excluded)."""
@@ -76,12 +67,17 @@ class SimplicialComplex:
     def is_pure(self) -> bool:
         if self.is_void:
             raise ValueError("the void complex has no dimension")
-        sizes = {f.bit_count() for f in self.facets}
-        return len(sizes) == 1
+        return len({f.bit_count() for f in self.facets}) == 1
 
     @cached_property
     def _face_set(self) -> frozenset[int]:
-        return frozenset(s for f in self.facets for s in submasks(f))
+        faces = {0} if self.facets else set()
+        for f in self.facets:
+            s = f
+            while s:  # the nonzero submasks of f
+                faces.add(s)
+                s = s - 1 & f
+        return frozenset(faces)
 
     @cached_property
     def exchange_pair(self) -> tuple[int, int] | None:
@@ -164,24 +160,13 @@ class SimplicialComplex:
         """Split the facets by connectivity of the vertex set they cover."""
         if self.is_void or self.is_empty_complex:
             return ()
-        groups: list[int] = []  # vertex masks of the components so far
-        members: list[list[int]] = []
-        for f in sorted(self.facets):
-            hit = [i for i, g in enumerate(groups) if g & f]
-            if not hit:
-                groups.append(f)
-                members.append([f])
-            else:
-                base = hit[0]
-                for i in reversed(hit[1:]):
-                    groups[base] |= groups[i]
-                    members[base].extend(members[i])
-                    del groups[i], members[i]
-                groups[base] |= f
-                members[base].append(f)
-        comps = [
-            SimplicialComplex(self.n, frozenset(fs)) for fs in members
-        ]
+        masks: list[int] = []  # vertex masks of the components so far
+        for f in self.facets:
+            for g in [g for g in masks if g & f]:
+                masks.remove(g)
+                f |= g
+            masks.append(f)
+        comps = [SimplicialComplex(self.n, frozenset(f for f in self.facets if f & g)) for g in masks]
         return tuple(sorted(comps, key=lambda c: min(c.facets)))
 
     def is_connected(self) -> bool:

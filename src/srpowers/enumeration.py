@@ -1,12 +1,16 @@
 """Enumeration and sampling of small complexes for property sweeps.
 
 ``distinct_complexes(n)`` yields one complex per isomorphism class on
-1..n vertices, built one vertex at a time (McKay, "Isomorph-free
-exhaustive generation", J. Algorithms 1998).  A complex on k+1 vertices
-is D u v*L, where D, its deletion at v, is a complex on k vertices and
-L, its link at v, is a nonvoid subcomplex of D.  So the children of one
-D per class on k vertices, one per L, meet every class on k+1 vertices;
-a child is kept the first time its exact ``canonical_key`` appears.
+1..n vertices, built one vertex at a time by canonical augmentation
+(McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998).  A
+complex C on k+1 vertices is D u v*L: D, its deletion at v, is on k
+vertices and L, its link at v, is a nonvoid subcomplex of D.  A child is
+kept when v is in its top cell, the vertices with the largest lane (the
+count of facets of each size through the vertex), and its exact
+``canonical_key``, read off the same lanes, is new.  No class is lost:
+for u in the top cell of C, the representative of C - u has a link
+whose child is C with v mapped to u.  The rule picks the
+representatives and their order.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from __future__ import annotations
 import itertools
 import random
 import sys
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Iterable, Iterator
 
 from .bits import antichain_maximal, bits_at, compactify, mask_of, submasks
@@ -27,19 +32,18 @@ MAX_KEY_VERTICES = 6
 
 
 def antichains(masks: Iterable[int]) -> Iterator[tuple[int, ...]]:
-    """All antichains of a family of distinct masks, the empty one first."""
+    """All antichains of a family of distinct masks, the empty one first;
+    each lists its masks in decreasing order of their places in the family."""
     masks = list(masks)
     comparable = [sum(1 << j for j, t in enumerate(masks) if s & t in (s, t)) for s in masks]
-
-    def rec(avail: int, chosen: tuple[int, ...]):
+    stack = [((1 << len(masks)) - 1, ())]  # (places still free, chosen masks)
+    while stack:
+        avail, chosen = stack.pop()
         yield chosen
         while avail:
-            low = avail & -avail
-            avail ^= low
-            i = low.bit_length() - 1
-            yield from rec(avail & ~comparable[i], chosen + (masks[i],))
-
-    yield from rec((1 << len(masks)) - 1, ())
+            i = avail.bit_length() - 1
+            avail ^= 1 << i
+            stack.append((avail & ~comparable[i], chosen + (masks[i],)))
 
 
 def canonical_key(facets: Iterable[int], k: int) -> int:
@@ -50,24 +54,30 @@ def canonical_key(facets: Iterable[int], k: int) -> int:
     the permutations within ties (vertex refinement after McKay-Piperno,
     "Practical graph isomorphism, II", J. Symbolic Comput. 2014).  The
     invariants are 64-bit lanes of one int, each over its vertex in the
-    low 3 bits, and the bitmaps of all the pi are lanes of another."""
+    low 3 bits."""
     if k > MAX_KEY_VERTICES:
         raise ValueError(f"canonical keys are limited to {MAX_KEY_VERTICES} vertices")
     facets = tuple(facets)
-    spread, base = _invariants(k, len(facets).bit_length())
+    spread, base = _invariants(k)
     lanes = sum(map(spread.__getitem__, facets), base).to_bytes(8 * k, sys.byteorder)
-    ranked = sorted(memoryview(lanes).cast("Q"))
+    return _key(facets, sorted(memoryview(lanes).cast("Q")))
+
+
+def _key(facets: tuple[int, ...], ranked: list[int]) -> int:
+    """``canonical_key`` from the lanes in increasing order; the bitmaps of
+    all the pi are lanes of one int."""
     place = _places(tuple(map((7).__and__, ranked)))
     bitmap, size, code = _bitmaps(tuple(map((8).__gt__, map(int.__xor__, ranked, ranked[1:]))))
     bitmaps = sum(map(bitmap.__getitem__, map(place.__getitem__, facets))).to_bytes(size, sys.byteorder)
     return min(memoryview(bitmaps).cast(code))
 
 
-@lru_cache(maxsize=64)
-def _invariants(k: int, width: int) -> tuple[list[int], int]:
-    """Per face mask F on k vertices, 1 << 3 + width * |F| in the lane of
-    each vertex of F (counts below 1 << width); the lanes' vertices."""
-    spread = [sum(1 << 64 * v + 3 + width * f.bit_count() for v in range(k) if f >> v & 1) for f in range(1 << k)]
+@lru_cache(maxsize=MAX_KEY_VERTICES + 1)
+def _invariants(k: int) -> tuple[list[int], int]:
+    """Per face mask F on k vertices, 1 << 3 + 6 * |F| in the lane of each
+    vertex of F (counts below 64: a vertex lies in at most 32 distinct
+    masks); the lanes' vertices."""
+    spread = [sum(1 << 64 * v + 3 + 6 * f.bit_count() for v in range(k) if f >> v & 1) for f in range(1 << k)]
     return spread, sum(v << 64 * v for v in range(k))
 
 
@@ -106,11 +116,8 @@ def _bitmaps(ties: tuple[bool, ...]) -> tuple[list[int], int, str]:
 
 def compact_complex(facets: tuple[int, ...]) -> SimplicialComplex:
     """The complex relabeled onto 1..k where k counts covered vertices."""
-    union = 0
-    for f in facets:
-        union |= f
-    masks = compactify(facets, union)
-    return SimplicialComplex(union.bit_count(), frozenset(masks))
+    union = reduce(or_, facets, 0)
+    return SimplicialComplex(union.bit_count(), frozenset(compactify(facets, union)))
 
 
 def distinct_complexes(n: int, *, dim_min: int = -1, dim_max: int | None = None) -> Iterator[SimplicialComplex]:
@@ -123,14 +130,22 @@ def distinct_complexes(n: int, *, dim_min: int = -1, dim_max: int | None = None)
     level: list[tuple[int, ...]] = [(0,)]  # {empty face} on no vertices
     for k in range(n):
         v = 1 << k
+        spread, base = _invariants(k + 1)
         seen: set[int] = set()
         children = []
         for facets in level:
             # a child has dimension max(dim D, max |F| over F in L)
             faces = sorted({s for f in facets for s in submasks(f) if s.bit_count() <= top})
+            # the lanes of D + v*L: those of D, plus F + v less F (if a facet of D) per F in L
+            lanes_of_d = sum(map(spread.__getitem__, facets), base)
+            gain = {f: spread[f | v] - spread[f] * (f in facets) for f in faces}
             for link in itertools.islice(antichains(faces), 1, None):
+                packed = sum(map(gain.__getitem__, link), lanes_of_d).to_bytes(8 * k + 8, sys.byteorder)
+                lanes = memoryview(packed).cast("Q")
+                if lanes[k] != max(lanes):  # v, numbered last, is not in the top cell
+                    continue
                 child = tuple(f for f in facets if f not in link) + tuple(f | v for f in link)
-                key = canonical_key(child, k + 1)
+                key = _key(child, sorted(lanes))
                 if key in seen:
                     continue
                 seen.add(key)

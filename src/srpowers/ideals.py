@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
-from .bits import bits_at, compactify, indicator, minimal_transversals, support, vertices_of
+from .bits import DeskScaleExceeded, bits_at, compactify, indicator, minimal_transversals, support, vertices_of
 from .complexes import SimplicialComplex, _as_mask
 
 MAX_POWER = 16  # desk scale guard
@@ -29,13 +29,6 @@ def _check_power(m) -> None:
     """Refuse an exponent that is not an int in 1..MAX_POWER (a bool is not an int here)."""
     if type(m) is not int or not 1 <= m <= MAX_POWER:
         raise ValueError(f"power must lie in 1..{MAX_POWER}")
-
-
-class DeskScaleExceeded(ValueError):
-    """Input past desk scale: too large a box or too large an exponent.
-
-    The input is valid, so this is no usage error; nor is it a spent time
-    budget, since a resumed run would meet the same box again."""
 
 
 _INT64_MAX = (1 << 63) - 1

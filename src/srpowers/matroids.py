@@ -11,6 +11,7 @@ actually covered by facets; isolated ambient vertices are ignored.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 from .bits import iter_bits, vertices_of
@@ -40,17 +41,25 @@ def is_matroid_exchange(c: SimplicialComplex) -> bool:
 
 
 def is_matroid_pair(c: SimplicialComplex) -> bool:
-    """Pair criterion: for faces with |F\\G|=1 and |G\\F|=2 some vertex of
-    G\\F extends F to a face.  Agrees with the exchange axiom."""
+    """Pair criterion: for faces F = H + a and G = H + b + x with a not in
+    G, F + b or F + x is a face.  Each candidate pair is built from a face
+    G, a pair {b, x} of G and a vertex a outside G.  A cross-check of the
+    exchange axiom, with which it agrees."""
     _check_has_faces(c)
-    face_set = c.faces()
-    faces = sorted(face_set)
-    for f in faces:
-        for g in faces:
-            if (f & ~g).bit_count() != 1 or (g & ~f).bit_count() != 2:
-                continue
-            if not any(f | b in face_set for b in iter_bits(g & ~f)):
-                return False
+    faces, vm = c.faces(), c.vertex_mask
+    for g in faces:
+        rest = g
+        while rest:  # b below x
+            b = rest & -rest
+            rest ^= b
+            above = rest
+            while above:
+                x = above & -above
+                above ^= x
+                for a in iter_bits(vm & ~g):
+                    f = g ^ b ^ x | a
+                    if f in faces and f | b not in faces and f | x not in faces:
+                        return False
     return True
 
 
@@ -59,18 +68,13 @@ def graph_matroid_criterion(c: SimplicialComplex) -> bool:
     _check_has_faces(c)
     if c.is_empty_complex or c.dimension() != 1 or not c.is_pure():
         raise ValueError("input must be a graph: all facets are edges")
-    edges = sorted(c.facets)
-    edge_set = set(edges)
-    for i, e in enumerate(edges):
-        for f in edges[i + 1:]:
-            if e & f:
-                continue
-            a, b = (1 << (v - 1) for v in vertices_of(e))
-            u, w = (1 << (v - 1) for v in vertices_of(f))
-            if (a | u in edge_set and b | w in edge_set) or (
-                a | w in edge_set and b | u in edge_set
-            ):
-                continue
+    edges = c.facets
+    for e, f in combinations(edges, 2):
+        if e & f:
+            continue
+        a, b = iter_bits(e)
+        u, w = iter_bits(f)
+        if not (a | u in edges and b | w in edges or a | w in edges and b | u in edges):
             return False
     return True
 
@@ -188,12 +192,7 @@ def join_decomposition(c: SimplicialComplex) -> tuple[SimplicialComplex, ...]:
         if current.dimension() == 1:
             factors.append(current)  # 1-uniform: all pairs of V are faces
             break
-        edge = min(
-            e
-            for h in nf
-            for e in _edges_inside(h)
-            if current.has_face(e)
-        )
+        edge = min(a | b for h in nf for a, b in combinations(iter_bits(h), 2) if current.has_face(a | b))
         link = current.link(edge)
         outside = current.vertex_mask & ~link.vertex_mask
         gamma = current.induced(outside)
@@ -203,13 +202,6 @@ def join_decomposition(c: SimplicialComplex) -> tuple[SimplicialComplex, ...]:
         factors.append(gamma)
         current = link
     return tuple(factors)
-
-
-def _edges_inside(mask: int):
-    bits = list(iter_bits(mask))
-    for i, a in enumerate(bits):
-        for b in bits[i + 1:]:
-            yield a | b
 
 
 def shared_link_check(c: SimplicialComplex, nonface) -> bool:

@@ -379,6 +379,15 @@ def test_desk_scale_limit_exits_3():
     assert "desk-scale limit" in r.stderr
 
 
+def test_minimal_nonfaces_past_desk_scale_exit_3(capsys):
+    # two disjoint facets on 24 vertices: the transversal search would list
+    # and sort all 2^24 submasks of their complements' union
+    spec = json.dumps({"n": 24, "facets": [list(range(1, 13)), list(range(13, 25))]})
+    assert main(["analyze", spec, "--kind", "sr-ordinary", "--m", "3", "--property", "cm"]) == 3
+    err = capsys.readouterr().err
+    assert str(1 << 24) in err and str(1 << 22) in err
+
+
 def test_package_runs_as_a_module():
     args = ("analyze", "five-cycle", "--kind", "sr-symbolic", "--m", "3", "--property", "cm", "--oracle")
     as_module = run_cli(*args, module="srpowers")

@@ -35,12 +35,38 @@ def test_antichains_are_antichains():
             assert a & b != a  # no containment
 
 
-def test_class_counts_match_the_isomorphism_classes():
+@pytest.fixture(scope="module")
+def six_vertex_walk():
+    """Every class on 1..6 vertices from one unwindowed walk."""
+    return list(distinct_complexes(6))
+
+
+def test_class_counts_match_the_isomorphism_classes(six_vertex_walk):
     # OEIS A003182 (2, 3, 5, 10, 30, 210, 16353) less the void complex
     # and {empty set}
-    expected = {1: 1, 2: 3, 3: 8, 4: 28, 5: 208, 6: 16351}
+    expected = {1: 1, 2: 3, 3: 8, 4: 28, 5: 208}
     for n, count in expected.items():
         assert sum(1 for _ in distinct_complexes(n)) == count
+    assert len(six_vertex_walk) == 16351
+
+
+def _keys(classes):
+    """The (dimension, vertex count, canonical key) of each class, sorted."""
+    return sorted((c.dimension(), c.n, canonical_key(c.facets, c.n)) for c in classes)
+
+
+def test_dimension_windows_lose_no_class(six_vertex_walk):
+    # a window prunes the walk, whose children are kept only when the new
+    # vertex is in their top cell; it must still meet every class it asks for
+    every = _keys(six_vertex_walk)
+    for d in range(6):
+        window = _keys(distinct_complexes(6, dim_min=d - 1, dim_max=d))
+        assert window == [key for key in every if d - 1 <= key[0] <= d], d
+    every = _keys(distinct_complexes(5))
+    for lo in range(-1, 5):
+        for hi in [*range(-1, 5), None]:
+            window = _keys(distinct_complexes(5, dim_min=lo, dim_max=hi))
+            assert window == [key for key in every if lo <= key[0] and (hi is None or key[0] <= hi)], (lo, hi)
 
 
 def _relabeled(facets, perm):

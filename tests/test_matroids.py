@@ -83,6 +83,41 @@ def test_the_held_exchange_witness_is_a_fresh_computation():
         assert held == _pairwise_exchange_witness(SimplicialComplex(c.n, c.facets)), c
 
 
+def _all_pairs_criterion(c):
+    """The pair criterion as stated: for all faces F and G with
+    |F - G| = 1 and |G - F| = 2, some vertex of G - F extends F."""
+    faces = c.faces()
+    return all(any(f | b in faces for b in iter_bits(g & ~f))
+               for f in faces for g in faces if (f & ~g).bit_count() == 1 and (g & ~f).bit_count() == 2)
+
+
+def _first_failing_exchange(c):
+    """The exchange axiom as stated: faces G and F with |F| > |G| have some
+    x in F - G with G + x a face.  The first failing G in (size, mask)
+    order, with the first F one larger that it fails against."""
+    faces = c.faces()
+    ordered = sorted(faces, key=lambda s: (s.bit_count(), s))
+    for g in ordered:
+        failing = [f for f in ordered if f.bit_count() > g.bit_count()
+                   and not any(g | x in faces for x in iter_bits(f & ~g))]
+        if failing:  # a failing F shrinks to a failing F one larger than G
+            f = next(f for f in failing if f.bit_count() == g.bit_count() + 1)
+            return vertices_of(g), vertices_of(f)
+    return None
+
+
+def test_pair_criterion_matches_its_all_pairs_statement():
+    family = [*distinct_complexes(5), *structured_positives()]
+    answers = [_all_pairs_criterion(c) for c in family]
+    assert set(answers) == {True, False}
+    assert [is_matroid_pair(c) for c in family] == answers
+
+
+def test_exchange_witness_matches_its_definition():
+    for c in [*distinct_complexes(5), *structured_positives()]:
+        assert matroid_exchange_witness(c) == _first_failing_exchange(c), c
+
+
 def test_pair_criterion_equals_exchange_exhaustively():
     # every isomorphism class on up to 5 vertices
     for c in distinct_complexes(5):
