@@ -25,7 +25,13 @@ One walk (``_walk``) serves CM, S2 and gCM: each asks every face G for
 no cohomology of I_G below a bound of its own at G (Takayama), d - |G|
 for CM (d = dim S/I), the same but nothing at G = 0 for gCM, and
 min(2, dim S/I_G) for S2, 0 at a facet.  Each box verdict is one
-entry of the one memo table, ``_VANISHES``, which the three share.
+entry of the one memo table, ``_VANISHES``, which the three share.  For
+I^(m) the walk lists only the faces that are intersections of facets.
+At any other G the link is a cone: some vertex v outside G lies in every
+facet through G.  I^(m) has no embedded primes, so x_v is then a free
+variable of I_G, rho_v = 0 and the box has no row, the cone-apex step
+above.  An explicit ideal keeps every face, as it can have an embedded
+prime there: (x1^2, x1x2) has depth 0.
 
 One scan serves every input; only the reader of the degree complexes
 depends on its type.  For a ``MonomialIdeal`` the reader takes the
@@ -575,15 +581,19 @@ Oracle = MonomialIdeal | SymbolicPower | OrdinaryPower  # what the oracle decide
 
 
 def _faces_below(ideal: Oracle, below: int) -> list[int]:
-    """The faces G of the radical complex with |G| < below, largest first.
-    Listing them takes sum_F 2^|F| steps over the facets F, refused past
-    ``_BOX_LIMIT`` before any is listed."""
-    steps = sum(1 << f.bit_count() for f in ideal.radical_complex.facets)
+    """The faces G of the radical complex with |G| < below, largest first;
+    for a ``SymbolicPower`` only the intersections of facets, as at any
+    other G a vertex outside G in every facet through G is a free variable
+    of I_G and the box has no row (see above).  Listing the faces takes
+    sum_F 2^|F| steps over the facets F, refused past ``_BOX_LIMIT``
+    before any is listed."""
+    c = ideal.radical_complex
+    steps = sum(1 << f.bit_count() for f in c.facets)
     if steps > _BOX_LIMIT:
         raise DeskScaleExceeded(
             f"listing the faces of the radical complex takes {steps} steps, over the desk-scale limit of {_BOX_LIMIT}")
-    return sorted((g for g in ideal.radical_complex.faces() if g.bit_count() < below),
-                  key=lambda g: (-g.bit_count(), g))
+    faces = c.facet_intersections() if isinstance(ideal, SymbolicPower) else c.faces()
+    return sorted((g for g in faces if g.bit_count() < below), key=lambda g: (-g.bit_count(), g))
 
 
 def quotient_dimension(ideal: Oracle) -> int:
@@ -660,9 +670,10 @@ def _box_vanishes(ideal: MonomialIdeal | SymbolicPower, face: int, below: int, f
 
 def _walk(ideal: MonomialIdeal | SymbolicPower, field, deadline, below: int, bound) -> bool:
     """No local cohomology of S/I_G below ``bound(G)`` in the box of I_G,
-    for each face G with |G| < ``below``, largest first, skipping each G
-    whose bound is 0 or False.  The deadline comes first: a walk may read
-    no box."""
+    for each face G with |G| < ``below`` that ``_faces_below`` lists (for
+    I^(m) only those whose link is no cone), largest first, skipping each
+    G whose bound is 0 or False.  The deadline comes first: a walk may
+    read no box."""
     _check_deadline(deadline)
     return all(_box_vanishes(ideal, g, b, field, deadline) for g in _faces_below(ideal, below) if (b := bound(g)))
 

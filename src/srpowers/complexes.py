@@ -16,7 +16,7 @@ from functools import cached_property, reduce
 from operator import or_
 from typing import Iterable
 
-from .bits import antichain_maximal, exchange_pair, mask_of, minimal_transversals, vertices_of
+from .bits import antichain_maximal, exchange_pair, mask_of, minimal_transversals, submasks, vertices_of
 
 def _as_mask(face, n: int) -> int:
     """A face given as a mask in range or as vertex labels in 1..n; a bool
@@ -78,6 +78,17 @@ class SimplicialComplex:
                 faces.add(s)
                 s = s - 1 & f
         return frozenset(faces)
+
+    def facet_intersections(self) -> list[int]:
+        """The faces that are intersections of facets, each G equal to the
+        AND of the facets through it; the empty face when no vertex lies in
+        every facet.  One pass over the submasks of each facet ANDs the
+        facet into the faces below it."""
+        meet: dict[int, int] = {}
+        for f in self.facets:
+            for s in submasks(f):
+                meet[s] = meet.get(s, f) & f
+        return [g for g, a in meet.items() if g == a]
 
     @cached_property
     def exchange_pair(self) -> tuple[int, int] | None:

@@ -388,6 +388,26 @@ def test_minimal_nonfaces_past_desk_scale_exit_3(capsys):
     assert str(1 << 24) in err and str(1 << 22) in err
 
 
+def test_gcm_reads_the_boxes_of_the_intersections_of_facets(capsys):
+    # gCM has no whole-box guard: each localization's box is guarded as it
+    # is scanned, and I^(m) is walked only at the intersections of facets.
+    # Two disjoint 12-vertex simplices have none with 0 < |G| < 12, so no
+    # box is read; CM and S2 still refuse the 4^24-point box of I^(3).
+    args = ["--kind", "sr-symbolic", "--m", "3", "--oracle", "--property"]
+    apart = json.dumps({"n": 24, "facets": [list(range(1, 13)), list(range(13, 25))]})
+    assert main(["analyze", apart, *args, "gcm"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "holds"
+    for prop in ("cm", "s2"):
+        assert main(["analyze", apart, *args, prop]) == 3
+        assert str(1 << 48) in capsys.readouterr().err
+    # two 13-vertex simplices sharing vertex 1: the box at G = {1}, the
+    # symbolic cube of two disjoint 12-vertex simplices, has 4^24 points
+    glued = json.dumps({"n": 25, "facets": [list(range(1, 14)), [1, *range(14, 26)]]})
+    assert main(["analyze", glued, *args, "gcm"]) == 3
+    err = capsys.readouterr().err
+    assert str(1 << 48) in err and str(1 << 22) in err
+
+
 def test_package_runs_as_a_module():
     args = ("analyze", "five-cycle", "--kind", "sr-symbolic", "--m", "3", "--property", "cm", "--oracle")
     as_module = run_cli(*args, module="srpowers")
