@@ -20,7 +20,7 @@ import random
 import sys
 from functools import lru_cache, reduce
 from operator import or_
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .bits import antichain_maximal, bits_at, compactify, mask_of, submasks
 from .complexes import SimplicialComplex
@@ -31,19 +31,20 @@ from .complexes import SimplicialComplex
 MAX_KEY_VERTICES = 6
 
 
-def antichains(masks: Iterable[int]) -> Iterator[tuple[int, ...]]:
-    """All antichains of a family of distinct masks, the empty one first;
-    each lists its masks in decreasing order of their places in the family."""
-    masks = list(masks)
+def antichains(masks: Sequence[int], weights: Sequence[int], base: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """All antichains of a family of distinct masks, the empty one first,
+    each with base plus the weights of its masks, carried one addition per
+    chosen mask; each lists its masks in decreasing order of their places
+    in the family."""
     comparable = [sum(1 << j for j, t in enumerate(masks) if s & t in (s, t)) for s in masks]
-    stack = [((1 << len(masks)) - 1, ())]  # (places still free, chosen masks)
+    stack = [((1 << len(masks)) - 1, (), base)]  # (places still free, chosen masks, total)
     while stack:
-        avail, chosen = stack.pop()
-        yield chosen
+        avail, chosen, total = stack.pop()
+        yield chosen, total
         while avail:
             i = avail.bit_length() - 1
             avail ^= 1 << i
-            stack.append((avail & ~comparable[i], chosen + (masks[i],)))
+            stack.append((avail & ~comparable[i], chosen + (masks[i],), total + weights[i]))
 
 
 def canonical_key(facets: Iterable[int], k: int) -> int:
@@ -58,6 +59,8 @@ def canonical_key(facets: Iterable[int], k: int) -> int:
     if k > MAX_KEY_VERTICES:
         raise ValueError(f"canonical keys are limited to {MAX_KEY_VERTICES} vertices")
     facets = tuple(facets)
+    if len(set(facets)) < len(facets) or any(not 0 <= f < 1 << k for f in facets):
+        raise ValueError(f"facets must be distinct masks on {k} vertices: {facets}")
     spread, base = _invariants(k)
     lanes = sum(map(spread.__getitem__, facets), base).to_bytes(8 * k, sys.byteorder)
     return _key(facets, sorted(memoryview(lanes).cast("Q")))
@@ -94,23 +97,26 @@ def _places(order: tuple[int, ...]) -> list[int]:
 @lru_cache(maxsize=64)  # every run of ties on at most 6 vertices
 def _bitmaps(ties: tuple[bool, ...]) -> tuple[list[int], int, str]:
     """Per place mask F, 1 << pi(F) in lane j for the j-th permutation pi
-    within the cells, the runs of places i, i + 1 with ``ties[i]``, each
-    tabled by doubling over the places; the size in bytes and the format
-    of one lane."""
+    within the cells, the runs of places i, i + 1 with ``ties[i]``; the
+    size in bytes and the format of one lane.  Built by doubling over the
+    places: for i not in F, pi(F + i) = pi(F) + 2^pi(i), so the lanes of
+    F + i are those of F, each shifted by 2^p where p = pi_j(i), one shift
+    per p over the mask of its whole lanes."""
     cells, start = [], 0
     for i, tie in enumerate(ties + (False,)):
         if not tie:
             cells.append(itertools.permutations(range(start, i + 1)))
             start = i + 1
-    images = []
-    for perm in itertools.product(*cells):
-        image = [0]
-        for p in itertools.chain.from_iterable(perm):
-            image += [t | 1 << p for t in image]
-        images.append(image)
+    perms = [tuple(itertools.chain.from_iterable(perm)) for perm in itertools.product(*cells)]
     lane = max(1 << len(ties) + 1 >> 3, 1)  # bytes for a bitmap of 2^k bits
-    size = lane * len(images)
-    table = [bits_at((t + 8 * lane * j for j, t in enumerate(column)), 8 * size) for column in zip(*images)]
+    size, width = lane * len(perms), 8 * lane
+    table = [bits_at(range(0, 8 * size, width), 8 * size)]  # pi(empty) = empty in every lane
+    for column in zip(*perms):  # the images pi_j(i) of one place i
+        starts: dict[int, list[int]] = {}
+        for j, p in enumerate(column):
+            starts.setdefault(p, []).append(width * j)
+        shifts = [(bits_at(lanes, 8 * size) * ((1 << width) - 1), 1 << p) for p, lanes in starts.items()]
+        table += [sum((t & whole) << by for whole, by in shifts) for t in table]
     return table, size, {1: "B", 2: "H", 4: "I", 8: "Q"}[lane]
 
 
@@ -138,10 +144,9 @@ def distinct_complexes(n: int, *, dim_min: int = -1, dim_max: int | None = None)
             faces = sorted({s for f in facets for s in submasks(f) if s.bit_count() <= top})
             # the lanes of D + v*L: those of D, plus F + v less F (if a facet of D) per F in L
             lanes_of_d = sum(map(spread.__getitem__, facets), base)
-            gain = {f: spread[f | v] - spread[f] * (f in facets) for f in faces}
-            for link in itertools.islice(antichains(faces), 1, None):
-                packed = sum(map(gain.__getitem__, link), lanes_of_d).to_bytes(8 * k + 8, sys.byteorder)
-                lanes = memoryview(packed).cast("Q")
+            gain = [spread[f | v] - spread[f] * (f in facets) for f in faces]
+            for link, total in itertools.islice(antichains(faces, gain, lanes_of_d), 1, None):
+                lanes = memoryview(total.to_bytes(8 * k + 8, sys.byteorder)).cast("Q")
                 if lanes[k] != max(lanes):  # v, numbered last, is not in the top cell
                     continue
                 child = tuple(f for f in facets if f not in link) + tuple(f | v for f in link)

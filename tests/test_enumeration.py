@@ -5,9 +5,11 @@ import time
 
 import pytest
 
+from srpowers.bits import bits_at
 from srpowers.cohomology import OracleBudgetExceeded, is_cm
 from srpowers.complexes import from_facets
 from srpowers.enumeration import (
+    _bitmaps,
     antichains,
     canonical_key,
     compact_complex,
@@ -20,19 +22,34 @@ from srpowers.matroids import graph_matroid_criterion, is_matroid_exchange
 from srpowers.sweeps import complex_signature, run_sweep
 
 
+def _antichains(masks):
+    """The antichains of ``masks`` without their totals."""
+    return [chosen for chosen, _ in antichains(masks, [0] * len(masks), 0)]
+
+
 def test_antichain_counts_match_the_free_distributive_lattice():
     # number of nonempty antichains of nonempty subsets of an n-set
     expected = {1: 1, 2: 4, 3: 18, 4: 166}
     for n, count in expected.items():
-        walk = list(antichains(range(1, 1 << n)))
+        walk = _antichains(range(1, 1 << n))
         assert walk[0] == ()
         assert len(walk) - 1 == count
 
 
 def test_antichains_are_antichains():
-    for fa in antichains(range(1, 16)):
+    for fa in _antichains(range(1, 16)):
         for a, b in itertools.permutations(fa, 2):
             assert a & b != a  # no containment
+
+
+def test_antichains_carry_the_sum_of_their_weights():
+    masks = range(1, 16)
+    weights = [3 ** i for i in range(len(masks))]  # a distinct sum per antichain
+    base = 1 << 40
+    walked = list(antichains(masks, weights, base))
+    assert len(walked) == 167
+    for chosen, total in walked:
+        assert total == base + sum(weights[m - 1] for m in chosen), chosen
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +65,13 @@ def test_class_counts_match_the_isomorphism_classes(six_vertex_walk):
     for n, count in expected.items():
         assert sum(1 for _ in distinct_complexes(n)) == count
     assert len(six_vertex_walk) == 16351
+
+
+def test_six_vertex_walk_is_pinned(six_vertex_walk):
+    # the augmentation rule picks the representatives and their order, and
+    # resume tokens count classes of that order: a change must be deliberate
+    text = ";".join(f"{c.n}:{sorted(c.facets)}" for c in six_vertex_walk)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "496bea5697359d84"
 
 
 def _keys(classes):
@@ -78,7 +102,7 @@ def test_canonical_key_separates_exactly_the_isomorphism_classes():
     # sorted facet tuple over all relabelings
     perms = list(itertools.permutations(range(4)))
     keys, reps = [], []
-    for facets in antichains(range(16)):
+    for facets in _antichains(range(16)):
         keys.append(canonical_key(facets, 4))
         reps.append(min(tuple(sorted(_relabeled(facets, p))) for p in perms))
     assert len(keys) == 168
@@ -93,6 +117,45 @@ def test_canonical_key_is_relabeling_invariant():
         for _ in range(5):
             perm = rng.sample(range(5), 5)
             assert canonical_key(_relabeled(facets, perm), 5) == key
+
+
+def test_canonical_key_refuses_masks_off_the_vertices():
+    for facets in ([-1], [-8], [0b1000], [0b011, -1]):
+        with pytest.raises(ValueError):
+            canonical_key(facets, 3)
+
+
+def test_canonical_key_refuses_repeated_facets():
+    for facets in ([7, 7], [0b011, 0b101, 0b011], [0, 0]):
+        with pytest.raises(ValueError):
+            canonical_key(facets, 3)
+
+
+def _reference_bitmaps(ties):
+    """``_bitmaps`` built permutation by permutation: one image table per
+    permutation within the cells, then one ``bits_at`` per place mask."""
+    cells, start = [], 0
+    for i, tie in enumerate(ties + (False,)):
+        if not tie:
+            cells.append(itertools.permutations(range(start, i + 1)))
+            start = i + 1
+    images = []
+    for perm in itertools.product(*cells):
+        image = [0]
+        for p in itertools.chain.from_iterable(perm):
+            image += [t | 1 << p for t in image]
+        images.append(image)
+    lane = max(1 << len(ties) + 1 >> 3, 1)
+    size = lane * len(images)
+    table = [bits_at((t + 8 * lane * j for j, t in enumerate(column)), 8 * size) for column in zip(*images)]
+    return table, size, {1: "B", 2: "H", 4: "I", 8: "Q"}[lane]
+
+
+def test_bitmap_tables_match_the_per_permutation_construction():
+    patterns = [ties for k in range(6) for ties in itertools.product((False, True), repeat=k)]
+    assert len(patterns) == 63  # every run of ties on 1..6 vertices
+    for ties in patterns:
+        assert _bitmaps.__wrapped__(ties) == _reference_bitmaps(ties), ties
 
 
 def test_distinct_complexes_refuses_seven_vertices():
