@@ -7,6 +7,9 @@ mask operation, so the 2^n enumeration loops stay cheap.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import compress
+from operator import or_
 from typing import Iterable, Iterator
 
 _BOX_LIMIT = 1 << 22  # points of a degree box, or submasks of a search, at desk scale
@@ -97,25 +100,40 @@ def antichain_minimal(masks: Iterable[int]) -> frozenset[int]:
     return frozenset(kept)
 
 
-def minimal_transversals(masks: Iterable[int], ground: int) -> list[int]:
-    """Inclusion-minimal T <= ground meeting every mask of the family.
+def _down(mask: int) -> int:
+    """Bit t set for each submask t of ``mask``: ``out |= out << low`` per bit."""
+    out = 1
+    for low in iter_bits(mask):
+        out |= out << low
+    return out
 
-    Brute force over submasks of the union, by increasing cardinality,
-    refused past ``_BOX_LIMIT`` submasks before any is listed.
+
+def minimal_transversals(masks: Iterable[int], ground: int) -> list[int]:
+    """Inclusion-minimal T <= ground meeting every mask, by (size, mask).
+
+    One bitset over the subsets of the union, its k vertices compacted to
+    bits 0..k-1: the sets missing some mask are the OR of the ``_down`` of
+    the complements, and a transversal t is minimal when each t - v misses
+    one, a shifted AND per vertex v.  Refused past ``_BOX_LIMIT`` subsets
+    before any bitset is built.
     """
-    fam = [m & ground for m in masks]
-    if not all(fam):
+    fam = {m & ground for m in masks}
+    if 0 in fam:
         return []
-    union = 0
-    for m in fam:
-        union |= m
-    if 1 << union.bit_count() > _BOX_LIMIT:
-        raise DeskScaleExceeded(f"a minimal transversal search over {1 << union.bit_count()} submasks "
+    union = reduce(or_, fam, 0)
+    k = union.bit_count()
+    if 1 << k > _BOX_LIMIT:
+        raise DeskScaleExceeded(f"a minimal transversal search over {1 << k} submasks "
                                 f"is over the desk-scale limit of {_BOX_LIMIT}")
-    out: list[int] = []
-    for t in sorted(submasks(union), key=int.bit_count):
-        if all(t & m for m in fam) and not any(k & t == k for k in out):
-            out.append(t)
+    full = (1 << k) - 1
+    missing = 0
+    for m in compactify(fam, union):
+        missing |= _down(full ^ m)
+    minimal = (1 << (1 << k)) - 1 ^ missing
+    for low in iter_bits(full):
+        minimal &= missing << low | _down(full ^ low)
+    places = list(iter_bits(union))
+    out = [sum(compress(places, indicator(t.bit_length() - 1, k))) for t in iter_bits(minimal)]
     return sorted(out, key=lambda s: (s.bit_count(), s))
 
 

@@ -36,10 +36,10 @@ prime there: (x1^2, x1x2) has depth 0.
 One scan serves every input; only the reader of the degree complexes
 depends on its type.  For a ``MonomialIdeal`` the reader takes the
 minimal nonfaces from the generators, each mask {j : u_j > a_j} in a
-byte-wide field, and the facets from them (after Takayama): on at most
-``_TABLE_VERTICES`` variables by reads of the ``_DOWN`` table below, past
-them by ``antichain_minimal`` and minimal transversals, which
-``degree_complex`` uses throughout as the reference.  For a
+byte-wide field, on at most ``_TABLE_VERTICES`` variables by reads of the
+``_DOWN`` table below, past them by ``antichain_minimal``, which
+``degree_complex`` uses throughout as the reference; the facets are the
+complements of their minimal transversals (after Takayama).  For a
 ``SymbolicPower`` it selects the facets of the radical complex in closed
 form (Minh-Trung), without building I^(m); scanning its explicit ideal
 instead is the cross-check (sweep ``sym-cube-routes``).
@@ -206,21 +206,6 @@ def _table_minimal(family: int, masks) -> list[int]:
     ``_TABLE_VERTICES`` vertices (tables grown): d is minimal exactly
     when the only member below it is d, ``family & _DOWN[d] == 1 << d``."""
     return [d for d in masks if family & _DOWN[d] == 1 << d]
-
-
-def _table_facets(nonfaces, n: int) -> list[int]:
-    """The facets on n <= ``_TABLE_VERTICES`` vertices (tables grown) of
-    the complex with the given minimal nonfaces.  A set is a face when its
-    complement C misses no nonface d, that is, when C is a submask of no
-    full ^ d, so the complements of the faces are the AND of
-    ``~_DOWN[full ^ d]`` and the facets the complements of its minimal
-    members; none when a nonface is empty (void)."""
-    full = (1 << n) - 1
-    complements = (1 << (1 << n)) - 1
-    for d in nonfaces:
-        complements &= ~_DOWN[full ^ d]
-    members = [t for t, bit in enumerate(bin(complements)[:1:-1]) if bit == "1"]
-    return [full ^ t for t in _table_minimal(complements, members)]
 
 
 def _dims(by_size: list[list[int]], rank_of) -> tuple[int, ...]:
@@ -459,11 +444,11 @@ def _generator_reader(ideal: MonomialIdeal):
     for the generators above a_j.  ``key_of`` casts the bytes of the int
     to the distinct masks in one call and reads the minimal nonfaces off
     them, which name the degree complex, or None when that is void or a
-    cone; ``facets`` turns them into facets.  On at most
-    ``_TABLE_VERTICES`` variables both reads are ``_DOWN`` table reads
-    (``_table_minimal``, ``_table_facets``), past them
-    ``antichain_minimal`` and minimal transversals.  A scanned box has a
-    row, so at most 22 variables (``_check_box``) and 4-byte fields."""
+    cone; ``facets`` turns them into facets, the complements of their
+    minimal transversals.  On at most ``_TABLE_VERTICES`` variables the
+    minimal nonfaces are ``_DOWN`` table reads (``_table_minimal``), past
+    them ``antichain_minimal``.  A scanned box has a row, so at most 22
+    variables (``_check_box``) and 4-byte fields."""
     n = ideal.n
     full = (1 << n) - 1
     gens, rho = sorted(ideal.gens), ideal.max_exponents()
@@ -480,16 +465,11 @@ def _generator_reader(ideal: MonomialIdeal):
         ds = set(memoryview(packed.to_bytes(length, sys.byteorder)).cast(fmt))
         if 0 in ds:
             return None  # some generator divides x^a here: void
-        if table:
-            dmin = _table_minimal(sum(map((1).__lshift__, ds)), ds)
-        else:
-            dmin = antichain_minimal(ds)
+        dmin = _table_minimal(sum(map((1).__lshift__, ds)), ds) if table else antichain_minimal(ds)
         # else a cone apex: all reduced cohomology vanishes
         return tuple(sorted(dmin)) if reduce(or_, dmin, 0) == full else None
 
     def facets(dmin: tuple[int, ...]) -> tuple[int, ...]:
-        if table:
-            return tuple(sorted(_table_facets(dmin, n)))
         return tuple(sorted(full ^ t for t in minimal_transversals(dmin, full)))
 
     return (above, 0, None), key_of, facets

@@ -236,8 +236,8 @@ def complex_of_radical(ideal: MonomialIdeal) -> SimplicialComplex:
     full = (1 << ideal.n) - 1
     if ideal.is_zero:
         return SimplicialComplex(ideal.n, frozenset({full}))
-    supports = sorted(set(support(g) for g in ideal.gens))
-    return SimplicialComplex(ideal.n, frozenset(full & ~t for t in minimal_transversals(supports, full)))
+    trans = minimal_transversals(map(support, ideal.gens), full)
+    return SimplicialComplex(ideal.n, frozenset(full & ~t for t in trans))
 
 
 def minimal_primes(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:

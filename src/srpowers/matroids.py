@@ -37,7 +37,8 @@ def matroid_exchange_witness(c: SimplicialComplex):
 
 def is_matroid_exchange(c: SimplicialComplex) -> bool:
     """Exchange axiom over all face pairs (downward closure given)."""
-    return matroid_exchange_witness(c) is None
+    _check_has_faces(c)
+    return c.exchange_pair is None
 
 
 def is_matroid_pair(c: SimplicialComplex) -> bool:

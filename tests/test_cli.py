@@ -379,9 +379,17 @@ def test_desk_scale_limit_exits_3():
     assert "desk-scale limit" in r.stderr
 
 
+def test_minimal_nonfaces_at_desk_scale_answer(capsys):
+    # two disjoint facets on 22 vertices: the transversal search is a
+    # bitset over 2^22 sets, at the limit; the 121 minimal nonfaces cross
+    spec = json.dumps({"n": 22, "facets": [list(range(1, 12)), list(range(12, 23))]})
+    assert main(["analyze", spec, "--kind", "sr-ordinary", "--m", "3", "--property", "cm"]) == 1
+    assert json.loads(capsys.readouterr().out)["witness"] == "minimal nonfaces (1, 12) and (2, 12) share a vertex"
+
+
 def test_minimal_nonfaces_past_desk_scale_exit_3(capsys):
-    # two disjoint facets on 24 vertices: the transversal search would list
-    # and sort all 2^24 submasks of their complements' union
+    # two disjoint facets on 24 vertices: the transversal search would be a
+    # bitset over 2^24 sets, the submasks of their complements' union
     spec = json.dumps({"n": 24, "facets": [list(range(1, 13)), list(range(13, 25))]})
     assert main(["analyze", spec, "--kind", "sr-ordinary", "--m", "3", "--property", "cm"]) == 3
     err = capsys.readouterr().err

@@ -2,7 +2,9 @@ import itertools
 import random
 
 import pytest
+from test_cohomology import _antichains
 
+from srpowers.bits import minimal_transversals, submasks
 from srpowers.complexes import (
     complete_graph,
     complex_from_json,
@@ -96,6 +98,57 @@ def test_minimal_nonfaces_against_brute_force():
         c = empty_complex(n)
         assert c.minimal_nonfaces() == brute_force_minimal_nonfaces(c) == tuple((v,) for v in range(1, n + 1))
         assert c.minimal_nonface_masks() == tuple(1 << i for i in range(n))
+
+
+def _reference_transversals(masks, ground):
+    """The submask search the bitset kernel replaced: every submask of the
+    union by size, kept when it meets every mask and holds no kept one."""
+    fam = [m & ground for m in masks]
+    if not all(fam):
+        return []
+    union = 0
+    for m in fam:
+        union |= m
+    out = []
+    for t in sorted(submasks(union), key=int.bit_count):
+        if all(t & m for m in fam) and not any(k & t == k for k in out):
+            out.append(t)
+    return sorted(out, key=lambda s: (s.bit_count(), s))
+
+
+def test_minimal_transversals_match_the_submask_search():
+    def check(family, ground):
+        assert minimal_transversals(family, ground) == _reference_transversals(family, ground), (family, ground)
+
+    # every family of nonempty subsets of a 3-set
+    for bits in range(1 << 7):
+        check([d for d in range(1, 8) if bits >> d - 1 & 1], 0b111)
+    # every antichain on 5 vertices, the void one {empty set} among them
+    antichains = _antichains(range(1 << 5))
+    assert len(antichains) == 7581
+    for family in antichains:
+        check(family, 0b11111)
+    # seeded (family, ground) pairs on at most 10 vertices, half of them
+    # on a ground short of the vertices
+    rng = random.Random(33)
+    for _ in range(2000):
+        n = rng.randint(0, 10)
+        ground = (1 << n) - 1 if rng.random() < 0.5 else rng.randrange(1 << n)
+        check([rng.randrange(1 << n) for _ in range(rng.randint(0, 2 * n))], ground)
+    # the empty family has the empty transversal; a mask that misses the
+    # ground has none; ground 0 takes only the empty family
+    assert minimal_transversals([], 0b101) == [0]
+    assert minimal_transversals([0b11, 0b100], 0b11) == []
+    assert minimal_transversals([], 0) == [0]
+    assert minimal_transversals([0b1], 0) == []
+
+
+def test_minimal_nonfaces_of_two_disjoint_11_vertex_facets():
+    # n = 22, within desk scale: a bitset over the 2^22 subsets of the union
+    c = from_facets(22, [range(1, 12), range(12, 23)])
+    cross = tuple(sorted(1 << i | 1 << j for i in range(11) for j in range(11, 22)))
+    assert len(cross) == 121
+    assert c.minimal_nonface_masks() == cross
 
 
 def test_minimal_nonface_masks_are_cached(monkeypatch):
