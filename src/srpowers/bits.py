@@ -8,7 +8,6 @@ mask operation, so the 2^n enumeration loops stay cheap.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import compress
 from operator import or_
 from typing import Iterable, Iterator
 
@@ -127,14 +126,20 @@ def minimal_transversals(masks: Iterable[int], ground: int) -> list[int]:
                                 f"is over the desk-scale limit of {_BOX_LIMIT}")
     full = (1 << k) - 1
     missing = 0
-    for m in compactify(fam, union):
+    for m in fam if union == full else compactify(fam, union):
         missing |= _down(full ^ m)
     minimal = (1 << (1 << k)) - 1 ^ missing
     for low in iter_bits(full):
         minimal &= missing << low | _down(full ^ low)
-    places = list(iter_bits(union))
-    out = [sum(compress(places, indicator(t.bit_length() - 1, k))) for t in iter_bits(minimal)]
-    return sorted(out, key=lambda s: (s.bit_count(), s))
+    places, out = list(iter_bits(union)), []
+    for t in iter_bits(minimal):  # in increasing order, which relabelling keeps
+        rest, s = t.bit_length() - 1, 0  # its set bits, each mapped to its vertex
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            s |= places[low.bit_length() - 1]
+        out.append(s)
+    return sorted(out, key=int.bit_count)
 
 
 def exchange_pair(faces: frozenset[int]) -> tuple[int, int] | None:

@@ -67,12 +67,23 @@ def canonical_key(facets: Iterable[int], k: int) -> int:
 
 
 def _key(facets: tuple[int, ...], ranked: list[int]) -> int:
-    """``canonical_key`` from the lanes in increasing order; the bitmaps of
-    all the pi are lanes of one int."""
-    place = _places(tuple(map((7).__and__, ranked)))
-    bitmap, size, code = _bitmaps(tuple(map((8).__gt__, map(int.__xor__, ranked, ranked[1:]))))
-    bitmaps = sum(map(bitmap.__getitem__, map(place.__getitem__, facets))).to_bytes(size, sys.byteorder)
-    return min(memoryview(bitmaps).cast(code))
+    """``canonical_key`` from the lanes in increasing order: the bitmaps of
+    all the pi are lanes of one int, summed off the table of the lanes'
+    shape (their vertex order and ties)."""
+    ties = tuple(map((8).__gt__, map(int.__xor__, ranked, ranked[1:])))
+    table, size, code = _shape(tuple(map((7).__and__, ranked)), ties)
+    return min(memoryview(sum(map(table.__getitem__, facets)).to_bytes(size, sys.byteorder)).cast(code))
+
+
+@lru_cache(maxsize=1 << 12)  # the walk to 6 vertices meets 1 194 shapes
+def _shape(order: tuple[int, ...], ties: tuple[bool, ...]) -> tuple[list[int], int, str]:
+    """Per face mask F, the ``_bitmaps(ties)`` entry of the mask of the places
+    i of its vertices order[i] (built by doubling); its size and format."""
+    bitmap, size, code = _bitmaps(ties)
+    places = [0]
+    for i in sorted(range(len(order)), key=order.__getitem__):
+        places += [*map((1 << i).__or__, places)]
+    return list(map(bitmap.__getitem__, places)), size, code
 
 
 @lru_cache(maxsize=MAX_KEY_VERTICES + 1)
@@ -82,16 +93,6 @@ def _invariants(k: int) -> tuple[list[int], int]:
     masks); the lanes' vertices."""
     spread = [sum(1 << 64 * v + 3 + 6 * f.bit_count() for v in range(k) if f >> v & 1) for f in range(1 << k)]
     return spread, sum(v << 64 * v for v in range(k))
-
-
-@lru_cache(maxsize=1 << 10)  # every vertex order on at most 6 vertices
-def _places(order: tuple[int, ...]) -> list[int]:
-    """Per face mask F, the mask of the places i of its vertices order[i];
-    built by doubling over the vertices."""
-    table = [0]
-    for i in sorted(range(len(order)), key=order.__getitem__):
-        table += [t | 1 << i for t in table]
-    return table
 
 
 @lru_cache(maxsize=64)  # every run of ties on at most 6 vertices
@@ -120,6 +121,15 @@ def _bitmaps(ties: tuple[bool, ...]) -> tuple[list[int], int, str]:
     return table, size, {1: "B", 2: "H", 4: "I", 8: "Q"}[lane]
 
 
+def _top_cell(k: int) -> tuple[int, int, int]:
+    """(ones, guard, low): lane k of a lane sum t is its largest when
+    ``((t >> 64k) * ones | guard) - (t & low) & guard == guard``, lane k
+    copied below, bit 63 set in each lane, less the k lanes of t below k
+    (no lane borrows: a lane has 3 + 6 * 7 bits)."""
+    ones = bits_at(range(0, 64 * k, 64), 64 * k)
+    return ones, ones << 63, (1 << 64 * k) - 1
+
+
 def compact_complex(facets: tuple[int, ...]) -> SimplicialComplex:
     """The complex relabeled onto 1..k where k counts covered vertices."""
     union = reduce(or_, facets, 0)
@@ -129,14 +139,17 @@ def compact_complex(facets: tuple[int, ...]) -> SimplicialComplex:
 def distinct_complexes(n: int, *, dim_min: int = -1, dim_max: int | None = None) -> Iterator[SimplicialComplex]:
     """One representative per isomorphism class of complexes on 1..n
     vertices with dimension in [dim_min, dim_max], by vertex count, each
-    yielded as soon as it is found."""
+    yielded as soon as it is found.  The top-cell test reads the carried
+    lane sum of a candidate as one int (``_top_cell``); only the children
+    that pass are unpacked, sorted and keyed."""
     if n > MAX_KEY_VERTICES:
         raise ValueError(f"canonical keys are limited to {MAX_KEY_VERTICES} vertices")
     top = n if dim_max is None else dim_max
     level: list[tuple[int, ...]] = [(0,)]  # {empty face} on no vertices
     for k in range(n):
-        v = 1 << k
+        v, shift = 1 << k, 64 * k
         spread, base = _invariants(k + 1)
+        ones, guard, low = _top_cell(k)
         seen: set[int] = set()
         children = []
         for facets in level:
@@ -146,17 +159,16 @@ def distinct_complexes(n: int, *, dim_min: int = -1, dim_max: int | None = None)
             lanes_of_d = sum(map(spread.__getitem__, facets), base)
             gain = [spread[f | v] - spread[f] * (f in facets) for f in faces]
             for link, total in itertools.islice(antichains(faces, gain, lanes_of_d), 1, None):
-                lanes = memoryview(total.to_bytes(8 * k + 8, sys.byteorder)).cast("Q")
-                if lanes[k] != max(lanes):  # v, numbered last, is not in the top cell
-                    continue
-                child = tuple(f for f in facets if f not in link) + tuple(f | v for f in link)
-                key = _key(child, sorted(lanes))
+                if ((total >> shift) * ones | guard) - (total & low) & guard != guard:
+                    continue  # v, numbered last, is not in the top cell
+                child = (*itertools.filterfalse(link.__contains__, facets), *map(v.__or__, link))
+                key = _key(child, sorted(memoryview(total.to_bytes(8 * k + 8, sys.byteorder)).cast("Q")))
                 if key in seen:
                     continue
                 seen.add(key)
                 if k + 1 < n:
                     children.append(child)
-                if max(f.bit_count() for f in child) > dim_min:
+                if max(map(int.bit_count, child)) > dim_min:
                     yield SimplicialComplex(k + 1, frozenset(child))
         level = children
 

@@ -49,7 +49,7 @@ def is_matroid_pair(c: SimplicialComplex) -> bool:
     _check_has_faces(c)
     faces, vm = c.faces(), c.vertex_mask
     for g in faces:
-        rest = g
+        rest, outside = g, vm & ~g
         while rest:  # b below x
             b = rest & -rest
             rest ^= b
@@ -57,7 +57,10 @@ def is_matroid_pair(c: SimplicialComplex) -> bool:
             while above:
                 x = above & -above
                 above ^= x
-                for a in iter_bits(vm & ~g):
+                out = outside
+                while out:
+                    a = out & -out
+                    out ^= a
                     f = g ^ b ^ x | a
                     if f in faces and f | b not in faces and f | x not in faces:
                         return False

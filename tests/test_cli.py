@@ -228,22 +228,41 @@ def test_sweep_small():
     assert "disagreements=0" in lines[-1]
 
 
+def _rows(text):
+    """Columns 1-4 of the CSV rows of a sweep, without the header and the
+    comment lines."""
+    return [",".join(line.split(",")[:4]) for line in text.strip().splitlines()[1:] if not line.startswith("#")]
+
+
 def test_sweep_dim_filter_and_parallel_determinism():
     base = run_cli("sweep", "--check", "graph-4-cycle-criterion", "--n-max", "5",
                    "--dim-filter", "1")
     par = run_cli("sweep", "--check", "graph-4-cycle-criterion", "--n-max", "5",
                   "--dim-filter", "1", "--parallel", "2")
     assert base.returncode == par.returncode == 0
+    assert _rows(base.stdout) == _rows(par.stdout)
 
-    def strip_seconds(text):
-        rows = []
-        for line in text.strip().splitlines()[1:]:
-            if line.startswith("#"):
-                continue
-            rows.append(",".join(line.split(",")[:4]))
-        return rows
 
-    assert strip_seconds(base.stdout) == strip_seconds(par.stdout)
+@pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+def test_parallel_sweep_rows_do_not_depend_on_the_start_method(method):
+    # the pool takes the platform's default start method (forkserver from
+    # Python 3.14 on Linux), so every method must give the serial rows
+    sweep = ["sweep", "--check", "sym-cube-cm", "--n-max", "4"]
+    serial = run_cli(*sweep)
+    script = ("import multiprocessing, sys\n"
+              "multiprocessing.set_start_method(sys.argv[1], force=True)\n"
+              "from srpowers.cli import main\n"
+              "code = main(sys.argv[2:])\n"
+              "assert multiprocessing.get_start_method() == sys.argv[1]\n"
+              "sys.exit(code)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("SRPL_BUDGET_SECONDS", None)
+    par = subprocess.run([sys.executable, "-c", script, method, *sweep, "--parallel", "2"],
+                         capture_output=True, text=True, env=env)
+    assert serial.returncode == par.returncode == 0, par.stderr
+    assert len(_rows(serial.stdout)) == 24
+    assert _rows(par.stdout) == _rows(serial.stdout)
+    assert par.stdout.strip().splitlines()[-1] == "# processed=28 disagreements=0"
 
 
 def test_sweep_budget_resume_token():

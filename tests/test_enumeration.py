@@ -5,11 +5,15 @@ import time
 
 import pytest
 
+from srpowers import enumeration
 from srpowers.bits import bits_at
 from srpowers.cohomology import OracleBudgetExceeded, is_cm
 from srpowers.complexes import from_facets
 from srpowers.enumeration import (
+    MAX_KEY_VERTICES,
     _bitmaps,
+    _shape,
+    _top_cell,
     antichains,
     canonical_key,
     compact_complex,
@@ -156,6 +160,83 @@ def test_bitmap_tables_match_the_per_permutation_construction():
     assert len(patterns) == 63  # every run of ties on 1..6 vertices
     for ties in patterns:
         assert _bitmaps.__wrapped__(ties) == _reference_bitmaps(ties), ties
+
+
+def _lanes(total, k):
+    """The k 64-bit lanes of a lane sum, lowest first."""
+    return [total >> 64 * i & (1 << 64) - 1 for i in range(k)]
+
+
+def _packed_top(total, k):
+    """The walk's test that lane k of a lane sum on k + 1 lanes is its largest."""
+    ones, guard, low = _top_cell(k)
+    return ((total >> 64 * k) * ones | guard) - (total & low) & guard == guard
+
+
+def test_packed_top_cell_test_keys_exactly_the_top_cell_children(monkeypatch):
+    # every candidate of the walk to 5 vertices reaches the exact key, with
+    # its lanes sorted, exactly when its new vertex's lane is the largest
+    totals, keyed = [], []
+    walk_antichains, walk_key = enumeration.antichains, enumeration._key
+
+    def recorded_antichains(masks, weights, base):
+        for link, total in walk_antichains(masks, weights, base):
+            if link:  # the walk skips the empty antichain
+                totals.append(total)
+            yield link, total
+
+    def recorded_key(facets, ranked):
+        keyed.append(ranked)
+        return walk_key(facets, ranked)
+
+    monkeypatch.setattr(enumeration, "antichains", recorded_antichains)
+    monkeypatch.setattr(enumeration, "_key", recorded_key)
+    assert sum(1 for _ in distinct_complexes(5)) == 208
+    expected = []
+    for total in totals:
+        k = (total.bit_length() - 1) // 64  # the new vertex's lane is the top one
+        lanes = _lanes(total, k + 1)
+        assert _packed_top(total, k) == (lanes[k] == max(lanes))
+        if lanes[k] == max(lanes):
+            expected.append(sorted(lanes))
+    assert keyed == expected
+
+
+def test_packed_top_cell_test_matches_the_largest_lane():
+    # lanes as the walk builds them: the vertex in the low 3 bits and a
+    # 6-bit count per facet size 1..k + 1, here often equal to lane k's
+    # counts (a tie broken by the vertex) or at the field limit 63
+    rng = random.Random(34)
+    for k in range(MAX_KEY_VERTICES):
+        for _ in range(1500):
+            counts = [[rng.choice((0, 1, 62, 63, rng.randrange(64))) for _ in range(k + 1)] for _ in range(k + 1)]
+            for i in range(k):
+                if rng.random() < 0.3:
+                    counts[i] = counts[k]
+            lanes = [v + sum(c << 9 + 6 * s for s, c in enumerate(row)) for v, row in enumerate(counts)]
+            total = sum(lane << 64 * v for v, lane in enumerate(lanes))
+            assert _packed_top(total, k) == (lanes[k] == max(lanes)), (k, lanes)
+
+
+def _places(order):
+    """Per face mask F, the mask of the places i of its vertices order[i]."""
+    return [sum(1 << i for i, v in enumerate(order) if f >> v & 1) for f in range(1 << len(order))]
+
+
+def test_shape_tables_read_the_bitmaps_at_the_places(monkeypatch):
+    # each shape (vertex order, ties) met by the full walk, built afresh
+    shapes = set()
+
+    def recorded_shape(order, ties):
+        shapes.add((order, ties))
+        return _shape(order, ties)
+
+    monkeypatch.setattr(enumeration, "_shape", recorded_shape)
+    assert sum(1 for _ in distinct_complexes(6)) == 16351
+    assert len(shapes) == 1194 <= _shape.cache_info().maxsize  # the walk never evicts
+    for order, ties in shapes:
+        bitmap, size, code = _bitmaps(ties)
+        assert _shape.__wrapped__(order, ties) == ([bitmap[p] for p in _places(order)], size, code)
 
 
 def test_distinct_complexes_refuses_seven_vertices():
