@@ -85,7 +85,7 @@ class Query:
             raise ValueError(f"property must be one of {PROPERTIES}")
         if self.ideal_kind in ("facet", "cover") and self.power_kind != "symbolic":
             raise ValueError("facet and cover ideals take symbolic powers only")
-        if self.m != "all" and (not isinstance(self.m, int) or self.m < 1):
+        if self.m != "all" and (type(self.m) is not int or self.m < 1):  # a bool is not an int here
             raise ValueError('m must be a positive integer or "all"')
         if self.complex.is_void or self.complex.is_empty_complex:
             raise ValueError("query needs a complex with vertices")

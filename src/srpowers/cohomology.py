@@ -34,10 +34,13 @@ above.  An explicit ideal keeps every face, as it can have an embedded
 prime there: (x1^2, x1x2) has depth 0.
 
 One scan serves every input; only the reader of the degree complexes
-depends on its type.  For a ``MonomialIdeal`` the reader takes the
-minimal nonfaces from the generators, each mask {j : u_j > a_j} in a
-byte-wide field, on at most ``_TABLE_VERTICES`` variables by reads of the
-``_DOWN`` table below, past them by ``antichain_minimal``, which
+depends on its type.  It is one stream: ``_box_rows`` yields each row
+with its reading, ``_scan`` the first witness of each index in box
+order, and a box verdict reads no further than the first.  For a
+``MonomialIdeal`` the reader takes the minimal nonfaces from the
+generators, each mask {j : u_j > a_j} in a field of 1, 2 or 4 bytes,
+on at most ``_TABLE_VERTICES`` variables by reads of the ``_DOWN``
+table below, past them by ``antichain_minimal``, which
 ``degree_complex`` uses throughout as the reference; the facets are the
 complements of their minimal transversals (after Takayama).  For a
 ``SymbolicPower`` it selects the facets of the radical complex in closed
@@ -112,7 +115,6 @@ from .bits import (
     compactify,
     iter_bits,
     minimal_transversals,
-    submasks,
     support,
 )
 from .complexes import SimplicialComplex, void_complex
@@ -172,19 +174,16 @@ def _faces_by_size(facets, top: int) -> list[list[int]]:
     """The faces of the given facets with at most ``top`` vertices, by
     size 0..top, each list sorted.  On at most ``_TABLE_VERTICES``
     vertices the face set is one int, the OR of ``_DOWN[f]`` over the
-    facets.  Past them a facet within the cap gives its submasks, a
-    larger one its ``combinations`` of each size up to the cap, so a
-    small cap stays small however large the facets are."""
+    facets.  Past them each facet gives its ``combinations`` of each size
+    up to the cap, so a small cap stays small however large the facets
+    are."""
     used = reduce(or_, facets)
     if used >> _TABLE_VERTICES:
         found: set[int] = set()
         for f in facets:
-            if f.bit_count() <= top:
-                found.update(submasks(f))
-            else:
-                vertices = list(iter_bits(f))
-                for size in range(top + 1):
-                    found.update(map(sum, combinations(vertices, size)))
+            vertices = list(iter_bits(f))
+            for size in range(min(top, len(vertices)) + 1):
+                found.update(map(sum, combinations(vertices, size)))
         faces = sorted(found)
     else:
         _grow_tables(used.bit_length())
@@ -221,8 +220,6 @@ def _cohomology_dims_of_facets(facets, field, through: int) -> tuple[int, ...]:
     """Reduced cohomology dimensions, indices -1..min(through, dim), for a
     nonvoid complex given by facet masks, relabelled onto the vertices
     they use.  Over Q the F_2 ranks come first (see above)."""
-    if set(facets) == {0}:
-        return (1,)
     facets = compactify(facets, reduce(or_, facets))
     through = min(through, max(f.bit_count() for f in facets) - 1)
     by_size = _faces_by_size(facets, through + 2)
@@ -354,7 +351,7 @@ def _memoized(table: dict, key, compute):
     return value
 
 
-_CHUNK = 4096  # box rows per block: the deadline granularity of a scan
+_CHUNK = 4096  # rows between deadline checks
 _EXPONENT_LIMIT = (1 << 15) - 1  # the largest exponent of a degree box at desk scale
 
 
@@ -392,11 +389,11 @@ def _twin_classes(ideal: MonomialIdeal | SymbolicPower) -> Classes:
 
 
 def _box_rows(rho: tuple[int, ...], classes: Classes, lanes: list[list[int]], start: int = 0,
-              mask: int | None = None) -> Iterator[Iterator[tuple[tuple[int, ...], int]]]:
+              mask: int | None = None) -> Iterator[tuple[tuple[int, ...], int]]:
     """The rows a of the nonnegative degree box {0..rho_i - 1}^n that are
     nondecreasing along each twin class, in lexicographic order, each with
-    start + sum_i lanes[i][a_i] (ANDed with ``mask``, if given), in blocks
-    of at most ``_CHUNK`` pairs.  With no twins that is every row.
+    start + sum_i lanes[i][a_i] (ANDed with ``mask``, if given), as one
+    iterator of pairs.  With no twins that is every row.
 
     One walk pairs the rows with their sums, so they cannot fall out of
     step.  It runs over the leading coordinates, the sum over each prefix
@@ -404,12 +401,11 @@ def _box_rows(rho: tuple[int, ...], classes: Classes, lanes: list[list[int]], st
     once and extended by each prefix, from the first tail row whose a_k
     meets its class.  The tail is the last position, grown backwards
     while the positions after k are twin-free and it has at most
-    ``_CHUNK`` rows.  The blocks share one walk, so each is read before
-    the next; no row is held past its turn, which spares the garbage
-    collector."""
+    ``_CHUNK`` rows.  No row is held past its turn, which spares the
+    garbage collector."""
     n = len(rho)
     if not n:  # the box on no vertices: the one empty row
-        return iter([iter([((), start if mask is None else mask & start)])])
+        return iter([((), start if mask is None else mask & start)])
     prev = [-1] * n  # the previous position of the class, or -1
     for c in classes:
         for u, v in zip(c, c[1:]):
@@ -430,16 +426,13 @@ def _box_rows(rho: tuple[int, ...], classes: Classes, lanes: list[list[int]], st
         return zip(product(*zip(row), range(lo, rho[k]), *rest),
                    sums if mask is None else map(mask.__and__, sums))
 
-    # a nondecreasing row on a class of j positions is a j-multiset of range(rho)
-    count = math.prod(math.comb(rho[c[0]] + len(c) - 1, len(c)) for c in classes)
-    walk = pairs(0, (), start)
-    return (islice(walk, _CHUNK) for _ in range(0, count, _CHUNK))
+    return pairs(0, (), start)
 
 
 def _generator_reader(ideal: MonomialIdeal):
     """Degree complexes from the generators (after Takayama).  The lanes
     of ``_box_rows`` give each row a the masks {j : u_j > a_j} of the
-    generators u as fields of 1, 2, 4 or 8 bytes of one int, one field per
+    generators u as fields of 1, 2 or 4 bytes of one int, one field per
     generator: the sum over the coordinates j of the lanes with bit j set
     for the generators above a_j.  ``key_of`` casts the bytes of the int
     to the distinct masks in one call and reads the minimal nonfaces off
@@ -453,7 +446,7 @@ def _generator_reader(ideal: MonomialIdeal):
     full = (1 << n) - 1
     gens, rho = sorted(ideal.gens), ideal.max_exponents()
     size = 1 << (max(n - 1, 0) // 8).bit_length()  # bytes per field: 8 * size >= n
-    fmt, length = {1: "B", 2: "H", 4: "I", 8: "Q"}[size], size * len(gens)
+    fmt, length = {1: "B", 2: "H", 4: "I"}[size], size * len(gens)
     # above[j][t]: bit j in the field of each generator u with u_j > t
     above = [[sum(1 << 8 * size * k + j for k, u in enumerate(gens) if u[j] > t) for t in range(rho[j])]
              for j in range(n)]
@@ -506,50 +499,49 @@ def _closed_form_reader(sp: SymbolicPower):
 
 
 def _scan(ideal: MonomialIdeal | SymbolicPower, below: int, field, *,
-          first_only: bool, deadline: float | None = None) -> list[Witness]:
+          deadline: float | None = None) -> Iterator[Witness]:
     """Witnesses for nonvanishing local cohomology in indices < below at
-    the nonnegative degrees; the localizations I_G reach the others.
+    the nonnegative degrees, the first of each index in box order; the
+    localizations I_G reach the other degrees.
 
     One loop serves both routes; only the reader of the degree complexes
-    depends on the type of ``ideal``.  The box is read in blocks in
-    lexicographic order, one row per orbit of the twin classes (see
-    above), and a row whose reading or degree complex came up before is
-    skipped, since it gives the same indices.  At a nonnegative degree,
-    index j of the complex gives cohomological index i = j + 1, so only
-    the cohomology in indices up to below - 2 is computed.  Full mode
-    keeps the first witness per index; first-only mode returns at the
-    first hit.
+    depends on the type of ``ideal``.  The box is read in lexicographic
+    order, one row per orbit of the twin classes (see above), with the
+    deadline checked every ``_CHUNK`` rows, and a row whose reading or
+    degree complex came up before is skipped, since it gives the same
+    indices.  At a nonnegative degree, index j of the complex gives
+    cohomological index i = j + 1, so only the cohomology in indices up
+    to below - 2 is computed.  The scan stops once every index has its
+    witness, or when its caller reads no further.
     """
     if below <= 0:
-        return []
+        return
     rho = ideal.max_exponents()
     _check_box(rho)  # refuses past desk scale, before the lanes are built
     if 0 in rho:
-        return []  # a box with no row
+        return  # a box with no row
     reader = _closed_form_reader if isinstance(ideal, SymbolicPower) else _generator_reader
     sums, key_of, facets_of = reader(ideal)
     read: set[int] = set()
     seen: set = set()
-    found: dict[int, Witness] = {}
-    for block in _box_rows(rho, _twin_classes(ideal), *sums):
-        _check_deadline(deadline)
-        for a, raw in block:
-            if raw in read:
-                continue
-            read.add(raw)
-            key = key_of(raw)
-            if key is None or key in seen:
-                continue
-            seen.add(key)
-            dims = _cohomology_dims_of_facets(facets_of(key), field, below - 2)
-            for i, cdim in enumerate(dims[:below]):  # dims start at index -1
-                if cdim and i not in found:
-                    found[i] = Witness(i, a, cdim)
-                    if first_only:
-                        return [found[i]]
-            if len(found) == below:
-                return sorted(found.values(), key=lambda w: w.index)
-    return sorted(found.values(), key=lambda w: w.index)
+    found: set[int] = set()
+    for count, (a, raw) in enumerate(_box_rows(rho, _twin_classes(ideal), *sums)):
+        if not count % _CHUNK:
+            _check_deadline(deadline)
+        if raw in read:
+            continue
+        read.add(raw)
+        key = key_of(raw)
+        if key is None or key in seen:
+            continue
+        seen.add(key)
+        dims = _cohomology_dims_of_facets(facets_of(key), field, below - 2)
+        for i, cdim in enumerate(dims[:below]):  # dims start at index -1
+            if cdim and i not in found:
+                found.add(i)
+                yield Witness(i, a, cdim)
+        if len(found) == below:
+            return
 
 
 def _check_deadline(deadline: float | None) -> None:
@@ -600,7 +592,7 @@ def depth_dim(ideal: MonomialIdeal, field: int | None = None, *, deadline: float
     found: dict[int, list[Witness]] = {}
     for g in _faces_below(ideal, dim_q):
         local = contract(ideal, g) if g else ideal  # inverts the variables of G
-        for w in _scan(local, dim_q - g.bit_count(), field, first_only=False, deadline=deadline):
+        for w in _scan(local, dim_q - g.bit_count(), field, deadline=deadline):
             rest = iter(w.a)
             a = tuple(-1 if g >> i & 1 else next(rest) for i in range(n))
             i = w.index + g.bit_count()
@@ -644,7 +636,7 @@ def _box_vanishes(ideal: MonomialIdeal | SymbolicPower, face: int, below: int, f
     def scan():
         local = SymbolicPower(SimplicialComplex(key[2], frozenset(key[3])),
                               ideal.m) if isinstance(ideal, SymbolicPower) else ideal
-        return not _scan(local, below, field, first_only=True, deadline=deadline)
+        return next(_scan(local, below, field, deadline=deadline), None) is None
     return _memoized(_VANISHES, ("box", key, below, field), scan)
 
 

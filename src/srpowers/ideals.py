@@ -341,10 +341,12 @@ class SquarefreePower:
     radical_complex: SimplicialComplex
     m: int
 
-    is_unit = False  # the unit ideal has no radical complex to hold
+    is_unit = False  # __post_init__ refuses the void complex, the unit ideal's
 
     def __post_init__(self):
         _check_power(self.m)
+        if self.radical_complex.is_void:
+            raise ValueError("the unit ideal has no radical complex")
 
     @classmethod
     def of(cls, ideal: MonomialIdeal, m: int) -> "SquarefreePower":

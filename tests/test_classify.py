@@ -38,6 +38,10 @@ def test_query_validation():
         Query(C5, "stanley_reisner", "symbolic", "CM", 0)
     with pytest.raises(ValueError):
         Query(C5, "stanley_reisner", "symbolic", "cm", 3)
+    # a bool is an int to isinstance, but no exponent, as in _check_power
+    for m in (True, False):
+        with pytest.raises(ValueError, match='m must be a positive integer or "all"'):
+            Query(C5, "stanley_reisner", "symbolic", "CM", m)
 
 
 def test_five_cycle_symbolic_cm_fails_not_matroid():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -232,6 +233,27 @@ def _rows(text):
     """Columns 1-4 of the CSV rows of a sweep, without the header and the
     comment lines."""
     return [",".join(line.split(",")[:4]) for line in text.strip().splitlines()[1:] if not line.startswith("#")]
+
+
+ORACLE_CHECKS = "sym-cube-cm,sym-cube-s2,ord-cube-cm,sym-cube-gcm,ord-cube-gcm,cover-cube-cm,facet-cube-cm"
+COMBINATORIAL_CHECKS = ("matroid-pair-criterion,graph-4-cycle-criterion,matroid-local-connected,"
+                        "local-matroid-components,ci-local-connected,matroid-complement-duality")
+
+
+@pytest.mark.parametrize("checks, field, digest", [
+    (ORACLE_CHECKS, "Q", "14606cabd26e2578752346aaecc0efc0"),
+    (ORACLE_CHECKS, "F2", "14606cabd26e2578752346aaecc0efc0"),
+    (ORACLE_CHECKS, "F3", "14606cabd26e2578752346aaecc0efc0"),
+    (COMBINATORIAL_CHECKS, "Q", "9ec3588cd3aebd5ffe608cb51c06e605"),
+], ids=["oracle-Q", "oracle-F2", "oracle-F3", "combinatorial"])
+def test_sweep_verdicts_are_pinned(checks, field, digest, capsys, monkeypatch):
+    # the md5 of stdout cut to CSV columns 1-4 (as ``cut -d, -f1-4``), the
+    # timing column left out: every verdict of every complex on <= 5
+    # vertices, the header and the closing count
+    monkeypatch.delenv("SRPL_BUDGET_SECONDS", raising=False)
+    assert main(["sweep", "--check", checks, "--n-max", "5", "--field", field]) == 0
+    cut = "".join(",".join(line.split(",")[:4]) + "\n" for line in capsys.readouterr().out.splitlines())
+    assert hashlib.md5(cut.encode()).hexdigest() == digest
 
 
 def test_sweep_dim_filter_and_parallel_determinism():

@@ -13,10 +13,11 @@ from srpowers.complexes import (
     from_facets,
     simplex,
     uniform_matroid,
+    void_complex,
 )
 from srpowers.enumeration import distinct_complexes, sample_complexes
 from srpowers.fixtures import named_complex, parse_complex_spec
-from srpowers.cohomology import OracleBudgetExceeded
+from srpowers.cohomology import OracleBudgetExceeded, depth_dim, is_cm, is_generalized_cm, is_s2
 from srpowers import ideals
 from srpowers.ideals import (
     MAX_POWER,
@@ -698,6 +699,19 @@ def test_bad_exponents_are_refused():
     with pytest.raises(DeskScaleExceeded, match="int64"):
         half.multiply(half)
     assert MonomialIdeal.from_generators(1, [(1 << 62,)]).gens == {(1 << 62,)}
+
+
+@pytest.mark.parametrize("kind", [SymbolicPower, OrdinaryPower])
+def test_a_power_refuses_the_void_complex(kind):
+    # the void complex is the radical complex of no ideal but the unit one,
+    # so no power holds it; each question the oracle asks of a power is
+    # refused with the message complex_of_radical gives the unit ideal
+    for check in (is_cm, is_s2, is_generalized_cm, depth_dim):
+        with pytest.raises(ValueError, match="the unit ideal has no radical complex"):
+            check(kind(void_complex(3), 2))
+    with pytest.raises(ValueError, match="the unit ideal has no radical complex"):
+        complex_of_radical(MonomialIdeal.unit(3))
+    assert not kind(empty_complex(3), 2).is_unit
 
 
 def test_unit_and_zero_flags():
